@@ -23,7 +23,6 @@ from .errors import (
     DegreeError,
     FieldMismatchError,
     LinearAlgebraError,
-    NonIntegralError,
     NotTotallyPositiveError,
     VerificationError,
 )
@@ -530,7 +529,6 @@ def run(argv: list[str]) -> CommandResult:
     except (
         ConductorError,
         FieldMismatchError,
-        NonIntegralError,
         NotTotallyPositiveError,
         LinearAlgebraError,
         ValueError,

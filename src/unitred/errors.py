@@ -14,10 +14,6 @@ class FieldMismatchError(ConductorError):
     """Operands belong to different fields."""
 
 
-class NonIntegralError(UnitRedError, ValueError):
-    """An algebraic integer was required but the element has denominators."""
-
-
 class NotTotallyPositiveError(UnitRedError, ValueError):
     """The trace form of the element is not positive definite."""
 

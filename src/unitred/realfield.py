@@ -36,7 +36,7 @@ from .numtheory import factorize, is_prime
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below, shortest
 from .traceform import gram, ldl
 from .units import mu_star
-from .witness import VERIFY_DEGREE_CAP, witness_for_conductor
+from .witness import VERIFY_DEGREE_CAP, _budget, witness_for_conductor
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -493,12 +493,7 @@ def verify_real_witness(
             reduced=None,
             reduced_evidence=(),
             nodes=exc.nodes or 0,
-            budget={
-                "node_cap": node_cap,
-                "result_cap": result_cap,
-                "nodes": exc.nodes,
-                "results": exc.results,
-            },
+            budget=_budget(exc, node_cap, result_cap),
         )
 
     mu_exact = res.vectors[0].value

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
 from .linalg import det_exact
-from .traceform import GramMatrix, ldl
+from .traceform import GramMatrix, LDLResult, _integer_scale, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
@@ -29,28 +29,14 @@ DEFAULT_RESULT_CAP = 1_000_000
 def _coerce_gram(g):
     """(scale, integer rows, element-or-None) from a GramMatrix or raw rows."""
     if isinstance(g, GramMatrix):
-        s, rows = g.integer_scale()
-        return s, rows, g.element
+        return (*g.integer_scale(), g.element)
     rows = [[Fraction(c) for c in row] for row in g]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("Gram matrix must be square")
     if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
         raise ValueError("Gram matrix must be symmetric")
-    s = 1
-    for row in rows:
-        for c in row:
-            s = s * c.denominator // math.gcd(s, c.denominator)
-    return s, [[int(c * s) for c in row] for row in rows], None
-
-
-def quadratic_value(rows, v) -> Fraction:
-    """v * G * v^T."""
-    acc = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi:
-            acc += vi * sum(rows[i][j] * vj for j, vj in enumerate(v) if vj)
-    return acc
+    return (*_integer_scale(rows), None)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +169,29 @@ class EnumerationResult:
     nodes: int
 
 
+@dataclass(frozen=True)
+class _PreparedForm:
+    """A form ready to enumerate: its integer scale, the LLL reduction of
+    the scaled rows, and the LDL factors of the reduced Gram."""
+
+    scale: int
+    element: object  # CycloElement, RealElement or None
+    lll: LLLResult
+    ldl: LDLResult
+
+
+def _prepare(g) -> _PreparedForm:
+    """Scale, LLL-reduce and LDL-factor g once; a prepared form passes through."""
+    if isinstance(g, _PreparedForm):
+        return g
+    scale, rows, element = _coerce_gram(g)
+    red = lll_reduce(rows)
+    dec = ldl(red.gram)
+    if dec.status != "positive_definite":
+        raise ValueError(f"Gram matrix is not positive definite ({dec.status})")
+    return _PreparedForm(scale, element, red, dec)
+
+
 def _floor_sqrt(q: Fraction) -> int:
     """floor(sqrt(q)) for q >= 0."""
     return math.isqrt(q.numerator * q.denominator) // q.denominator
@@ -204,19 +213,13 @@ def enumerate_below(
     the corresponding element.
     """
     bound = Fraction(bound)
-    scale, rows, element = _coerce_gram(g)
-    n = len(rows)
-    target = bound * scale  # enumerate v rows v^T <= target in integers
+    form = _prepare(g)
+    u, dvec, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
+    n = len(dvec)
+    target = bound * form.scale  # enumerate v rows v^T <= target in integers
     if bound < 0:
         return EnumerationResult(bound, (), 0)
 
-    red = lll_reduce(rows)
-    u = red.transform
-    dec = ldl(red.gram)
-    if dec.status != "positive_definite":
-        raise ValueError(f"Gram matrix is not positive definite ({dec.status})")
-    dvec = dec.pivots
-    low = dec.lower
     # nonzero subdiagonal entries of L, by column
     cols = [
         [(j, low[j][lvl]) for j in range(lvl + 1, n) if low[j][lvl]]
@@ -280,14 +283,14 @@ def enumerate_below(
         first = next(c for c in coords if c)
         if first < 0:
             coords = [-c for c in coords]
-        out.append((val / scale, tuple(coords)))
+        out.append((val / form.scale, tuple(coords)))
     out.sort(key=lambda pair: (pair[0], pair[1]))
 
     vectors = []
     for val, coords in out:
         norm = None
-        if annotate_norms and element is not None:
-            norm = element.ctx.element(coords).norm()
+        if annotate_norms and form.element is not None:
+            norm = form.element.ctx.element(coords).norm()
         vectors.append(FoundVector(coeffs=coords, value=val, norm=norm))
     return EnumerationResult(bound=bound, vectors=tuple(vectors), nodes=nodes)
 
@@ -322,13 +325,11 @@ def shortest(
     which some lattice vector attains, so the enumeration below it is
     exhaustive and the reported minimum is certified.
     """
-    scale, rows, _ = _coerce_gram(g)
-    red = lll_reduce(rows)
-    start = Fraction(min(red.gram[i][i] for i in range(len(rows))), scale)
-    if start <= 0:
-        raise ValueError("Gram matrix is not positive definite")
-    res = enumerate_below(g, start, node_cap=node_cap, result_cap=result_cap)
-    assert res.vectors, "a basis vector attains the starting bound"
+    form = _prepare(g)
+    start = Fraction(min(row[i] for i, row in enumerate(form.lll.gram)), form.scale)
+    res = enumerate_below(form, start, node_cap=node_cap, result_cap=result_cap)
+    if not res.vectors:
+        raise VerificationError(f"no vector attains the basis-vector bound {start}")
     mu = res.vectors[0].value
     minima = tuple(fv for fv in res.vectors if fv.value == mu)
     return MinimaReport(mu=mu, minima=minima, exhaustive_bound=res.bound, nodes=res.nodes)

@@ -40,12 +40,7 @@ class GramMatrix:
 
     def integer_scale(self) -> tuple[int, list[list[int]]]:
         """Smallest positive s with s*G integral, and s*G as int rows."""
-        s = 1
-        for row in self.entries:
-            for c in row:
-                s = s * c.denominator // math.gcd(s, c.denominator)
-        rows = [[int(c * s) for c in row] for row in self.entries]
-        return s, rows
+        return _integer_scale(self.entries)
 
     def to_json_dict(self) -> dict:
         s, rows = self.integer_scale()
@@ -54,6 +49,12 @@ class GramMatrix:
             "scale": str(s),
             "matrix": [[str(v) for v in row] for row in rows],
         }
+
+
+def _integer_scale(rows) -> tuple[int, list[list[int]]]:
+    """Smallest positive s with s*rows integral, and s*rows as int rows."""
+    s = math.lcm(*(c.denominator for row in rows for c in row))
+    return s, [[int(c * s) for c in row] for row in rows]
 
 
 def gram(a) -> GramMatrix:

@@ -19,10 +19,9 @@ bounds on the reduction discrepancy delta.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BudgetError, ConductorError, DegreeError, VerificationError
 from .field import CycloElement, make_field
@@ -128,6 +127,16 @@ class DiscrepancyCertificate:
         return out
 
 
+def _budget(exc: BudgetError, node_cap: int, result_cap: int) -> dict:
+    """The caps and the partial counts of an enumeration that hit its budget."""
+    return {
+        "node_cap": node_cap,
+        "result_cap": result_cap,
+        "nodes": exc.nodes,
+        "results": exc.results,
+    }
+
+
 def verify_witness(
     big_n: int,
     *,
@@ -174,12 +183,7 @@ def verify_witness(
             reduced=None,
             reduced_evidence=(),
             nodes=exc.nodes or 0,
-            budget={
-                "node_cap": node_cap,
-                "result_cap": result_cap,
-                "nodes": exc.nodes,
-                "results": exc.results,
-            },
+            budget=_budget(exc, node_cap, result_cap),
         )
 
     mu_a = res.vectors[0].value
@@ -288,7 +292,9 @@ def q_matrix(p: int) -> list[list[int]]:
 class L75Report:
     """Exhaustive check of Q(w/p - m) >= Q(w/p) over all permutation vectors
     w of (1..p-1) and all integer m in a box.  Margins are scaled by p^2 to
-    stay integral: margin(w, m) = Q(w - p m) - Q(w)."""
+    stay integral: margin(w, m) = Q(w - p m) - Q(w).  All permutations see
+    the same margins (see l75_scan), so zero_margin_count is permutations
+    times the zero count of w = (1..p-1)."""
 
     p: int
     box_radius: int
@@ -318,55 +324,53 @@ class L75Report:
 def l75_scan(p: int, box_radius: int) -> L75Report:
     """Scan the rounding inequality exhaustively at small p.
 
-    All values fit easily in int64: coordinates stay below p(box_radius+1),
-    so Q stays far below 2^63.  The minimum margin is 0 and m = 0 attains
-    it; the boundary margin shows how fast the quadratic grows at the box
-    wall (violations outside the box would need the margin to come back
-    down, which a positive-definite quadratic cannot do).
+    Q and the box are both invariant under permuting coordinates, so
+    margin(sigma w, m) = margin(w, sigma^-1 m): every permutation of
+    w = (1..p-1) sees the same multiset of margins, and one scan of
+    w = (1..p-1) stands for all (p-1)! of them.  With sum(w) = p(p-1)/2
+    the margin is p^2 * (Q(m) + sum m_i (p-1-2 w_i)).
+
+    The minimum margin is 0 and m = 0 attains it; the boundary margin shows
+    how fast the quadratic grows at the box wall (violations outside the
+    box would need the margin to come back down, which a positive-definite
+    quadratic cannot do).
     """
     if p not in (3, 5, 7):
         raise ValueError(f"scan supports p in 3, 5, 7, got {p}")
     if box_radius < 1:
         raise ValueError("box radius must be >= 1")
     d = p - 1
-    side = np.arange(-box_radius, box_radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * d), indexing="ij")
-    m = np.stack([g.ravel() for g in grids], axis=1)  # (points, d)
-    on_boundary = (np.abs(m) == box_radius).any(axis=1)
-    zero_row = int(np.flatnonzero((m == 0).all(axis=1))[0])
+    side = range(-box_radius, box_radius + 1)
+    # margin / p^2 = sum_w (p m_w^2 + (p-1-2w) m_w) - (sum_w m_w)^2; terms[w-1]
+    # tabulates the summand over the side, indexed by m_w + box_radius
+    terms = [[p * t * t + (p - 1 - 2 * w) * t for t in side] for w in range(1, p)]
+    wall = (0, len(side) - 1)  # indices of -box_radius and box_radius
 
-    def q_np(arr):
-        s = arr.sum(axis=1)
-        return p * (arr * arr).sum(axis=1) - s * s
-
-    min_margin = None
-    zero_count = 0
-    zero_at_origin = True
-    boundary_min = None
-    perms = 0
-    for w in itertools.permutations(range(1, p)):
-        perms += 1
-        wv = np.array(w, dtype=np.int64)
-        margins = q_np(wv[None, :] - p * m) - int(q_np(wv[None, :])[0])
-        lo = int(margins.min())
-        if min_margin is None or lo < min_margin:
-            min_margin = lo
-        zero_count += int((margins == 0).sum())
-        if margins[zero_row] != 0:
-            zero_at_origin = False
-        b = int(margins[on_boundary].min()) if on_boundary.any() else None
-        if b is not None and (boundary_min is None or b < boundary_min):
-            boundary_min = b
+    min_margin = boundary_min = None
+    zeros = 0
+    for idx in itertools.product(range(len(side)), repeat=d):
+        s = sum(idx) - d * box_radius  # sum of the m_w
+        margin = sum(col[i] for col, i in zip(terms, idx)) - s * s
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+        if margin == 0:
+            zeros += 1
+        if (boundary_min is None or margin < boundary_min) and any(
+            i in wall for i in idx
+        ):
+            boundary_min = margin
+    origin = sum(col[box_radius] for col in terms)  # margin / p^2 at m = 0
+    perms = math.factorial(d)
     return L75Report(
         p=p,
         box_radius=box_radius,
         permutations=perms,
-        grid_points=m.shape[0],
-        passed=min_margin >= 0 and zero_at_origin,
-        min_margin=min_margin,
-        zero_margin_count=zero_count,
-        zero_at_m_zero=zero_at_origin,
-        boundary_min_margin=boundary_min,
+        grid_points=len(side) ** d,
+        passed=min_margin >= 0 and origin == 0,
+        min_margin=p * p * min_margin,
+        zero_margin_count=perms * zeros,
+        zero_at_m_zero=origin == 0,
+        boundary_min_margin=p * p * boundary_min,
     )
 
 

@@ -5,10 +5,11 @@ from itertools import product
 
 import pytest
 
-from unitred.errors import BudgetError
+import unitred.svp as svp
+from unitred.errors import BudgetError, VerificationError
 from unitred.field import make_field
 from unitred.linalg import det_exact, invert_exact, mat_mul, transpose
-from unitred.svp import enumerate_below, lll_reduce, shortest
+from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
 from unitred.traceform import gram
 
 
@@ -171,3 +172,40 @@ def test_rational_gram_scaling_consistency():
     b = a.inverse()  # has denominator 2
     rep = shortest(gram(b))
     assert rep.mu == 4
+
+
+def test_shortest_runs_lll_once(monkeypatch):
+    ctx = make_field(15)
+    x = ctx.element([1, -1, 0, 2, 0, 0, 1, 0])
+    g = gram(x * x.conj())
+    red = lll_reduce(g)
+    start = Fraction(min(red.gram[i][i] for i in range(g.dim)), g.integer_scale()[0])
+    expected = enumerate_below(g, start)
+
+    calls = []
+    orig = svp.lll_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(svp, "lll_reduce", counting)
+    rep = shortest(g)
+    assert len(calls) == 1
+    mu = expected.vectors[0].value
+    assert rep == svp.MinimaReport(
+        mu=mu,
+        minima=tuple(fv for fv in expected.vectors if fv.value == mu),
+        exhaustive_bound=start,
+        nodes=expected.nodes,
+    )
+
+
+def test_shortest_raises_typed_error_when_no_vector_attains_start(monkeypatch):
+    # the starting bound is a basis vector's value, so an empty enumeration
+    # is an internal inconsistency; it must raise even under python -O
+    monkeypatch.setattr(
+        svp, "enumerate_below", lambda g, bound, **kw: EnumerationResult(bound, (), 0)
+    )
+    with pytest.raises(VerificationError):
+        shortest([[2, 1], [1, 2]])

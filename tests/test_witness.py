@@ -1,5 +1,9 @@
+import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,57 @@ def test_l75_scans_pass():
         assert rep.permutations == [2, 24, 720][(3, 5, 7).index(p)]
         assert rep.grid_points == (2 * box + 1) ** (p - 1)
         assert rep.boundary_min_margin > 0
+
+
+def _l75_oracle(p, box):
+    """The scan over every permutation w of (1..p-1), straight from the
+    definition margin(w, m) = Q(w - p m) - Q(w)."""
+
+    def q(v):
+        return p * sum(c * c for c in v) - sum(v) ** 2
+
+    side = range(-box, box + 1)
+    grid = list(itertools.product(side, repeat=p - 1))
+    margins, boundary, zeros, at_origin, perms = [], [], 0, True, 0
+    for w in itertools.permutations(range(1, p)):
+        perms += 1
+        for m in grid:
+            margin = q([wi - p * mi for wi, mi in zip(w, m)]) - q(w)
+            margins.append(margin)
+            zeros += margin == 0
+            if not any(m):
+                at_origin = at_origin and margin == 0
+            if any(abs(mi) == box for mi in m):
+                boundary.append(margin)
+    return {
+        "p": p,
+        "box_radius": box,
+        "permutations": perms,
+        "grid_points": len(grid),
+        "passed": min(margins) >= 0 and at_origin,
+        "min_margin": min(margins),
+        "zero_margin_count": zeros,
+        "zero_at_m_zero": at_origin,
+        "boundary_min_margin": min(boundary),
+    }
+
+
+def test_l75_scan_matches_full_permutation_oracle():
+    for p, boxes in ((3, (1, 2, 3)), (5, (1, 2)), (7, (1,))):
+        for box in boxes:
+            rep = l75_scan(p, box).to_json_dict()
+            assert rep.pop("kind") == "l75_scan"
+            assert rep == _l75_oracle(p, box), (p, box)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import unitred; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_l75_guards():
