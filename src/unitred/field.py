@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConductorError, FieldMismatchError
+from .errors import ConductorError, FieldMismatchError, VerificationError
 from .linalg import solve_exact
 from .numtheory import (
     divisors,
@@ -42,7 +42,8 @@ def _trim(p):
 
 def _poly_divmod_monic(num, den):
     """Exact division by a monic integer polynomial; returns (quotient, remainder)."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ValueError(f"divisor {den} is not monic")
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     if dn < dd:
@@ -59,7 +60,8 @@ def _poly_divmod_monic(num, den):
 
 def _exact_div(a, b):
     q, r = divmod(a, b)
-    assert r == 0, "inexact division in subresultant chain"
+    if r:
+        raise VerificationError("inexact division in subresultant chain")
     return q
 
 
@@ -86,9 +88,9 @@ def _prem(a, b):
 def _resultant_int(a, b):
     """Resultant of integer polynomials via the subresultant PRS.
 
-    Divisions in the chain are exact over Z; the assert in _exact_div guards
-    the bookkeeping.  Cross-checked in the test suite against products of
-    conjugates.
+    Divisions in the chain are exact over Z; _exact_div raises
+    VerificationError if the bookkeeping ever breaks that.  Cross-checked in
+    the test suite against products of conjugates.
     """
     a = _trim(list(a))
     b = _trim(list(b))
@@ -160,37 +162,29 @@ def _poly_sub_scaled(a, q, b):
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cyclotomic polynomials need n >= 1, got {n}")
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
             poly, rem = _poly_divmod_monic(poly, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise VerificationError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
+# elements of Z[x]/(f) tensored with Q, shared by K_N and K_N+
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FieldContext:
-    """Immutable per-conductor data: cyclotomic polynomial, reduction tables,
-    monomial traces, Galois residues, |discriminant|."""
+class _Ring:
+    """Element constructors shared by FieldContext and RealFieldContext.
 
-    conductor: int
-    degree: int
-    cyclo_poly: tuple[int, ...]
-    discriminant_abs: int
-    galois_units: tuple[int, ...]
-    _zeta_pow: tuple[tuple[int, ...], ...]
-    _mono_trace: tuple[Fraction, ...]
+    A context provides `degree`, `conductor` and the class attribute
+    `_element_type`.
+    """
 
-    def __repr__(self):
-        return f"FieldContext(conductor={self.conductor}, degree={self.degree})"
-
-    # -- element constructors -------------------------------------------------
-
-    def element(self, coeffs) -> "CycloElement":
+    def element(self, coeffs):
         """Element from a coefficient sequence on the power basis.
 
         Shorter sequences are zero-padded to the degree; longer ones are an
@@ -199,110 +193,43 @@ class FieldContext:
         vals = [Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
             raise ValueError(
-                f"expected at most {self.degree} coefficients for conductor "
-                f"{self.conductor}, got {len(vals)}"
+                f"expected at most {self.degree} coefficients for {self!r}, "
+                f"got {len(vals)}"
             )
         vals += [Fraction(0)] * (self.degree - len(vals))
-        return CycloElement(self, tuple(vals))
+        return self._element_type(self, tuple(vals))
 
-    def zero(self) -> "CycloElement":
+    def zero(self):
         return self.element([])
 
-    def one(self) -> "CycloElement":
+    def one(self):
         return self.element([1])
 
-    def from_rational(self, q) -> "CycloElement":
+    def from_rational(self, q):
         return self.element([Fraction(q)])
-
-    def zeta(self, k: int = 1) -> "CycloElement":
-        """z^k for any integer k (reduced mod the conductor)."""
-        row = self._zeta_pow[k % self.conductor]
-        return CycloElement(self, tuple(Fraction(c) for c in row))
-
-    # -- trace form -----------------------------------------------------------
-
-    def trace_form_entries(self, a: "CycloElement"):
-        """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power basis."""
-        n, big_n = self.degree, self.conductor
-        t = []
-        for k in range(big_n):
-            acc = Fraction(0)
-            for m, c in enumerate(a.coeffs):
-                if c:
-                    acc += c * self._mono_trace[(m + k) % big_n]
-            t.append(acc)
-        return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
-
-
-@lru_cache(maxsize=None)
-def make_field(n: int) -> FieldContext:
-    """Context for the cyclotomic field of canonical conductor n."""
-    if not isinstance(n, int) or n < 1:
-        raise ConductorError(f"conductor must be a positive integer, got {n!r}")
-    if not is_canonical_conductor(n):
-        raise ConductorError(
-            f"conductor {n} is not canonical (N % 4 == 2); use {n // 2} instead"
-        )
-    phi = euler_phi(n)
-    cyclo = cyclotomic_poly(n)
-    assert len(cyclo) - 1 == phi
-
-    disc = n**phi
-    for p in prime_divisors(n):
-        d, r = divmod(phi, p - 1)
-        assert r == 0
-        q, r = divmod(disc, p**d)
-        assert r == 0
-        disc = q
-
-    # z^j reduced mod the cyclotomic polynomial, for every j mod n
-    red = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(n):
-        red.append(tuple(cur))
-        top = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if top:
-            nxt = [nxt[i] - top * cyclo[i] for i in range(phi)]
-        cur = nxt
-    assert tuple(cur) == red[0] == (1,) + (0,) * (phi - 1)  # z^n = 1
-
-    # Tr(z^j) = phi(n) * moebius(d) / phi(d) with d = n / gcd(j, n)
-    mono = []
-    for j in range(n):
-        d = n // math.gcd(j, n)
-        mono.append(Fraction(phi * moebius(d), euler_phi(d)))
-
-    units = tuple(k for k in range(n) if math.gcd(k, n) == 1)
-    return FieldContext(
-        conductor=n,
-        degree=phi,
-        cyclo_poly=cyclo,
-        discriminant_abs=disc,
-        galois_units=units,
-        _zeta_pow=tuple(red),
-        _mono_trace=tuple(mono),
-    )
-
-
-def _same_field(a: "CycloElement", b: "CycloElement"):
-    if a.ctx.conductor != b.ctx.conductor:
-        raise FieldMismatchError(
-            f"conductor mismatch: {a.ctx.conductor} vs {b.ctx.conductor}"
-        )
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CycloElement:
-    ctx: FieldContext
+class _Element:
+    """Exact element on the power basis of a monic integer polynomial f.
+
+    Everything here is independent of f.  Subclasses supply what depends on
+    it: multiplication (the reduction table), norm (the resultant against f),
+    inverse, repr and the maps to other fields.  Only elements of the same
+    class and conductor mix; ints and Fractions coerce.
+    """
+
+    ctx: _Ring
     coeffs: tuple[Fraction, ...]
 
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, CycloElement):
-            _same_field(self, other)
+        if isinstance(other, type(self)):
+            if self.ctx.conductor != other.ctx.conductor:
+                raise FieldMismatchError(
+                    f"conductor mismatch: {self.ctx.conductor} vs {other.ctx.conductor}"
+                )
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.from_rational(other)
@@ -312,7 +239,7 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElement(self.ctx, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        return type(self)(self.ctx, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -320,46 +247,48 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElement(self.ctx, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
+        return type(self)(self.ctx, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycloElement(self.ctx, tuple(-x for x in self.coeffs))
+        return type(self)(self.ctx, tuple(-x for x in self.coeffs))
 
-    def __mul__(self, other):
+    def _mul(self, other, rows):
+        """Product with other, reduced through rows[j] = x^j mod f.
+
+        rows is either periodic (z^N = 1 in K_N) or long enough that every
+        index k < 2 * degree - 1 is its own residue mod len(rows).
+        """
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycloElement(self.ctx, tuple(x * q for x in self.coeffs))
-        if not isinstance(other, CycloElement):
+            return type(self)(self.ctx, tuple(x * q for x in self.coeffs))
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        _same_field(self, other)
         n = self.ctx.degree
         conv = [Fraction(0)] * (2 * n - 1)
         for i, ai in enumerate(self.coeffs):
             if ai:
-                for j, bj in enumerate(other.coeffs):
+                for j, bj in enumerate(o.coeffs):
                     if bj:
                         conv[i + j] += ai * bj
         out = conv[:n]
-        big_n = self.ctx.conductor
         for k in range(n, 2 * n - 1):
             ck = conv[k]
             if ck:
-                row = self.ctx._zeta_pow[k % big_n]
+                row = rows[k % len(rows)]
                 for t in range(n):
                     if row[t]:
                         out[t] += ck * row[t]
-        return CycloElement(self.ctx, tuple(out))
-
-    __rmul__ = __mul__
+        return type(self)(self.ctx, tuple(out))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycloElement(self.ctx, tuple(x / q for x in self.coeffs))
-        if isinstance(other, CycloElement):
+            return type(self)(self.ctx, tuple(x / q for x in self.coeffs))
+        if isinstance(other, type(self)):
             return self * other.inverse()
         return NotImplemented
 
@@ -378,17 +307,15 @@ class CycloElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_rational(other)
-        if not isinstance(other, CycloElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (
             self.ctx.conductor == other.ctx.conductor and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
+        # K_N and K_N+ never collide: their coefficient tuples differ in length
         return hash((self.ctx.conductor, self.coeffs))
-
-    def __repr__(self):
-        return f"<K_{self.ctx.conductor}: {_poly_str(self.coeffs, 'z')}>"
 
     # -- predicates ------------------------------------------------------------
 
@@ -405,6 +332,37 @@ class CycloElement:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]
+
+    # -- invariants --------------------------------------------------------------
+
+    def trace(self) -> Fraction:
+        return sum(
+            (c * self.ctx._mono_trace[i] for i, c in enumerate(self.coeffs) if c),
+            Fraction(0),
+        )
+
+    def _norm(self, modulus) -> Fraction:
+        """Resultant of the monic modulus and the coefficient polynomial,
+        denominators cleared first; exact and sign-exact."""
+        f = _trim([Fraction(c) for c in self.coeffs])
+        if not f:
+            return Fraction(0)
+        if len(f) == 1:
+            return f[0] ** self.ctx.degree
+        den = math.lcm(*(c.denominator for c in f))
+        ints = [int(c * den) for c in f]
+        res = _resultant_int(list(modulus), ints)
+        return Fraction(res, den**self.ctx.degree)
+
+
+class CycloElement(_Element):
+    def __mul__(self, other):
+        return self._mul(other, self.ctx._zeta_pow)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"<K_{self.ctx.conductor}: {_poly_str(self.coeffs, 'z')}>"
 
     # -- Galois action ----------------------------------------------------------
 
@@ -432,24 +390,10 @@ class CycloElement:
 
     # -- invariants --------------------------------------------------------------
 
-    def trace(self) -> Fraction:
-        return sum(
-            (c * self.ctx._mono_trace[i] for i, c in enumerate(self.coeffs) if c),
-            Fraction(0),
-        )
-
     def norm(self) -> Fraction:
         """Field norm, as the resultant of the cyclotomic polynomial and the
-        coefficient polynomial (denominators cleared first)."""
-        f = _trim([Fraction(c) for c in self.coeffs])
-        if not f:
-            return Fraction(0)
-        if len(f) == 1:
-            return f[0] ** self.ctx.degree
-        den = math.lcm(*(c.denominator for c in f))
-        ints = [int(c * den) for c in f]
-        res = _resultant_int(list(self.ctx.cyclo_poly), ints)
-        return Fraction(res, den**self.ctx.degree)
+        coefficient polynomial."""
+        return self._norm(self.ctx.cyclo_poly)
 
     def inverse(self) -> "CycloElement":
         if self.is_zero():
@@ -461,7 +405,10 @@ class CycloElement:
             q, r = _poly_divmod_frac(r0, r1)
             r0, r1 = r1, r
             t0, t1 = t1, _poly_sub_scaled(t0, q, t1)
-        assert r1, "cyclotomic polynomial is irreducible; gcd must be a constant"
+        if not r1:
+            raise VerificationError(
+                "cyclotomic polynomial is irreducible; gcd must be a constant"
+            )
         c = r1[0]
         _, u = _poly_divmod_frac([x / c for x in t1], phi)
         out = list(u) + [Fraction(0)] * (self.ctx.degree - len(u))
@@ -554,6 +501,97 @@ class CycloElement:
         return [
             CycloElement(down, tuple(sol[i * d : (i + 1) * d])) for i in range(r)
         ]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class FieldContext(_Ring):
+    """Immutable per-conductor data: cyclotomic polynomial, reduction tables,
+    monomial traces, Galois residues, |discriminant|."""
+
+    conductor: int
+    degree: int
+    cyclo_poly: tuple[int, ...]
+    discriminant_abs: int
+    galois_units: tuple[int, ...]
+    _zeta_pow: tuple[tuple[int, ...], ...]
+    _mono_trace: tuple[Fraction, ...]
+
+    _element_type = CycloElement
+
+    def __repr__(self):
+        return f"FieldContext(conductor={self.conductor}, degree={self.degree})"
+
+    def zeta(self, k: int = 1) -> CycloElement:
+        """z^k for any integer k (reduced mod the conductor)."""
+        row = self._zeta_pow[k % self.conductor]
+        return CycloElement(self, tuple(Fraction(c) for c in row))
+
+    # -- trace form -----------------------------------------------------------
+
+    def trace_form_entries(self, a: CycloElement):
+        """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power basis."""
+        n, big_n = self.degree, self.conductor
+        t = []
+        for k in range(big_n):
+            acc = Fraction(0)
+            for m, c in enumerate(a.coeffs):
+                if c:
+                    acc += c * self._mono_trace[(m + k) % big_n]
+            t.append(acc)
+        return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def make_field(n: int) -> FieldContext:
+    """Context for the cyclotomic field of canonical conductor n."""
+    if not isinstance(n, int) or n < 1:
+        raise ConductorError(f"conductor must be a positive integer, got {n!r}")
+    if not is_canonical_conductor(n):
+        raise ConductorError(
+            f"conductor {n} is not canonical (N % 4 == 2); use {n // 2} instead"
+        )
+    phi = euler_phi(n)
+    cyclo = cyclotomic_poly(n)
+    if len(cyclo) - 1 != phi:
+        raise VerificationError(f"Phi_{n} has degree {len(cyclo) - 1}, not {phi}")
+
+    disc = n**phi
+    for p in prime_divisors(n):
+        d, r = divmod(phi, p - 1)
+        disc, s = divmod(disc, p**d)
+        if r or s:
+            raise VerificationError(f"|disc| of conductor {n}: inexact at p = {p}")
+
+    # z^j reduced mod the cyclotomic polynomial, for every j mod n
+    red = []
+    cur = [0] * phi
+    cur[0] = 1
+    for _ in range(n):
+        red.append(tuple(cur))
+        top = cur[phi - 1]
+        nxt = [0] + cur[: phi - 1]
+        if top:
+            nxt = [nxt[i] - top * cyclo[i] for i in range(phi)]
+        cur = nxt
+    if tuple(cur) != red[0]:
+        raise VerificationError(f"z^{n} does not reduce to 1")
+
+    # Tr(z^j) = phi(n) * moebius(d) / phi(d) with d = n / gcd(j, n)
+    mono = []
+    for j in range(n):
+        d = n // math.gcd(j, n)
+        mono.append(Fraction(phi * moebius(d), euler_phi(d)))
+
+    units = tuple(k for k in range(n) if math.gcd(k, n) == 1)
+    return FieldContext(
+        conductor=n,
+        degree=phi,
+        cyclo_poly=cyclo,
+        discriminant_abs=disc,
+        galois_units=units,
+        _zeta_pow=tuple(red),
+        _mono_trace=tuple(mono),
+    )
 
 
 def recompose(components, m: int) -> CycloElement:

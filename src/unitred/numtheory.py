@@ -9,7 +9,8 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...) with p ascending."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
     out = []
     m = n
     p = 2
@@ -70,7 +71,8 @@ def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
     a %= n
-    assert math.gcd(a, n) == 1, "order undefined unless gcd(a, n) = 1"
+    if math.gcd(a, n) != 1:
+        raise ValueError(f"order of {a} mod {n} is undefined unless gcd(a, n) = 1")
     k, x = 1, a
     while x != 1:
         x = x * a % n

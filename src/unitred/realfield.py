@@ -18,29 +18,58 @@ one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    BudgetError,
-    ConductorError,
-    DegreeError,
-    FieldMismatchError,
-    VerificationError,
-)
-from .field import CycloElement, FieldContext, _poly_str, _resultant_int, _trim, make_field
+from .errors import BudgetError, ConductorError, DegreeError, VerificationError
+from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, make_field
 from .linalg import solve_exact
 from .numtheory import factorize, is_prime
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below, shortest
-from .traceform import gram, ldl
+from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
+from .traceform import gram, is_totally_positive, ldl
 from .units import mu_star
 from .witness import VERIFY_DEGREE_CAP, _budget, witness_for_conductor
 
 
+class RealElement(_Element):
+    def __mul__(self, other):
+        return self._mul(other, self.ctx._theta_pow)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"<K_{self.ctx.conductor}+: {_poly_str(self.coeffs, 't')}>"
+
+    def norm(self) -> Fraction:
+        """Field norm via the resultant of the minimal polynomial of t and
+        the coefficient polynomial; sign-exact, unlike a square root of the
+        cyclotomic norm."""
+        return self._norm(self.ctx.min_poly)
+
+    def inverse(self) -> "RealElement":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return project(self.embed().inverse())
+
+    def embed(self) -> CycloElement:
+        """Image in the cyclotomic field, on the power basis."""
+        out = self.ctx._cyclo.zero()
+        for c, tk in zip(self.coeffs, self.ctx._theta_embed):
+            if c:
+                out = out + tk * c
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "conductor": self.ctx.conductor,
+            "basis": "theta",
+            "coeffs": [str(c) for c in self.coeffs],
+        }
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class RealFieldContext:
+class RealFieldContext(_Ring):
     """Immutable per-conductor data for Q(t): minimal polynomial of t,
     power-reduction table, monomial traces, and the embedded t-powers."""
 
@@ -52,33 +81,12 @@ class RealFieldContext:
     _theta_pow: tuple[tuple[Fraction, ...], ...]
     _mono_trace: tuple[Fraction, ...]
 
+    _element_type = RealElement
+
     def __repr__(self):
         return f"RealFieldContext(conductor={self.conductor}, degree={self.degree})"
 
-    # -- element constructors -------------------------------------------------
-
-    def element(self, coeffs) -> "RealElement":
-        """Element from a coefficient sequence on the t-power basis; shorter
-        sequences are zero-padded, longer ones are an error."""
-        vals = [Fraction(c) for c in coeffs]
-        if len(vals) > self.degree:
-            raise ValueError(
-                f"expected at most {self.degree} coefficients for the real "
-                f"subfield at conductor {self.conductor}, got {len(vals)}"
-            )
-        vals += [Fraction(0)] * (self.degree - len(vals))
-        return RealElement(self, tuple(vals))
-
-    def zero(self) -> "RealElement":
-        return self.element([])
-
-    def one(self) -> "RealElement":
-        return self.element([1])
-
-    def from_rational(self, q) -> "RealElement":
-        return self.element([Fraction(q)])
-
-    def theta(self) -> "RealElement":
+    def theta(self) -> RealElement:
         if self.degree == 1:
             # t is rational here (conductors 3 and 4)
             return self.element([self._theta_pow[1][0]])
@@ -86,7 +94,7 @@ class RealFieldContext:
 
     # -- trace form -------------------------------------------------------------
 
-    def trace_form_entries(self, a: "RealElement"):
+    def trace_form_entries(self, a: RealElement):
         """Rows of the Gram matrix Tr(a * t^i * t^j); entry depends on i+j only."""
         d = self.degree
         t = []
@@ -117,7 +125,8 @@ def make_real_field(n: int) -> RealFieldContext:
         emb.append(emb[-1] * th)
     cols = [[emb[i].coeffs[r] for i in range(d)] for r in range(cyclo.degree)]
     sol = solve_exact(cols, list(emb[d].coeffs))
-    assert all(c.denominator == 1 for c in sol), "t must be integral over Z"
+    if any(c.denominator != 1 for c in sol):
+        raise VerificationError(f"t is not integral over Z at conductor {n}")
     min_poly = tuple(-int(c) for c in sol) + (1,)
 
     # t^k on the basis, far enough for products and trace-form entries
@@ -150,168 +159,6 @@ def make_real_field(n: int) -> RealFieldContext:
     )
 
 
-def _same_real_field(a: "RealElement", b: "RealElement"):
-    if a.ctx.conductor != b.ctx.conductor:
-        raise FieldMismatchError(
-            f"conductor mismatch: {a.ctx.conductor} vs {b.ctx.conductor}"
-        )
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class RealElement:
-    ctx: RealFieldContext
-    coeffs: tuple[Fraction, ...]
-
-    # -- ring structure -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RealElement):
-            _same_real_field(self, other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealElement(self.ctx, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealElement(self.ctx, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RealElement(self.ctx, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RealElement(self.ctx, tuple(x * q for x in self.coeffs))
-        if not isinstance(other, RealElement):
-            return NotImplemented
-        _same_real_field(self, other)
-        d = self.ctx.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = self.ctx._theta_pow[k]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += ck * row[t]
-        return RealElement(self.ctx, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RealElement(self.ctx, tuple(x / q for x in self.coeffs))
-        if isinstance(other, RealElement):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rational(other)
-        if not isinstance(other, RealElement):
-            return NotImplemented
-        return (
-            self.ctx.conductor == other.ctx.conductor and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("real", self.ctx.conductor, self.coeffs))
-
-    def __repr__(self):
-        return f"<K_{self.ctx.conductor}+: {_poly_str(self.coeffs, 't')}>"
-
-    # -- predicates ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    # -- invariants --------------------------------------------------------------
-
-    def trace(self) -> Fraction:
-        return sum(
-            (c * self.ctx._mono_trace[i] for i, c in enumerate(self.coeffs) if c),
-            Fraction(0),
-        )
-
-    def norm(self) -> Fraction:
-        """Field norm via the resultant of the minimal polynomial of t and
-        the coefficient polynomial; sign-exact, unlike a square root of the
-        cyclotomic norm."""
-        f = _trim([Fraction(c) for c in self.coeffs])
-        if not f:
-            return Fraction(0)
-        if len(f) == 1:
-            return f[0] ** self.ctx.degree
-        den = math.lcm(*(c.denominator for c in f))
-        ints = [int(c * den) for c in f]
-        res = _resultant_int(list(self.ctx.min_poly), ints)
-        return Fraction(res, den**self.ctx.degree)
-
-    def inverse(self) -> "RealElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return project(self.embed().inverse())
-
-    def embed(self) -> CycloElement:
-        """Image in the cyclotomic field, on the power basis."""
-        out = self.ctx._cyclo.zero()
-        for c, tk in zip(self.coeffs, self.ctx._theta_embed):
-            if c:
-                out = out + tk * c
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "conductor": self.ctx.conductor,
-            "basis": "theta",
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-
 def embed(x: RealElement) -> CycloElement:
     return x.embed()
 
@@ -336,10 +183,9 @@ def real_element_from_json_dict(payload: dict) -> RealElement:
     return ctx.element([Fraction(c) for c in payload["coeffs"]])
 
 
-def is_totally_positive_real(a: RealElement) -> bool:
-    """Positive definiteness of the half-dimension trace form; agrees with
-    total positivity of embed(a)."""
-    return ldl(gram(a)).status == "positive_definite"
+# the half-dimension trace form decides total positivity exactly as the full
+# one does for embed(a)
+is_totally_positive_real = is_totally_positive
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +317,12 @@ def verify_real_witness(
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    if not is_totally_positive_real(a):
+    g = gram(a)
+    if ldl(g).status != "positive_definite":
         raise VerificationError(f"real witness at {big_n} is not totally positive")
 
     try:
-        res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
+        res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
     except BudgetError as exc:
         return RealDiscrepancyCertificate(
             conductor=big_n,
@@ -599,17 +446,16 @@ def real_mu_relations_check(
     node_cap: int = DEFAULT_NODE_CAP,
     result_cap: int = DEFAULT_RESULT_CAP,
 ) -> RealMuRelations:
-    lifted = a.embed()
+    # each mu_star scan is exhaustive up to Tr(a), which u = 1 attains, so
+    # its report's mu is the exact minimum of the form
     ms_real = mu_star(a, node_cap=node_cap, result_cap=result_cap)
-    ms_lift = mu_star(lifted, node_cap=node_cap, result_cap=result_cap)
-    mu_real = shortest(gram(a), node_cap=node_cap, result_cap=result_cap)
-    mu_lift = shortest(gram(lifted), node_cap=node_cap, result_cap=result_cap)
+    ms_lift = mu_star(a.embed(), node_cap=node_cap, result_cap=result_cap)
     return RealMuRelations(
         element=a,
         mu_star_real=ms_real.mu_star,
         mu_star_lift=ms_lift.mu_star,
-        mu_real=mu_real.mu,
-        mu_lift=mu_lift.mu,
+        mu_real=ms_real.mu,
+        mu_lift=ms_lift.mu,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConductorError
+from .errors import ConductorError, VerificationError
 from .numtheory import is_canonical_conductor, multiplicative_order, primes
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
 from .traceform import gram, require_totally_positive
@@ -31,7 +31,8 @@ def _scan_to_trace(a, node_cap, result_cap):
     require_totally_positive(g)
     t = a.trace()
     res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
-    assert res.vectors and res.vectors[0].value <= t
+    if not res.vectors or res.vectors[0].value > t:
+        raise VerificationError(f"no vector attains Tr(a) = {t}, which u = 1 does")
     return t, res
 
 
@@ -96,7 +97,8 @@ def mu_star(
             count += 1
             if len(attaining) < attaining_cap:
                 attaining.append(fv)
-    assert level is not None, "u = 1 is a unit with value Tr(a)"
+    if level is None:
+        raise VerificationError(f"no unit attains Tr(a) = {t}, which u = 1 does")
     return MuStarReport(
         element=a,
         trace=t,

@@ -27,7 +27,7 @@ from .errors import BudgetError, ConductorError, DegreeError, VerificationError
 from .field import CycloElement, make_field
 from .numtheory import euler_phi, factorize, is_prime
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
-from .traceform import gram, is_totally_positive
+from .traceform import gram, ldl
 
 VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
 
@@ -165,11 +165,12 @@ def verify_witness(
     t = a.trace()
     if t != trace_cf:
         raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
-    if not is_totally_positive(a):
+    g = gram(a)
+    if ldl(g).status != "positive_definite":
         raise VerificationError(f"witness at {big_n} is not totally positive")
 
     try:
-        res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
+        res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
     except BudgetError as exc:
         return DiscrepancyCertificate(
             conductor=big_n,
@@ -359,17 +360,16 @@ def l75_scan(p: int, box_radius: int) -> L75Report:
             i in wall for i in idx
         ):
             boundary_min = margin
-    origin = sum(col[box_radius] for col in terms)  # margin / p^2 at m = 0
     perms = math.factorial(d)
     return L75Report(
         p=p,
         box_radius=box_radius,
         permutations=perms,
         grid_points=len(side) ** d,
-        passed=min_margin >= 0 and origin == 0,
+        passed=min_margin >= 0,
         min_margin=p * p * min_margin,
         zero_margin_count=perms * zeros,
-        zero_at_m_zero=origin == 0,
+        zero_at_m_zero=True,  # margin(w, 0) = Q(w) - Q(w) = 0 by definition
         boundary_min_margin=p * p * boundary_min,
     )
 

@@ -15,6 +15,7 @@ from unitred.field import (
     recompose,
 )
 from unitred.numtheory import euler_phi, moebius
+from unitred.realfield import make_real_field
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 
@@ -232,3 +233,50 @@ def test_scalar_mixing():
     assert (a / 2) * 2 == a
     assert a + Fraction(1, 3) == ctx.element([Fraction(4, 3), 0, 2, 0])
     assert isinstance(1 * a, CycloElement)
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [(make_field, make_real_field), (make_real_field, make_field)],
+    ids=["CycloElement", "RealElement"],
+)
+def test_element_base_behaviour(make, other):
+    # CycloElement and RealElement share their ring code; each must still
+    # mix only with its own class at its own conductor
+    rng = random.Random(907)
+    ctx = make(16)
+    xs = [_rand_elem(ctx, rng) for _ in range(4)]
+    for x, y, z in zip(xs, xs[1:] + xs[:1], xs[2:] + xs[:2]):
+        assert (x + y) + z == x + (y + z)
+        assert x + y == y + x
+        assert x * (y + z) == x * y + x * z
+        assert x - y == -(y - x)
+        assert 3 - x == -(x - 3)
+        assert x * ctx.one() == x and x + ctx.zero() == x
+        assert x**-2 * x**2 == ctx.one()
+        assert x**-1 == x.inverse() == ctx.one() / x
+        twin = ctx.element(list(x.coeffs))
+        assert twin is not x and twin == x and hash(twin) == hash(x)
+        assert len({x, twin, x + 0}) == 1
+    assert type(xs[0] + xs[1]) is type(-xs[0]) is type(xs[0] / 2) is type(xs[0])
+    assert (xs[0] ** 0) == ctx.one()
+
+    with pytest.raises(FieldMismatchError):
+        _ = ctx.one() + make(15).one()
+    with pytest.raises(FieldMismatchError):
+        _ = ctx.one() * make(15).one()
+    with pytest.raises(FieldMismatchError):
+        _ = ctx.one() - make(15).one()
+
+    # K_16 and K_16+ share a conductor but not a type: never equal, never mixed
+    mine, theirs = ctx.one(), other(16).one()
+    assert (mine == theirs) is False
+    assert mine != theirs
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+    ):
+        with pytest.raises(TypeError):
+            op(mine, theirs)

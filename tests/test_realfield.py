@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import unitred.svp as svp
 from unitred.errors import ConductorError, DegreeError
 from unitred.field import make_field
 from unitred.realfield import (
@@ -18,7 +19,7 @@ from unitred.realfield import (
     real_witness_ppower,
     verify_real_witness,
 )
-from unitred.svp import enumerate_below
+from unitred.svp import enumerate_below, shortest
 from unitred.traceform import gram, is_totally_positive
 from unitred.units import is_unit
 
@@ -339,6 +340,46 @@ def test_half_bound_can_be_strict():
     assert rel.mu_lift == 32
     assert rel.strict
     assert rel.half_bound
+
+
+def _relation_elements():
+    """Squares over K_5+, K_8+ and K_16+ plus the two pinned forms above."""
+    rng = random.Random(908)
+    out = []
+    for n in (5, 8, 16):
+        ctx = make_real_field(n)
+        squares = []
+        while len(squares) < 3:
+            b = _rand_real(rng, ctx, -2, 2)
+            if not b.is_zero() and (b * b).trace() <= 30:
+                squares.append(b * b)
+        out += squares
+    t16 = make_real_field(16).theta()
+    return out + [make_real_field(12).element([17, 8]), 1 + 2 * t16**2 - t16**3]
+
+
+def test_mu_relations_match_shortest_oracle():
+    # mu(a) and mu(embed(a)) come from the two mu_star scans; shortest on
+    # each Gram matrix computes them independently
+    for a in _relation_elements():
+        rel = real_mu_relations_check(a)
+        assert rel.mu_real == shortest(gram(a)).mu, a
+        assert rel.mu_lift == shortest(gram(embed(a))).mu, a
+
+
+def test_mu_relations_prepare_each_form_once(monkeypatch):
+    calls = []
+    orig = svp.lll_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(svp, "lll_reduce", counting)
+    for a in _relation_elements()[-3:]:
+        calls.clear()
+        real_mu_relations_check(a)
+        assert len(calls) == 2, a
 
 
 def test_classify_real_lists():

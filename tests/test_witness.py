@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from unitred.errors import ConductorError, DegreeError
+import unitred.realfield as realfield
+import unitred.witness as witness
+from unitred.errors import ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
-from unitred.traceform import ldl
+from unitred.traceform import LDLResult, ldl
 from unitred.witness import (
     delta_lower_bound,
     eq4_check,
@@ -130,6 +132,20 @@ def test_verify_witness_budget_partial():
     assert d["kind"] == "discrepancy_witness"
     assert d["status"] == "budget_exceeded"
     assert "mu_a" not in d
+
+
+def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
+    # the positivity check and the enumeration share one Gram matrix; a
+    # failed check is a VerificationError, also under python -O
+    def indefinite(g):
+        return LDLResult("indefinite", (Fraction(-1),), 0, ())
+
+    monkeypatch.setattr(witness, "ldl", indefinite)
+    monkeypatch.setattr(realfield, "ldl", indefinite)
+    with pytest.raises(VerificationError, match="not totally positive"):
+        verify_witness(16)
+    with pytest.raises(VerificationError, match="not totally positive"):
+        realfield.verify_real_witness(16)
 
 
 def test_rho_identity():
