@@ -195,10 +195,10 @@ class Certificate:
     conductor: int
     verdict: str  # StronglyUR | WeaklyUR | NotUR | Unknown
     reason: str
-    criterion: CriterionResult | None
-    eta_cert: EtaCertificate | None
-    divisor: tuple[int, int] | None
-    boundary: BoundaryReport | None
+    criterion: CriterionResult | None = None
+    eta_cert: EtaCertificate | None = None
+    divisor: tuple[int, int] | None = None
+    boundary: BoundaryReport | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -243,9 +243,7 @@ def classify(n: int) -> Certificate:
                 "unit reducible and non-reducibility lifts to multiples"
             ),
             criterion=_criterion_or_none(n),
-            eta_cert=None,
             divisor=div,
-            boundary=None,
         )
 
     if euler_phi(n) <= 2:
@@ -254,9 +252,6 @@ def classify(n: int) -> Certificate:
             verdict="StronglyUR",
             reason="degree <= 2: trivially unit reducible (degenerate certificate)",
             criterion=_criterion_or_none(n),
-            eta_cert=None,
-            divisor=None,
-            boundary=None,
         )
 
     try:
@@ -266,10 +261,6 @@ def classify(n: int) -> Certificate:
             conductor=n,
             verdict="Unknown",
             reason=f"degree {euler_phi(n)} > 8: no exact Hermite constant available",
-            criterion=None,
-            eta_cert=None,
-            divisor=None,
-            boundary=None,
         )
     e = eta(n)
     if crit.relation == "Strict":
@@ -279,8 +270,6 @@ def classify(n: int) -> Certificate:
             reason=f"criterion strict: {crit.lhs} < {crit.rhs}",
             criterion=crit,
             eta_cert=e,
-            divisor=None,
-            boundary=None,
         )
     if crit.relation == "Equal":
         if n in BOUNDARY_X:
@@ -294,7 +283,6 @@ def classify(n: int) -> Certificate:
                 ),
                 criterion=crit,
                 eta_cert=e,
-                divisor=None,
                 boundary=rep,
             )
         return Certificate(
@@ -303,8 +291,6 @@ def classify(n: int) -> Certificate:
             reason="criterion equality without a settled boundary form",
             criterion=crit,
             eta_cert=e,
-            divisor=None,
-            boundary=None,
         )
     return Certificate(
         conductor=n,
@@ -312,8 +298,6 @@ def classify(n: int) -> Certificate:
         reason=f"criterion fails: {crit.lhs} > {crit.rhs}",
         criterion=crit,
         eta_cert=e,
-        divisor=None,
-        boundary=None,
     )
 
 

@@ -37,7 +37,7 @@ from .realfield import (
 from .numtheory import factorize, is_canonical_conductor
 from .serialize import dumps_canonical
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, shortest
-from .traceform import gram, require_totally_positive
+from .traceform import gram
 from .units import eta, is_reduced, mu_star
 from .witness import (
     delta_lower_bound,
@@ -168,10 +168,8 @@ def _parsed_element(args):
 
 def cmd_shortest(args) -> CommandResult:
     a = _parsed_element(args)
-    g = gram(a)
-    require_totally_positive(g)
     node_cap, result_cap = _caps(args)
-    rep = shortest(g, node_cap=node_cap, result_cap=result_cap)
+    rep = shortest(gram(a), node_cap=node_cap, result_cap=result_cap)
     payload = {
         "kind": "shortest",
         "conductor": args.N,

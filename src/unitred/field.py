@@ -292,6 +292,11 @@ class _Element:
             return self * other.inverse()
         return NotImplemented
 
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
+
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
@@ -314,7 +319,9 @@ class _Element:
         )
 
     def __hash__(self):
-        # K_N and K_N+ never collide: their coefficient tuples differ in length
+        # a rational element equals its value, so it must hash like it
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.ctx.conductor, self.coeffs))
 
     # -- predicates ------------------------------------------------------------

@@ -22,13 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError, ConductorError, DegreeError, VerificationError
+from .errors import (
+    BudgetError,
+    ConductorError,
+    DegreeError,
+    NotTotallyPositiveError,
+    VerificationError,
+)
 from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, make_field
 from .linalg import solve_exact
 from .numtheory import factorize, is_prime
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
-from .traceform import gram, is_totally_positive, ldl
-from .units import mu_star
+from .traceform import gram, is_totally_positive
+from .units import _scan_to_trace, mu_star
 from .witness import VERIFY_DEGREE_CAP, _budget, witness_for_conductor
 
 
@@ -232,15 +238,15 @@ class RealDiscrepancyCertificate:
     trace_a: Fraction
     mu_upper: Fraction
     quoted_form: Fraction
-    mu_star: Fraction | None
-    mu_exact: Fraction | None
-    mu_path: str
-    bound: Fraction | None
-    ratio_exact: Fraction | None
-    closed_form_agrees: bool | None
-    reduced: bool | None
-    reduced_evidence: tuple[FoundVector, ...]
     nodes: int
+    mu_star: Fraction | None = None
+    mu_exact: Fraction | None = None
+    mu_path: str = "trace_inverse_upper_bound"
+    bound: Fraction | None = None
+    ratio_exact: Fraction | None = None
+    closed_form_agrees: bool | None = None
+    reduced: bool | None = None
+    reduced_evidence: tuple[FoundVector, ...] = ()
     budget: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -317,12 +323,10 @@ def verify_real_witness(
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    g = gram(a)
-    if ldl(g).status != "positive_definite":
-        raise VerificationError(f"real witness at {big_n} is not totally positive")
-
     try:
-        res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
+        scan = _scan_to_trace(a, node_cap, result_cap)
+    except NotTotallyPositiveError:
+        raise VerificationError(f"real witness at {big_n} is not totally positive") from None
     except BudgetError as exc:
         return RealDiscrepancyCertificate(
             conductor=big_n,
@@ -331,24 +335,15 @@ def verify_real_witness(
             trace_a=t,
             mu_upper=upper,
             quoted_form=quoted,
-            mu_star=None,
-            mu_exact=None,
-            mu_path="trace_inverse_upper_bound",
-            bound=None,
-            ratio_exact=None,
-            closed_form_agrees=None,
-            reduced=None,
-            reduced_evidence=(),
             nodes=exc.nodes or 0,
             budget=_budget(exc, node_cap, result_cap),
         )
 
-    mu_exact = res.vectors[0].value
-    below = tuple(fv for fv in res.vectors if fv.value < t)
-    unit_below = [fv for fv in below if abs(fv.norm) == 1]
-    if unit_below:
+    mu_exact = scan.vectors[0].value
+    unit = scan.unit_below
+    if unit is not None:
         raise VerificationError(
-            f"unit {unit_below[0].coeffs} has form value {unit_below[0].value} "
+            f"unit {unit.coeffs} has form value {unit.value} "
             f"< Tr(a); the witness at {big_n} is not reduced"
         )
     mu_star_val = t  # u = 1 attains it and nothing below is a unit
@@ -371,8 +366,8 @@ def verify_real_witness(
         ratio_exact=mu_star_val / mu_exact,
         closed_form_agrees=bound == quoted,
         reduced=True,
-        reduced_evidence=below,
-        nodes=res.nodes,
+        reduced_evidence=scan.below,
+        nodes=scan.nodes,
     )
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
 from .linalg import det_exact
-from .traceform import GramMatrix, LDLResult, _integer_scale, ldl
+from .traceform import GramMatrix, LDLResult, _integer_scale, _require_positive, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
@@ -52,42 +52,30 @@ class LLLResult:
     delta: Fraction
 
 
-def _gso(w):
-    """Gram-Schmidt data (mu, B) of the basis whose Gram matrix is w."""
-    n = len(w)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            num = Fraction(w[i][j])
-            for k in range(j):
-                num -= mu[i][k] * mu[j][k] * b[k]
-            mu[i][j] = num / b[j]
-        bi = Fraction(w[i][i])
-        for k in range(i):
-            bi -= mu[i][k] ** 2 * b[k]
-        b[i] = bi
-        if bi <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-    return mu, b
-
-
 def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
     """LLL-reduce the lattice with the given integer (or exactly scalable)
     Gram matrix.  Returns the unimodular transform and the reduced Gram of
     the scaled integer matrix; a common scale factor does not change which
-    bases are reduced."""
+    bases are reduced.
+
+    The first factorization decides positive definiteness: a form that is
+    not raises NotTotallyPositiveError, which names the element of a trace
+    form and reports the pivot of the unscaled matrix.
+    """
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must be in (1/4, 1)")
-    _, rows, _ = _coerce_gram(g)
+    scale, rows, element = _coerce_gram(g)
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     w = [list(r) for r in rows]
-    if n <= 1:
-        if n == 1 and w[0][0] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        return LLLResult(_int_rows(u), _int_rows(w), delta)
-    mu, b = _gso(w)
+    what = "Gram matrix" if element is None else f"trace form of {element!r}"
+
+    def gso():
+        # Gram-Schmidt data (mu, B) of the current basis: the LDL factors of w
+        dec = _require_positive(ldl(w), what, scale)
+        return [list(r) for r in dec.lower], list(dec.pivots)
+
+    mu, b = gso()
 
     def size_reduce(k, j):
         q = (2 * mu[k][j] + 1) // 2  # nearest integer, ties down
@@ -115,7 +103,7 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
             w[k - 1], w[k] = w[k], w[k - 1]
             for row in w:
                 row[k - 1], row[k] = row[k], row[k - 1]
-            mu, b = _gso(w)
+            mu, b = gso()
             k = max(k - 1, 1)
 
     _verify_lll(rows, u, w, mu, b, delta)
@@ -184,11 +172,14 @@ def _prepare(g) -> _PreparedForm:
     """Scale, LLL-reduce and LDL-factor g once; a prepared form passes through."""
     if isinstance(g, _PreparedForm):
         return g
-    scale, rows, element = _coerce_gram(g)
-    red = lll_reduce(rows)
+    scale, _, element = _coerce_gram(g)
+    red = lll_reduce(g)
     dec = ldl(red.gram)
     if dec.status != "positive_definite":
-        raise ValueError(f"Gram matrix is not positive definite ({dec.status})")
+        raise VerificationError(
+            f"LLL-reduced Gram matrix is {dec.status} after LLL found the form "
+            "positive definite"
+        )
     return _PreparedForm(scale, element, red, dec)
 
 
@@ -203,7 +194,6 @@ def enumerate_below(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     result_cap: int = DEFAULT_RESULT_CAP,
-    annotate_norms: bool = True,
 ) -> EnumerationResult:
     """Every nonzero vector v, up to sign, with v G v^T <= bound (inclusive).
 
@@ -286,13 +276,12 @@ def enumerate_below(
         out.append((val / form.scale, tuple(coords)))
     out.sort(key=lambda pair: (pair[0], pair[1]))
 
-    vectors = []
-    for val, coords in out:
-        norm = None
-        if annotate_norms and form.element is not None:
-            norm = form.element.ctx.element(coords).norm()
-        vectors.append(FoundVector(coeffs=coords, value=val, norm=norm))
-    return EnumerationResult(bound=bound, vectors=tuple(vectors), nodes=nodes)
+    ctx = None if form.element is None else form.element.ctx
+    vectors = tuple(
+        FoundVector(coords, val, None if ctx is None else ctx.element(coords).norm())
+        for val, coords in out
+    )
+    return EnumerationResult(bound=bound, vectors=vectors, nodes=nodes)
 
 
 @dataclass(frozen=True)

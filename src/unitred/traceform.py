@@ -86,36 +86,52 @@ class LDLResult:
 
 
 def ldl(matrix) -> LDLResult:
-    """LDL^T over the rationals without pivoting, as a definiteness test."""
-    if isinstance(matrix, GramMatrix):
-        a = [list(r) for r in matrix.entries]
-    else:
-        a = [[Fraction(c) for c in row] for row in matrix]
+    """LDL^T over the rationals without pivoting, as a definiteness test.
+
+    Row by row and fraction-free (Cohen, Alg. 2.6.7), on the integer matrix
+    a = s * matrix: dets[k] is the k-th leading principal minor of a and
+    lam[i][j] = L[i][j] * dets[j + 1], so every division is exact and no
+    Fraction is formed until the end.  Only the lower triangle is read.
+    """
+    rows = matrix.entries if isinstance(matrix, GramMatrix) else matrix
+    s, a = _integer_scale(rows)
     n = len(a)
-    low = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    pivots = []
-    for k in range(n):
-        d = a[k][k]
-        if d < 0:
-            return LDLResult("indefinite", tuple(pivots + [d]), k, _rows(low))
-        if d == 0:
+    dets = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def minor(i, j, k):
+        # dets[k] times entry (i, j) of a after eliminating k coordinates
+        u = a[i][j]
+        for t in range(k):
+            u = (dets[t + 1] * u - lam[i][t] * lam[j][t]) // dets[t]
+        return u
+
+    def fill(i, k):
+        for j in range(k):
+            lam[i][j] = minor(i, j, j)
+
+    def result(status, k):
+        # stopped at index k (k == n on success): pivots up to k, L left of k
+        pivots = tuple(Fraction(dets[i + 1], dets[i] * s) for i in range(min(k + 1, n)))
+        low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(min(i, k)):
+                low[i][j] = Fraction(lam[i][j], dets[j + 1])
+        return LDLResult(status, pivots, k if k < n else -1, tuple(map(tuple, low)))
+
+    for i in range(n):
+        fill(i, i)
+        dets[i + 1] = minor(i, i, i)
+        if dets[i + 1] < 0:
+            return result("indefinite", i)
+        if dets[i + 1] == 0:
+            for t in range(i + 1, n):
+                fill(t, i)
             block_zero = all(
-                a[i][j] == 0 for i in range(k, n) for j in range(k, n)
+                minor(t, j, i) == 0 for t in range(i, n) for j in range(i, t + 1)
             )
-            status = "singular" if block_zero else "indefinite_or_singular"
-            return LDLResult(status, tuple(pivots + [d]), k, _rows(low))
-        pivots.append(d)
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                low[i][k] = f
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return LDLResult("positive_definite", tuple(pivots), -1, _rows(low))
-
-
-def _rows(m):
-    return tuple(tuple(r) for r in m)
+            return result("singular" if block_zero else "indefinite_or_singular", i)
+    return result("positive_definite", n)
 
 
 def is_totally_positive(a) -> bool:
@@ -124,14 +140,19 @@ def is_totally_positive(a) -> bool:
     return ldl(gram(a)).status == "positive_definite"
 
 
-def require_totally_positive(g: GramMatrix) -> LDLResult:
-    res = ldl(g)
+def _require_positive(res: LDLResult, what: str, scale=1) -> LDLResult:
+    """res, if it says positive definite; else NotTotallyPositiveError naming
+    the form.  The pivot is reported for the form divided by scale."""
     if res.status != "positive_definite":
         raise NotTotallyPositiveError(
-            f"trace form of {g.element!r} is {res.status} "
-            f"(pivot {res.pivots[-1]} at index {res.failure_index})"
+            f"{what} is {res.status} "
+            f"(pivot {res.pivots[-1] / scale} at index {res.failure_index})"
         )
     return res
+
+
+def require_totally_positive(g: GramMatrix) -> LDLResult:
+    return _require_positive(ldl(g), f"trace form of {g.element!r}")
 
 
 def embedding_values(a):

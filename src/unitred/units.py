@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ConductorError, VerificationError
 from .numtheory import is_canonical_conductor, multiplicative_order, primes
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
-from .traceform import gram, require_totally_positive
+from .traceform import gram
 
 ATTAINING_CAP = 512
 
@@ -26,14 +26,30 @@ def is_unit(x) -> bool:
     return x.is_integral() and abs(x.norm()) == 1
 
 
-def _scan_to_trace(a, node_cap, result_cap):
-    g = gram(a)
-    require_totally_positive(g)
+@dataclass(frozen=True)
+class _TraceScan:
+    """Every vector of the form of a up to Tr(a), from one enumeration."""
+
+    trace: Fraction
+    vectors: tuple[FoundVector, ...]  # ascending (value, coeffs)
+    below: tuple[FoundVector, ...]  # value strictly under the trace
+    unit_below: FoundVector | None  # the first unit among them
+    nodes: int
+
+
+def _scan_to_trace(a, node_cap, result_cap) -> _TraceScan:
+    """Enumerate Tr(a x conj(x)) up to Tr(a), the value at x = 1.
+
+    Raises NotTotallyPositiveError when a is not totally positive and
+    BudgetError when the enumeration hits a cap.
+    """
     t = a.trace()
-    res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
-    if not res.vectors or res.vectors[0].value > t:
+    res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
+    if not res.vectors:
         raise VerificationError(f"no vector attains Tr(a) = {t}, which u = 1 does")
-    return t, res
+    below = tuple(fv for fv in res.vectors if fv.value < t)
+    unit = next((fv for fv in below if abs(fv.norm) == 1), None)
+    return _TraceScan(t, res.vectors, below, unit, res.nodes)
 
 
 @dataclass(frozen=True)
@@ -84,11 +100,11 @@ def mu_star(
 ) -> MuStarReport:
     """Minimum of Tr(a u conj(u)) over units u, by exhaustive enumeration up
     to Tr(a) (the value at u = 1, so the search bound is always attained)."""
-    t, res = _scan_to_trace(a, node_cap, result_cap)
+    scan = _scan_to_trace(a, node_cap, result_cap)
     level = None
     attaining = []
     count = 0
-    for fv in res.vectors:
+    for fv in scan.vectors:
         if level is not None and fv.value > level:
             break
         if abs(fv.norm) == 1:
@@ -98,16 +114,16 @@ def mu_star(
             if len(attaining) < attaining_cap:
                 attaining.append(fv)
     if level is None:
-        raise VerificationError(f"no unit attains Tr(a) = {t}, which u = 1 does")
+        raise VerificationError(f"no unit attains Tr(a) = {scan.trace}, which u = 1 does")
     return MuStarReport(
         element=a,
-        trace=t,
-        mu=res.vectors[0].value,
+        trace=scan.trace,
+        mu=scan.vectors[0].value,
         mu_star=level,
         attaining=tuple(attaining),
         attaining_count=count,
         attaining_truncated=count > len(attaining),
-        nodes=res.nodes,
+        nodes=scan.nodes,
     )
 
 
@@ -156,17 +172,16 @@ def is_reduced(
     result_cap: int = DEFAULT_RESULT_CAP,
 ) -> ReducednessCertificate:
     """Whether no unit does strictly better than u = 1 in the form of a."""
-    t, res = _scan_to_trace(a, node_cap, result_cap)
-    below = tuple(fv for fv in res.vectors if fv.value < t)
-    witness = next((fv for fv in below if abs(fv.norm) == 1), None)
+    scan = _scan_to_trace(a, node_cap, result_cap)
+    witness = scan.unit_below
     return ReducednessCertificate(
         element=a,
         reduced=witness is None,
-        trace=t,
-        mu_star=t if witness is None else witness.value,
+        trace=scan.trace,
+        mu_star=scan.trace if witness is None else witness.value,
         witness_unit=witness,
-        below_trace=below,
-        nodes=res.nodes,
+        below_trace=scan.below,
+        nodes=scan.nodes,
     )
 
 

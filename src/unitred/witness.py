@@ -23,11 +23,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, ConductorError, DegreeError, VerificationError
+from .errors import (
+    BudgetError,
+    ConductorError,
+    DegreeError,
+    NotTotallyPositiveError,
+    VerificationError,
+)
 from .field import CycloElement, make_field
 from .numtheory import euler_phi, factorize, is_prime
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
-from .traceform import gram, ldl
+from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector
+from .units import _scan_to_trace
 
 VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
 
@@ -96,12 +102,12 @@ class DiscrepancyCertificate:
     status: str
     trace_a: Fraction
     closed_form: Fraction
-    mu_a: Fraction | None
-    ratio: Fraction | None
-    mu_attained_at_expected: bool | None
-    reduced: bool | None
-    reduced_evidence: tuple[FoundVector, ...]
     nodes: int
+    mu_a: Fraction | None = None
+    ratio: Fraction | None = None
+    mu_attained_at_expected: bool | None = None
+    reduced: bool | None = None
+    reduced_evidence: tuple[FoundVector, ...] = ()
     budget: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -165,12 +171,10 @@ def verify_witness(
     t = a.trace()
     if t != trace_cf:
         raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
-    g = gram(a)
-    if ldl(g).status != "positive_definite":
-        raise VerificationError(f"witness at {big_n} is not totally positive")
-
     try:
-        res = enumerate_below(g, t, node_cap=node_cap, result_cap=result_cap)
+        scan = _scan_to_trace(a, node_cap, result_cap)
+    except NotTotallyPositiveError:
+        raise VerificationError(f"witness at {big_n} is not totally positive") from None
     except BudgetError as exc:
         return DiscrepancyCertificate(
             conductor=big_n,
@@ -178,47 +182,32 @@ def verify_witness(
             status="budget_exceeded",
             trace_a=t,
             closed_form=ratio_cf,
-            mu_a=None,
-            ratio=None,
-            mu_attained_at_expected=None,
-            reduced=None,
-            reduced_evidence=(),
             nodes=exc.nodes or 0,
             budget=_budget(exc, node_cap, result_cap),
         )
 
-    mu_a = res.vectors[0].value
+    mu_a = scan.vectors[0].value
     ratio = t / mu_a
     if ratio != ratio_cf:
         raise VerificationError(
             f"ratio {ratio} differs from closed form {ratio_cf} at conductor {big_n}"
         )
-    below = tuple(fv for fv in res.vectors if fv.value < t)
-    bad = [fv for fv in below if abs(fv.norm) < 2]
-    if bad:
+    bad = scan.unit_below
+    if bad is not None:
         raise VerificationError(
-            f"sub-trace vector {bad[0].coeffs} has |norm| {abs(bad[0].norm)} < 2; "
+            f"sub-trace vector {bad.coeffs} has |norm| {abs(bad.norm)} < 2; "
             "witness is not reduced"
         )
 
     # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the
-    # expected minimum whenever the ratio is unfloored
-    x_coeffs = [0] * deg
-    x_coeffs[0] = 1
-    x_coeffs[1] = 1 if p == 2 else -1
-    x = a.ctx.element(x_coeffs)
+    # expected minimum whenever the ratio is unfloored; its first
+    # coefficient is 1, so it is its own sign-canonical representative
+    x = 1 + a.ctx.zeta() if p == 2 else 1 - a.ctx.zeta()
     x_val = (a * x * x.conj()).trace()
     if x_val != euler_phi(big_n):
         raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
     expect_x_minimal = mu_a == euler_phi(big_n)
-    canon = tuple(map(Fraction, x_coeffs))
-    if canon[0] < 0 or (canon[0] == 0 and next(c for c in canon if c) < 0):
-        canon = tuple(-c for c in canon)
-    attained = any(
-        tuple(map(Fraction, fv.coeffs)) == canon
-        for fv in res.vectors
-        if fv.value == mu_a
-    )
+    attained = any(fv.coeffs == x.coeffs for fv in scan.vectors if fv.value == mu_a)
     if expect_x_minimal and not attained:
         raise VerificationError(f"x does not attain the minimum at conductor {big_n}")
 
@@ -232,8 +221,8 @@ def verify_witness(
         ratio=ratio,
         mu_attained_at_expected=attained,
         reduced=True,
-        reduced_evidence=below,
-        nodes=res.nodes,
+        reduced_evidence=scan.below,
+        nodes=scan.nodes,
     )
 
 

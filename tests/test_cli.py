@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from unitred.cli import run
+from unitred.cli import main, run
 from unitred.serialize import dumps_canonical
 
 
@@ -60,6 +60,14 @@ def test_shortest_pads_short_element_text():
 def test_shortest_rejects_indefinite_form():
     res = run(["shortest", "8", "-a", "0,1,0,0"])  # zeta_8 is not totally real
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["shortest", "mustar", "reduced"])
+def test_element_that_is_not_totally_positive_is_exit_2(command, capsys):
+    assert main([command, "5", "-a", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "trace form of <K_5: -1> is indefinite (pivot -4 at index 0)\n"
 
 
 def test_mustar_and_reduced_roundtrip():

@@ -258,7 +258,16 @@ def test_element_base_behaviour(make, other):
         twin = ctx.element(list(x.coeffs))
         assert twin is not x and twin == x and hash(twin) == hash(x)
         assert len({x, twin, x + 0}) == 1
+        assert 1 / x == x.inverse() * 1 and 1 / x * x == ctx.one()
+        assert Fraction(1, 2) / x == x.inverse() * Fraction(1, 2)
     assert type(xs[0] + xs[1]) is type(-xs[0]) is type(xs[0] / 2) is type(xs[0])
+    assert type(1 / xs[0]) is type(xs[0])
+    # a rational element equals its value, so it hashes like it
+    for q in (1, 0, -3, Fraction(1, 2)):
+        r = ctx.from_rational(q)
+        assert r == q and hash(r) == hash(q)
+        assert len({q, r}) == 1
+    assert {1: "one"}[ctx.one()] == "one"
     assert (xs[0] ** 0) == ctx.one()
 
     with pytest.raises(FieldMismatchError):

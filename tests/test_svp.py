@@ -67,14 +67,14 @@ def test_enumeration_matches_brute_force():
         dim = rng.randint(3, 4)
         g = _rand_pd_gram(rng, dim)
         bound = Fraction(rng.randint(4, 18))
-        res = enumerate_below(g, bound, annotate_norms=False)
+        res = enumerate_below(g, bound)
         got = [(fv.value, fv.coeffs) for fv in res.vectors]
         assert got == _brute_force_below(g, bound)
 
 
 def test_enumeration_inclusive_bound_and_order():
     g = [[2, 0], [0, 3]]
-    res = enumerate_below(g, Fraction(3), annotate_norms=False)
+    res = enumerate_below(g, Fraction(3))
     assert [(fv.value, fv.coeffs) for fv in res.vectors] == [
         (Fraction(2), (1, 0)),
         (Fraction(3), (0, 1)),
@@ -84,7 +84,7 @@ def test_enumeration_inclusive_bound_and_order():
 def test_sign_canonical_first_nonzero_positive():
     rng = random.Random(503)
     g = _rand_pd_gram(rng, 3)
-    res = enumerate_below(g, Fraction(30), annotate_norms=False)
+    res = enumerate_below(g, Fraction(30))
     for fv in res.vectors:
         assert next(c for c in fv.coeffs if c != 0) > 0
 

@@ -6,14 +6,17 @@ import pytest
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
 from unitred.linalg import mat_mul, transpose
-from unitred.svp import shortest
+from unitred.realfield import make_real_field
+from unitred.svp import lll_reduce, shortest
 from unitred.traceform import (
+    LDLResult,
     embedding_values,
     gram,
     is_totally_positive,
     ldl,
     require_totally_positive,
 )
+from unitred.units import is_reduced, mu_star
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 
@@ -168,3 +171,108 @@ def test_minimum_of_reference_form_over_8():
     x = ctx.one() + ctx.zeta()
     a = (x * x.conj()).inverse()
     assert shortest(gram(a)).mu == 4
+
+
+def _column_ldl(matrix) -> LDLResult:
+    """Oracle: LDL^T by column elimination over Fractions, an algorithm
+    independent of the fraction-free row-by-row ldl."""
+    a = [[Fraction(c) for c in row] for row in matrix]
+    n = len(a)
+    low = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    pivots = []
+    for k in range(n):
+        d = a[k][k]
+        if d < 0:
+            return LDLResult("indefinite", tuple(pivots + [d]), k, ())
+        if d == 0:
+            block_zero = all(a[i][j] == 0 for i in range(k, n) for j in range(k, n))
+            status = "singular" if block_zero else "indefinite_or_singular"
+            return LDLResult(status, tuple(pivots + [d]), k, ())
+        pivots.append(d)
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                low[i][k] = f
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return LDLResult("positive_definite", tuple(pivots), -1, tuple(map(tuple, low)))
+
+
+def _gram_of_rows(b):
+    n = len(b[0])
+    return [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+
+
+def test_ldl_matches_column_elimination_oracle():
+    rng = random.Random(407)
+    cases = [
+        [[1, 1], [1, 1]],
+        [[0, 1], [1, 0]],
+        [[Fraction(0)]],
+        [[Fraction(-1)]],
+        [],
+    ]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:  # B^T B: positive definite, or singular when B is short
+            rows = rng.randint(n - 1, n + 1)
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)]
+            cases.append(_gram_of_rows(b) if rows else [[0] * n for _ in range(n)])
+        elif kind == 1:  # symmetric with rational entries, mostly indefinite
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            cases.append(m)
+        else:  # a zero or negative pivot at index k, after a positive block
+            k = rng.randint(0, n - 1)
+            m = _gram_of_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            for j in range(n):
+                m[k][j] = m[j][k] = 0
+            m[k][k] = rng.choice((0, -1))
+            cases.append(m)
+    statuses = set()
+    for m in cases:
+        got, want = ldl(m), _column_ldl(m)
+        statuses.add(want.status)
+        assert (got.status, got.pivots, got.failure_index) == (
+            want.status,
+            want.pivots,
+            want.failure_index,
+        ), m
+        if want.status == "positive_definite":
+            assert got.lower == want.lower, m
+    assert statuses == {"positive_definite", "indefinite", "singular", "indefinite_or_singular"}
+    # the trace forms of the package, at the degrees where LLL spends its time
+    for n in (25, 32, 33, 44):
+        ctx = make_field(n)
+        x = _rand_elem(rng, ctx, -2, 2)
+        if x.is_zero():
+            continue
+        g = gram(x * x.conj())
+        for m in (g.entries, lll_reduce(g).gram):
+            assert ldl(m) == _column_ldl(m)
+
+
+def _not_totally_positive_elements():
+    # totally real, not totally positive: -1 fails at the first pivot;
+    # 1 + t (values 1.618 and -0.618 over K_5) at a zero pivot later on, and
+    # t + 4/3 at a negative one, in a Gram matrix LLL must scale by 3
+    k5 = make_field(5)
+    t = k5.zeta() + k5.zeta().conj()
+    tr = make_real_field(16).theta()
+    return [-k5.one(), 1 + t, t + Fraction(4, 3), tr - 1]
+
+
+def test_forms_that_are_not_positive_raise_typed_errors():
+    for a in _not_totally_positive_elements():
+        res = ldl(gram(a))
+        assert res.status != "positive_definite", a
+        with pytest.raises(NotTotallyPositiveError) as want:
+            require_totally_positive(gram(a))
+        for decide in (mu_star, is_reduced, lambda a: shortest(gram(a))):
+            with pytest.raises(NotTotallyPositiveError) as got:
+                decide(a)
+            assert str(got.value) == str(want.value), a
+    assert [ldl(gram(a)).failure_index for a in _not_totally_positive_elements()] == [0, 1, 2, 0]

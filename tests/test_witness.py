@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import unitred.realfield as realfield
-import unitred.witness as witness
+import unitred.svp as svp
 from unitred.errors import ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
 from unitred.traceform import LDLResult, ldl
@@ -140,8 +140,7 @@ def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
     def indefinite(g):
         return LDLResult("indefinite", (Fraction(-1),), 0, ())
 
-    monkeypatch.setattr(witness, "ldl", indefinite)
-    monkeypatch.setattr(realfield, "ldl", indefinite)
+    monkeypatch.setattr(svp, "ldl", indefinite)
     with pytest.raises(VerificationError, match="not totally positive"):
         verify_witness(16)
     with pytest.raises(VerificationError, match="not totally positive"):
