@@ -12,23 +12,6 @@ from fractions import Fraction
 from .errors import LinearAlgebraError
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(rows, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def solve_exact(rows, rhs) -> list[Fraction]:
     """Solve A x = b exactly.  A is m x n with m >= n and full column rank.
 
@@ -81,20 +64,3 @@ def det_exact(rows) -> Fraction:
                 f = a[i][c] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
-
-
-def invert_exact(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            raise LinearAlgebraError("singular matrix")
-        a[c], a[p] = a[p], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]

@@ -2,9 +2,9 @@
 
 Everything here is rational: LLL runs on an integer Gram matrix with the
 transform and Gram kept in integers and the orthogonalization in Fractions,
-and enumeration uses integer square roots for interval endpoints with an
-exact predicate fixup.  A successful run is therefore a proof, not an
-approximation; post-conditions are re-verified and raise VerificationError
+and enumeration runs in integers over one common denominator, with exact
+integer square roots for the interval ends.  A successful run is therefore
+a proof, not an approximation; post-conditions are re-verified and raise VerificationError
 on any internal inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
@@ -14,7 +14,8 @@ representative (first nonzero coordinate positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
@@ -119,10 +120,10 @@ def _verify_lll(g, u, w, mu, b, delta):
     d = det_exact([[Fraction(c) for c in row] for row in u])
     if d not in (1, -1):
         raise VerificationError(f"LLL transform is not unimodular (det {d})")
+    ug = [[sum(x * y for x, y in zip(ui, col)) for col in zip(*g)] for ui in u]
     for i in range(n):
         for j in range(n):
-            got = sum(u[i][s] * g[s][t] * u[j][t] for s in range(n) for t in range(n))
-            if got != w[i][j]:
+            if sum(x * y for x, y in zip(ug[i], u[j])) != w[i][j]:
                 raise VerificationError("LLL Gram bookkeeping mismatch")
     for i in range(n):
         for j in range(i):
@@ -139,9 +140,20 @@ def _verify_lll(g, u, w, mu, b, delta):
 
 @dataclass(frozen=True)
 class FoundVector:
+    """A lattice vector and its form value.
+
+    ring is the field of a trace form's element (None for raw Gram rows);
+    norm is the field norm of the vector as an element of it, computed on
+    first read and kept, so a vector nobody asks about costs no resultant.
+    """
+
     coeffs: tuple[int, ...]
     value: Fraction
-    norm: Fraction | None = None
+    ring: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def norm(self) -> Fraction | None:
+        return None if self.ring is None else self.ring.element(self.coeffs).norm()
 
     def to_json_dict(self) -> dict:
         d = {"coeffs": [str(c) for c in self.coeffs], "value": str(self.value)}
@@ -183,11 +195,6 @@ def _prepare(g) -> _PreparedForm:
     return _PreparedForm(scale, element, red, dec)
 
 
-def _floor_sqrt(q: Fraction) -> int:
-    """floor(sqrt(q)) for q >= 0."""
-    return math.isqrt(q.numerator * q.denominator) // q.denominator
-
-
 def enumerate_below(
     g,
     bound,
@@ -199,89 +206,89 @@ def enumerate_below(
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  When G
-    came from a trace form, each vector is annotated with the field norm of
-    the corresponding element.
+    came from a trace form, each vector's norm is the field norm of the
+    corresponding element.
+
+    Fincke-Pohst over the LDL factors of the LLL-reduced form, in integers
+    only.  Level l adds pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j;
+    with den_l the common denominator of column l of L and s that of every
+    pivot_l / den_l^2, s times that step is k_l * (t * den_l + C_l)^2 for
+    integers k_l and C_l, so each interval end is an exact isqrt.  The top
+    coordinate runs over t >= 0 only; the -v twins this leaves below a zero
+    top coordinate still count as results, but are not kept.
     """
     bound = Fraction(bound)
     form = _prepare(g)
-    u, dvec, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
-    n = len(dvec)
-    target = bound * form.scale  # enumerate v rows v^T <= target in integers
     if bound < 0:
         return EnumerationResult(bound, (), 0)
-
-    # nonzero subdiagonal entries of L, by column
+    u, piv, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
+    n = len(piv)
+    dens = [
+        math.lcm(*(low[j][l].denominator for j in range(l + 1, n))) for l in range(n)
+    ]
+    weights = [piv[l] / (dens[l] * dens[l]) for l in range(n)]
+    s = math.lcm(*(w.denominator for w in weights))
+    ks = [int(w * s) for w in weights]
     cols = [
-        [(j, low[j][lvl]) for j in range(lvl + 1, n) if low[j][lvl]]
-        for lvl in range(n)
+        [(j, int(low[j][l] * dens[l])) for j in range(l + 1, n) if low[j][l]]
+        for l in range(n)
     ]
 
-    nodes = 0
-    found: list[tuple[Fraction, tuple[int, ...]]] = []
+    top = math.floor(bound * form.scale * s)
+    nodes = results = 0
+    found: list[tuple[int, tuple[int, ...]]] = []  # (s * scale * value, coords)
     v = [0] * n
 
-    def recurse(lvl: int, rem: Fraction, used: Fraction):
-        nonlocal nodes
-        c = Fraction(0)
+    def over(what, cap):
+        return BudgetError(
+            f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
+        )
+
+    def recurse(lvl: int, rem: int, sign: int, partial: list[int]):
+        # rem: top minus the steps above lvl; sign: that of the highest
+        # nonzero coordinate above lvl (0 if none); partial: the
+        # original-basis coordinates of the levels above lvl
+        nonlocal nodes, results
+        k, den, row = ks[lvl], dens[lvl], u[lvl]
+        c = 0
         for j, lj in cols[lvl]:
             c += lj * v[j]
-        r = rem / dvec[lvl]
-
-        # exact endpoints of -sqrt(r) <= t + c <= sqrt(r): integer-sqrt guess,
-        # then a one-step fixup with one-sided exact predicates
-        s = _floor_sqrt(r)
-        hi = math.floor(Fraction(s) - c)
-        d = hi + 1 + c
-        if d <= 0 or d * d <= r:
-            hi += 1
-        lo = math.ceil(Fraction(-s) - c)
-        d = lo - 1 + c
-        if d >= 0 or d * d <= r:
-            lo -= 1
-        if lvl == n - 1:
-            lo = max(lo, 0)  # half space: each +-v pair visited once
-        for t in range(lo, hi + 1):
+        m = math.isqrt(rem // k)  # |t * den + c| <= m
+        lo = 0 if lvl == n - 1 else -((m + c) // den)  # top level: t >= 0
+        for t in range(lo, (m - c) // den + 1):
             nodes += 1
             if nodes > node_cap:
-                raise BudgetError(
-                    f"enumeration exceeded node cap {node_cap}", nodes=nodes,
-                    results=len(found),
-                )
-            v[lvl] = t
-            step = dvec[lvl] * (t + c) ** 2
-            if lvl == 0:
-                if any(v):
-                    found.append((used + step, tuple(v)))
-                    if len(found) > result_cap:
-                        raise BudgetError(
-                            f"enumeration exceeded result cap {result_cap}",
-                            nodes=nodes, results=len(found),
-                        )
-            else:
-                recurse(lvl - 1, rem - step, used + step)
-        v[lvl] = 0
+                raise over("node", node_cap)
+            x = t * den + c
+            if lvl:
+                v[lvl] = t
+                step = k * x * x
+                below = [p + t * r for p, r in zip(partial, row)] if t else partial
+                recurse(lvl - 1, rem - step, sign or t, below)
+                continue
+            first = sign or t
+            if not first:
+                continue  # the zero vector
+            results += 1
+            if results > result_cap:
+                raise over("result", result_cap)
+            if first < 0:
+                continue  # the twin of a vector kept with the opposite sign
+            coords = [p + t * r for p, r in zip(partial, row)]
+            if next(a for a in coords if a) < 0:
+                coords = [-a for a in coords]
+            found.append((top - rem + k * x * x, tuple(coords)))
 
-    recurse(n - 1, target, Fraction(0))
+    recurse(n - 1, top, 0, [0] * n)
+    found.sort()
 
-    out = []
-    for val, vec in found:
-        # drop the -v twin that can appear when the top coordinate is 0
-        last = next(c for c in reversed(vec) if c)
-        if last < 0:
-            continue
-        coords = [sum(vec[i] * u[i][t] for i in range(n)) for t in range(n)]
-        first = next(c for c in coords if c)
-        if first < 0:
-            coords = [-c for c in coords]
-        out.append((val / form.scale, tuple(coords)))
-    out.sort(key=lambda pair: (pair[0], pair[1]))
-
-    ctx = None if form.element is None else form.element.ctx
-    vectors = tuple(
-        FoundVector(coords, val, None if ctx is None else ctx.element(coords).norm())
-        for val, coords in out
-    )
-    return EnumerationResult(bound=bound, vectors=vectors, nodes=nodes)
+    ring = None if form.element is None else form.element.ctx
+    vectors, last = [], None
+    for val, coords in found:
+        if val != last:  # sorted, so each distinct value is built once
+            last, value = val, Fraction(val, s * form.scale)
+        vectors.append(FoundVector(coords, value, ring))
+    return EnumerationResult(bound=bound, vectors=tuple(vectors), nodes=nodes)
 
 
 @dataclass(frozen=True)

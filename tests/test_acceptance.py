@@ -15,13 +15,15 @@ from fractions import Fraction
 from unitred.certify import boundary_analysis, classify, strong_criterion, table1
 from unitred.cli import run
 from unitred.field import make_field
-from unitred.linalg import det_exact, invert_exact
+from unitred.linalg import det_exact
 from unitred.realfield import classify_real, make_real_field, verify_real_witness
 from unitred.serialize import dumps_canonical
 from unitred.svp import enumerate_below
 from unitred.traceform import gram
 from unitred.units import mu_star
 from unitred.witness import eq4_check, l75_scan, q_eval, rho, rho_closed, verify_witness
+
+from linalg_helpers import invert_exact
 
 PRIMES_13_97 = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 

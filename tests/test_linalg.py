@@ -4,15 +4,9 @@ from fractions import Fraction
 import pytest
 
 from unitred.errors import LinearAlgebraError
-from unitred.linalg import (
-    det_exact,
-    identity,
-    invert_exact,
-    mat_mul,
-    mat_vec,
-    solve_exact,
-    transpose,
-)
+from unitred.linalg import det_exact, solve_exact
+
+from linalg_helpers import identity, invert_exact, mat_mul, mat_vec, transpose
 
 
 def _rand_matrix(rng, n, m=None, lo=-9, hi=9):

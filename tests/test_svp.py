@@ -8,9 +8,13 @@ import pytest
 import unitred.svp as svp
 from unitred.errors import BudgetError, VerificationError
 from unitred.field import make_field
-from unitred.linalg import det_exact, invert_exact, mat_mul, transpose
+from unitred.linalg import det_exact
+from unitred.realfield import real_witness_2power, real_witness_ppower
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
 from unitred.traceform import gram
+from unitred.witness import witness_for_conductor
+
+from linalg_helpers import invert_exact, mat_mul, transpose
 
 
 def _rand_pd_gram(rng, dim, spread=2):
@@ -209,3 +213,157 @@ def test_shortest_raises_typed_error_when_no_vector_attains_start(monkeypatch):
     )
     with pytest.raises(VerificationError):
         shortest([[2, 1], [1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# the Fraction recursion as a differential oracle for the integer kernel
+
+
+def _floor_sqrt(q: Fraction) -> int:
+    """floor(sqrt(q)) for q >= 0."""
+    return math.isqrt(q.numerator * q.denominator) // q.denominator
+
+
+def _fraction_enumerate(
+    g, bound, *, node_cap=svp.DEFAULT_NODE_CAP, result_cap=svp.DEFAULT_RESULT_CAP
+):
+    """Fincke-Pohst in Fractions, as enumerate_below ran before its integer
+    kernel: ([(value, coeffs)], nodes), or BudgetError at the same caps."""
+    bound = Fraction(bound)
+    form = svp._prepare(g)
+    u, dvec, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
+    n = len(dvec)
+    target = bound * form.scale
+    if bound < 0:
+        return [], 0
+    cols = [
+        [(j, low[j][lvl]) for j in range(lvl + 1, n) if low[j][lvl]]
+        for lvl in range(n)
+    ]
+    nodes = 0
+    found = []
+    v = [0] * n
+
+    def recurse(lvl, rem, used):
+        nonlocal nodes
+        c = Fraction(0)
+        for j, lj in cols[lvl]:
+            c += lj * v[j]
+        r = rem / dvec[lvl]
+        # integer-sqrt guess, then a one-step fixup with exact predicates
+        s = _floor_sqrt(r)
+        hi = math.floor(Fraction(s) - c)
+        d = hi + 1 + c
+        if d <= 0 or d * d <= r:
+            hi += 1
+        lo = math.ceil(Fraction(-s) - c)
+        d = lo - 1 + c
+        if d >= 0 or d * d <= r:
+            lo -= 1
+        if lvl == n - 1:
+            lo = max(lo, 0)
+        for t in range(lo, hi + 1):
+            nodes += 1
+            if nodes > node_cap:
+                raise BudgetError(
+                    f"enumeration exceeded node cap {node_cap}", nodes=nodes,
+                    results=len(found),
+                )
+            v[lvl] = t
+            step = dvec[lvl] * (t + c) ** 2
+            if lvl == 0:
+                if any(v):
+                    found.append((used + step, tuple(v)))
+                    if len(found) > result_cap:
+                        raise BudgetError(
+                            f"enumeration exceeded result cap {result_cap}",
+                            nodes=nodes, results=len(found),
+                        )
+            else:
+                recurse(lvl - 1, rem - step, used + step)
+        v[lvl] = 0
+
+    recurse(n - 1, target, Fraction(0))
+    out = []
+    for val, vec in found:
+        if next(c for c in reversed(vec) if c) < 0:
+            continue
+        coords = [sum(vec[i] * u[i][t] for i in range(n)) for t in range(n)]
+        if next(c for c in coords if c) < 0:
+            coords = [-c for c in coords]
+        out.append((val / form.scale, tuple(coords)))
+    out.sort()
+    return out, nodes
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BudgetError as exc:
+        return ("budget", str(exc), exc.nodes, exc.results)
+
+
+def _assert_matches_oracle(g, bound, **caps):
+    def kernel():
+        res = enumerate_below(g, bound, **caps)
+        return [(fv.value, fv.coeffs) for fv in res.vectors], res.nodes
+
+    want = _outcome(lambda: _fraction_enumerate(g, bound, **caps))
+    assert _outcome(kernel) == want, (bound, caps)
+    return want
+
+
+def _rand_rational_pd_gram(rng, dim):
+    # B^T B / d plus a nonnegative rational diagonal: positive definite, with
+    # denominators in the pivots and in the columns of L
+    b = _rand_pd_gram(rng, dim, spread=rng.choice((1, 2, 3)))
+    d = rng.randint(1, 6)
+    return [
+        [Fraction(b[i][j], d) + (Fraction(rng.randint(0, 5), rng.randint(1, 7)) if i == j else 0)
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def test_integer_kernel_matches_fraction_oracle_on_random_forms():
+    rng = random.Random(507)
+    budgets = 0
+    for trial in range(240):
+        dim = 1 + trial % 8
+        g = _rand_rational_pd_gram(rng, dim)
+        top = max(g[i][i] for i in range(dim))
+        bound = Fraction(rng.randint(-2, 25), 10) * top
+        want = _assert_matches_oracle(g, bound)
+        if want[0] != "budget" and want[1] > 1:
+            # caps that stop the tree part-way, on a node or on a result
+            nodes, results = want[1], len(want[0])
+            for caps in (
+                {"node_cap": rng.randint(1, nodes - 1)},
+                {"result_cap": rng.randint(0, 2 * results)},
+                {"node_cap": rng.randint(1, nodes), "result_cap": rng.randint(0, results)},
+            ):
+                budgets += _assert_matches_oracle(g, bound, **caps)[0] == "budget"
+    assert budgets > 100
+
+
+WITNESS_FORMS = {
+    "witness 16": lambda: witness_for_conductor(16),
+    "witness 25": lambda: witness_for_conductor(25),
+    "witness 27": lambda: witness_for_conductor(27),
+    "witness 32": lambda: witness_for_conductor(32),
+    "real witness 32": lambda: real_witness_2power(5),
+    "real witness 49": lambda: real_witness_ppower(7, 2),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_FORMS)
+def test_integer_kernel_matches_fraction_oracle_on_witness_forms(name):
+    a = WITNESS_FORMS[name]()
+    form = svp._prepare(gram(a))  # both enumerators take the prepared form
+    t = a.trace()
+    found, nodes = _assert_matches_oracle(form, t)
+    mu = found[0][0]
+    for bound in (mu, Fraction(0), Fraction(-1)):
+        _assert_matches_oracle(form, bound)
+    for caps in ({"node_cap": min(1500, nodes // 2)}, {"result_cap": 100}):
+        assert _assert_matches_oracle(form, t, **caps)[0] == "budget"

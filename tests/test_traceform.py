@@ -5,7 +5,6 @@ import pytest
 
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
-from unitred.linalg import mat_mul, transpose
 from unitred.realfield import make_real_field
 from unitred.svp import lll_reduce, shortest
 from unitred.traceform import (
@@ -17,6 +16,8 @@ from unitred.traceform import (
     require_totally_positive,
 )
 from unitred.units import is_reduced, mu_star
+
+from linalg_helpers import mat_mul, transpose
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 

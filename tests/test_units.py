@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 
-from unitred.field import make_field
+from unitred.field import CycloElement, make_field
+from unitred.realfield import RealElement, verify_real_witness
+from unitred.serialize import dumps_canonical
 from unitred.svp import enumerate_below, shortest
 from unitred.traceform import gram
 from unitred.units import eta, is_reduced, is_unit, mu_star
+from unitred.witness import verify_witness
 
 ETA_TABLE = {5: 5, 7: 7, 8: 2, 9: 3, 12: 4, 15: 16, 16: 2, 25: 5, 27: 3}
 
@@ -159,3 +163,53 @@ def test_report_json_shapes():
     d = eta(8).to_json_dict()
     assert d["kind"] == "eta"
     assert d["value"] == "2"
+
+
+def _count_norms(monkeypatch):
+    """Elements whose norm is computed from here on, in call order."""
+    calls = []
+    for cls in (CycloElement, RealElement):
+
+        def counting(self, _orig=cls.norm):
+            calls.append(self)
+            return _orig(self)
+
+        monkeypatch.setattr(cls, "norm", counting)
+    return calls
+
+
+def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
+    calls = _count_norms(monkeypatch)
+
+    # the witness checks read the norms of the vectors below Tr(a) only:
+    # 575 of the 8,875 found at conductor 25, and the JSON is unchanged
+    cert = verify_witness(25)
+    assert len(calls) == len(cert.reduced_evidence) == 575
+    text = dumps_canonical(cert.to_json_dict())
+    assert len(calls) == 575  # the JSON reads the cached norms
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "04a182db7182b85d37c00dbc48e9df1ea5b11eb324822889cbec8ca47651d2b3"
+    )
+    del calls[:]
+    real = verify_real_witness(32)
+    assert len(calls) == len(real.reduced_evidence) > 0
+
+    # shortest computes none itself, and its JSON one per minimum
+    x = make_field(15).element([3, 1, 0, 0, 0, 0, 0, 1])
+    del calls[:]
+    rep = shortest(gram(x * x.conj()))
+    assert calls == []
+    rep.to_json_dict()
+    assert len(calls) == len(rep.minima) == 15
+
+    # mu_star reads norms up to its unit level and none above it
+    ctx = make_field(5)
+    e = 1 + ctx.zeta()  # a unit, so u = e^-1 beats u = 1 for a = (e e^-)^2
+    a = (e * e.conj()) ** 2
+    scan = enumerate_below(gram(a), a.trace()).vectors
+    del calls[:]
+    ms = mu_star(a)
+    assert ms.mu_star < a.trace()
+    at_or_below = [fv.coeffs for fv in scan if fv.value <= ms.mu_star]
+    assert [tuple(int(c) for c in y.coeffs) for y in calls] == at_or_below
+    assert len(at_or_below) < len(scan)
