@@ -77,9 +77,11 @@ def strong_criterion(n: int) -> CriterionResult:
     lhs < rhs is decisive; lhs == rhs leaves exactly the boundary forms to
     inspect; lhs > rhs says nothing.
     """
+    if not isinstance(n, int) or n < 1 or not is_canonical_conductor(n):
+        raise ConductorError(f"conductor {n} is not canonical")
+    deg = euler_phi(n)
+    gp = hermite_pow(deg)  # DegreeError for deg > 8, before a field is built
     ctx = make_field(n)
-    deg = ctx.degree
-    gp = hermite_pow(deg)  # raises DegreeError for deg > 8
     e = eta(n)
     lhs = gp * ctx.discriminant_abs
     rhs = Fraction(deg**deg * e.eta**2)

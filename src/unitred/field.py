@@ -159,7 +159,7 @@ def _poly_sub_scaled(a, q, b):
     return _trim(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # phi(n) + 1 ints each; multiples ask for their divisors
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
@@ -207,6 +207,11 @@ class _Ring:
 
     def from_rational(self, q):
         return self.element([Fraction(q)])
+
+    def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
+        """Coefficients known to share the norm of x: x alone (over K_N+
+        only -x could, and in odd degree N(-x) = -N(x))."""
+        return [tuple(coeffs)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -533,6 +538,22 @@ class FieldContext(_Ring):
         row = self._zeta_pow[k % self.conductor]
         return CycloElement(self, tuple(Fraction(c) for c in row))
 
+    def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
+        """Sign-canonical coefficients of every +-z^j * x, x nonzero and
+        integral: in even degree N(z) = N(-1) = 1, so all share the norm of
+        x.  Each step multiplies by z, a shift reduced by the cyclotomic
+        polynomial.  In degree 1 (conductor 1), x stands alone."""
+        if self.degree % 2:
+            return [tuple(coeffs)]
+        f, x, out = self.cyclo_poly, list(coeffs), []
+        for _ in range(self.conductor):
+            out.append(tuple(x) if next(c for c in x if c) > 0 else tuple(-c for c in x))
+            top = x.pop()
+            x.insert(0, 0)
+            if top:
+                x = [c - top * fc for c, fc in zip(x, f)]
+        return out
+
     # -- trace form -----------------------------------------------------------
 
     def trace_form_entries(self, a: CycloElement):
@@ -548,7 +569,7 @@ class FieldContext(_Ring):
         return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # N x phi(N) tables each: a sweep must not keep them all
 def make_field(n: int) -> FieldContext:
     """Context for the cyclotomic field of canonical conductor n."""
     if not isinstance(n, int) or n < 1:

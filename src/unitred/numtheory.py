@@ -6,7 +6,7 @@ import math
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # primes() asks for every integer it passes
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...) with p ascending."""
     if n < 1:

@@ -113,7 +113,7 @@ class RealFieldContext(_Ring):
         return [[t[i + j] for j in range(d)] for i in range(d)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # each holds tables of size phi(N)/2, like make_field's
 def make_real_field(n: int) -> RealFieldContext:
     """Context for the maximal totally real subfield at canonical conductor
     n >= 3.  The minimal polynomial of t comes from the exact linear
@@ -324,7 +324,7 @@ def verify_real_witness(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
     try:
-        scan = _scan_to_trace(a, node_cap, result_cap)
+        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
     except NotTotallyPositiveError:
         raise VerificationError(f"real witness at {big_n} is not totally positive") from None
     except BudgetError as exc:

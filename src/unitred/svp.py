@@ -8,14 +8,14 @@ a proof, not an approximation; post-conditions are re-verified and raise Verific
 on any internal inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
-representative (first nonzero coordinate positive).
+representative (first nonzero coordinate positive), and never visits the
+other.  The bound is inclusive, or strict on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
@@ -138,22 +138,31 @@ def _verify_lll(g, u, w, mu, b, delta):
 # bounded enumeration
 
 
+class _OrbitNorms(dict):
+    """Field norms of one enumeration's vectors, by coefficients: a missing
+    one costs one resultant, filed under all of ring.norm_orbit."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __missing__(self, coeffs: tuple[int, ...]) -> Fraction:
+        norm = self.ring.element(coeffs).norm()
+        self.update(dict.fromkeys(self.ring.norm_orbit(coeffs), norm))
+        return norm
+
+
 @dataclass(frozen=True)
 class FoundVector:
-    """A lattice vector and its form value.
-
-    ring is the field of a trace form's element (None for raw Gram rows);
-    norm is the field norm of the vector as an element of it, computed on
-    first read and kept, so a vector nobody asks about costs no resultant.
-    """
+    """A lattice vector, its form value, and its field norm as an element of
+    a trace form's field (None for raw Gram rows), computed when first read."""
 
     coeffs: tuple[int, ...]
     value: Fraction
-    ring: object = field(default=None, repr=False, compare=False)
+    norms: _OrbitNorms | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @property
     def norm(self) -> Fraction | None:
-        return None if self.ring is None else self.ring.element(self.coeffs).norm()
+        return None if self.norms is None else self.norms[self.coeffs]
 
     def to_json_dict(self) -> dict:
         d = {"coeffs": [str(c) for c in self.coeffs], "value": str(self.value)}
@@ -199,28 +208,29 @@ def enumerate_below(
     g,
     bound,
     *,
+    strict: bool = False,
     node_cap: int = DEFAULT_NODE_CAP,
     result_cap: int = DEFAULT_RESULT_CAP,
 ) -> EnumerationResult:
-    """Every nonzero vector v, up to sign, with v G v^T <= bound (inclusive).
+    """Every nonzero vector v, up to sign, with v G v^T <= bound, or < bound
+    when strict.
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  When G
     came from a trace form, each vector's norm is the field norm of the
-    corresponding element.
+    corresponding element, one resultant per orbit under x -> +-zeta^j x.
 
     Fincke-Pohst over the LDL factors of the LLL-reduced form, in integers
     only.  Level l adds pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j;
     with den_l the common denominator of column l of L and s that of every
     pivot_l / den_l^2, s times that step is k_l * (t * den_l + C_l)^2 for
-    integers k_l and C_l, so each interval end is an exact isqrt.  The top
-    coordinate runs over t >= 0 only; the -v twins this leaves below a zero
-    top coordinate still count as results, but are not kept.
+    integers k_l and C_l, so each interval end is an exact isqrt, and the
+    steps sum to at most floor(s * scale * bound), or ceil(...) - 1 when
+    strict.  While the coordinates above a level are all 0, C_l = 0 and t
+    runs over t >= 0 only, so no -v twin is visited.
     """
     bound = Fraction(bound)
     form = _prepare(g)
-    if bound < 0:
-        return EnumerationResult(bound, (), 0)
     u, piv, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
     n = len(piv)
     dens = [
@@ -234,7 +244,10 @@ def enumerate_below(
         for l in range(n)
     ]
 
-    top = math.floor(bound * form.scale * s)
+    scaled = bound * form.scale * s
+    top = math.ceil(scaled) - 1 if strict else math.floor(scaled)
+    if top < 0:
+        return EnumerationResult(bound, (), 0)
     nodes = results = 0
     found: list[tuple[int, tuple[int, ...]]] = []  # (s * scale * value, coords)
     v = [0] * n
@@ -244,17 +257,16 @@ def enumerate_below(
             f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
         )
 
-    def recurse(lvl: int, rem: int, sign: int, partial: list[int]):
-        # rem: top minus the steps above lvl; sign: that of the highest
-        # nonzero coordinate above lvl (0 if none); partial: the
-        # original-basis coordinates of the levels above lvl
+    def recurse(lvl: int, rem: int, free, partial: list[int]):
+        # rem: top minus the steps above lvl; free: a coordinate above lvl is
+        # nonzero; partial: the original-basis coordinates of those levels
         nonlocal nodes, results
         k, den, row = ks[lvl], dens[lvl], u[lvl]
         c = 0
         for j, lj in cols[lvl]:
             c += lj * v[j]
         m = math.isqrt(rem // k)  # |t * den + c| <= m
-        lo = 0 if lvl == n - 1 else -((m + c) // den)  # top level: t >= 0
+        lo = -((m + c) // den) if free else 0
         for t in range(lo, (m - c) // den + 1):
             nodes += 1
             if nodes > node_cap:
@@ -262,18 +274,14 @@ def enumerate_below(
             x = t * den + c
             if lvl:
                 v[lvl] = t
-                step = k * x * x
                 below = [p + t * r for p, r in zip(partial, row)] if t else partial
-                recurse(lvl - 1, rem - step, sign or t, below)
+                recurse(lvl - 1, rem - k * x * x, free or t, below)
                 continue
-            first = sign or t
-            if not first:
+            if not (free or t):
                 continue  # the zero vector
             results += 1
             if results > result_cap:
                 raise over("result", result_cap)
-            if first < 0:
-                continue  # the twin of a vector kept with the opposite sign
             coords = [p + t * r for p, r in zip(partial, row)]
             if next(a for a in coords if a) < 0:
                 coords = [-a for a in coords]
@@ -282,12 +290,12 @@ def enumerate_below(
     recurse(n - 1, top, 0, [0] * n)
     found.sort()
 
-    ring = None if form.element is None else form.element.ctx
+    norms = None if form.element is None else _OrbitNorms(form.element.ctx)
     vectors, last = [], None
     for val, coords in found:
         if val != last:  # sorted, so each distinct value is built once
             last, value = val, Fraction(val, s * form.scale)
-        vectors.append(FoundVector(coords, value, ring))
+        vectors.append(FoundVector(coords, value, norms))
     return EnumerationResult(bound=bound, vectors=tuple(vectors), nodes=nodes)
 
 

@@ -4,8 +4,8 @@ prime-ideal norm.
 For totally positive a, the quadratic form q(u) = Tr(a * u * conj(u)) takes
 the value Tr(a) at u = 1.  Its minimum over all nonzero integers is mu(a);
 its minimum over units is mu*(a); a is reduced when no unit beats u = 1.
-All three are decided by one exhaustive enumeration up to Tr(a), with the
-norm of every candidate checked exactly.
+All three are decided by one exhaustive enumeration up to Tr(a) (strictly
+below it for reducedness), with the norm of every candidate checked exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConductorError, VerificationError
+from .errors import BudgetError, ConductorError, VerificationError
 from .numtheory import is_canonical_conductor, multiplicative_order, primes
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
+from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, _prepare, enumerate_below
 from .traceform import gram
 
 ATTAINING_CAP = 512
@@ -28,28 +28,40 @@ def is_unit(x) -> bool:
 
 @dataclass(frozen=True)
 class _TraceScan:
-    """Every vector of the form of a up to Tr(a), from one enumeration."""
+    """The vectors of the form of a against Tr(a), from one prepared form."""
 
     trace: Fraction
-    vectors: tuple[FoundVector, ...]  # ascending (value, coeffs)
+    vectors: tuple[FoundVector, ...]  # ascending (value, coeffs); vectors[0] is mu
     below: tuple[FoundVector, ...]  # value strictly under the trace
     unit_below: FoundVector | None  # the first unit among them
     nodes: int
 
 
-def _scan_to_trace(a, node_cap, result_cap) -> _TraceScan:
-    """Enumerate Tr(a x conj(x)) up to Tr(a), the value at x = 1.
+def _scan_to_trace(a, node_cap, result_cap, *, strict: bool) -> _TraceScan:
+    """Enumerate Tr(a x conj(x)) up to Tr(a), the value at x = 1, or only
+    strictly below it when strict.  If nothing is, the minimum is Tr(a),
+    read off the shell by an inclusive scan of the same prepared form under
+    the budget left; nodes counts both scans.
 
     Raises NotTotallyPositiveError when a is not totally positive and
     BudgetError when the enumeration hits a cap.
     """
     t = a.trace()
-    res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
+    form = _prepare(gram(a))
+    res = enumerate_below(form, t, strict=strict, node_cap=node_cap, result_cap=result_cap)
+    nodes = res.nodes
+    if strict and not res.vectors:
+        try:
+            res = enumerate_below(form, t, node_cap=node_cap - nodes, result_cap=result_cap)
+        except BudgetError as exc:
+            exc.nodes += nodes
+            raise
+        nodes += res.nodes
     if not res.vectors:
         raise VerificationError(f"no vector attains Tr(a) = {t}, which u = 1 does")
     below = tuple(fv for fv in res.vectors if fv.value < t)
     unit = next((fv for fv in below if abs(fv.norm) == 1), None)
-    return _TraceScan(t, res.vectors, below, unit, res.nodes)
+    return _TraceScan(t, res.vectors, below, unit, nodes)
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ def mu_star(
 ) -> MuStarReport:
     """Minimum of Tr(a u conj(u)) over units u, by exhaustive enumeration up
     to Tr(a) (the value at u = 1, so the search bound is always attained)."""
-    scan = _scan_to_trace(a, node_cap, result_cap)
+    scan = _scan_to_trace(a, node_cap, result_cap, strict=False)
     level = None
     attaining = []
     count = 0
@@ -172,7 +184,7 @@ def is_reduced(
     result_cap: int = DEFAULT_RESULT_CAP,
 ) -> ReducednessCertificate:
     """Whether no unit does strictly better than u = 1 in the form of a."""
-    scan = _scan_to_trace(a, node_cap, result_cap)
+    scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
     witness = scan.unit_below
     return ReducednessCertificate(
         element=a,

@@ -172,7 +172,7 @@ def verify_witness(
     if t != trace_cf:
         raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
     try:
-        scan = _scan_to_trace(a, node_cap, result_cap)
+        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
     except NotTotallyPositiveError:
         raise VerificationError(f"witness at {big_n} is not totally positive") from None
     except BudgetError as exc:
@@ -199,16 +199,15 @@ def verify_witness(
             "witness is not reduced"
         )
 
-    # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the
-    # expected minimum whenever the ratio is unfloored; its first
-    # coefficient is 1, so it is its own sign-canonical representative
+    # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
+    # unless the ratio is floored; its first coefficient is 1, so the scan,
+    # exhaustive up to mu_a, lists x as it is whenever x attains mu_a
     x = 1 + a.ctx.zeta() if p == 2 else 1 - a.ctx.zeta()
     x_val = (a * x * x.conj()).trace()
     if x_val != euler_phi(big_n):
         raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
-    expect_x_minimal = mu_a == euler_phi(big_n)
-    attained = any(fv.coeffs == x.coeffs for fv in scan.vectors if fv.value == mu_a)
-    if expect_x_minimal and not attained:
+    attained = x_val == mu_a
+    if attained and not any(fv.coeffs == x.coeffs for fv in scan.vectors if fv.value == mu_a):
         raise VerificationError(f"x does not attain the minimum at conductor {big_n}")
 
     return DiscrepancyCertificate(

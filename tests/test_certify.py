@@ -54,9 +54,16 @@ def test_criterion_relations():
         assert strong_criterion(n).relation == "Strict"
     for n in (16, 20, 24):
         assert strong_criterion(n).relation == "Fail"
-    # beyond dimension 8 there is no exact Hermite constant to compare with
-    for n in (11, 25, 27):
+    # beyond dimension 8 there is no exact Hermite constant to compare with,
+    # and that is decided before any field context is built
+    built = make_field.cache_info().misses
+    for n in (11, 25, 27, 101):
         with pytest.raises(DegreeError):
+            strong_criterion(n)
+    assert make_field.cache_info().misses == built
+    # a conductor that is not canonical is rejected before its degree is read
+    for n in (0, 22, 4998):
+        with pytest.raises(ConductorError):
             strong_criterion(n)
 
 

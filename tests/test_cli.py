@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +197,28 @@ def test_sweep_lines_parse_and_respect_divisor_rule():
     for n, verdict in seen.items():
         if any(n % d == 0 for d in bad):
             assert verdict == "NotUR", n
+
+
+def test_sweep_to_5000_runs_in_bounded_memory():
+    # a field context holds N x phi(N) tables; building and caching one per
+    # conductor took sweep 3..1200 past 2 GB.  The child caps its own address
+    # space, so such a regression fails here instead of exhausting memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from unitred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = main(['sweep', '3..5000'])\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(rc, len(out.getvalue().splitlines()), rss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, lines, max_rss_kb = map(int, proc.stdout.split())
+    assert rc == 0
+    assert lines == 3749  # the canonical conductors in 3..5000
+    assert max_rss_kb < 100 * 1024

@@ -9,10 +9,15 @@ import unitred.svp as svp
 from unitred.errors import BudgetError, VerificationError
 from unitred.field import make_field
 from unitred.linalg import det_exact
-from unitred.realfield import real_witness_2power, real_witness_ppower
+from unitred.realfield import (
+    make_real_field,
+    real_witness_2power,
+    real_witness_ppower,
+    verify_real_witness,
+)
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
 from unitred.traceform import gram
-from unitred.witness import witness_for_conductor
+from unitred.witness import verify_witness, witness_for_conductor
 
 from linalg_helpers import invert_exact, mat_mul, transpose
 
@@ -225,10 +230,22 @@ def _floor_sqrt(q: Fraction) -> int:
 
 
 def _fraction_enumerate(
-    g, bound, *, node_cap=svp.DEFAULT_NODE_CAP, result_cap=svp.DEFAULT_RESULT_CAP
+    g,
+    bound,
+    *,
+    half_space=False,
+    strict=False,
+    node_cap=svp.DEFAULT_NODE_CAP,
+    result_cap=svp.DEFAULT_RESULT_CAP,
 ):
     """Fincke-Pohst in Fractions, as enumerate_below ran before its integer
-    kernel: ([(value, coeffs)], nodes), or BudgetError at the same caps."""
+    kernel: ([(value, coeffs)], nodes), or BudgetError at the same caps.
+
+    By default only the top coordinate is restricted to t >= 0, so the -v
+    twins below a zero top coordinate are visited and count as results.
+    half_space restricts every level whose higher coordinates are all 0,
+    as the integer kernel does; strict keeps every partial sum strictly
+    below the bound."""
     bound = Fraction(bound)
     form = svp._prepare(g)
     u, dvec, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
@@ -260,7 +277,12 @@ def _fraction_enumerate(
         d = lo - 1 + c
         if d >= 0 or d * d <= r:
             lo -= 1
-        if lvl == n - 1:
+        if strict:  # the ends that reach the bound itself go
+            while lo <= hi and (lo + c) ** 2 >= r:
+                lo += 1
+            while hi >= lo and (hi + c) ** 2 >= r:
+                hi -= 1
+        if lvl == n - 1 or (half_space and not any(v[lvl + 1:])):
             lo = max(lo, 0)
         for t in range(lo, hi + 1):
             nodes += 1
@@ -303,14 +325,30 @@ def _outcome(run):
         return ("budget", str(exc), exc.nodes, exc.results)
 
 
-def _assert_matches_oracle(g, bound, **caps):
+def _assert_matches_oracle(g, bound, strict=False, **caps):
+    """The kernel against the half-space twin: the same vectors, nodes and
+    budget stops."""
+
     def kernel():
-        res = enumerate_below(g, bound, **caps)
+        res = enumerate_below(g, bound, strict=strict, **caps)
         return [(fv.value, fv.coeffs) for fv in res.vectors], res.nodes
 
-    want = _outcome(lambda: _fraction_enumerate(g, bound, **caps))
-    assert _outcome(kernel) == want, (bound, caps)
+    want = _outcome(
+        lambda: _fraction_enumerate(g, bound, half_space=True, strict=strict, **caps)
+    )
+    assert _outcome(kernel) == want, (bound, strict, caps)
     return want
+
+
+def _assert_matches_full_space(g, bounds):
+    """At each bound, inclusive and strict, the kernel's vectors are those of
+    the full-space oracle run once at the largest bound."""
+    full, _ = _fraction_enumerate(g, max(bounds))
+    for bound in bounds:
+        for strict in (False, True):
+            want = [fv for fv in full if fv[0] < bound or (fv[0] == bound and not strict)]
+            res = enumerate_below(g, bound, strict=strict)
+            assert [(fv.value, fv.coeffs) for fv in res.vectors] == want, (bound, strict)
 
 
 def _rand_rational_pd_gram(rng, dim):
@@ -333,7 +371,12 @@ def test_integer_kernel_matches_fraction_oracle_on_random_forms():
         g = _rand_rational_pd_gram(rng, dim)
         top = max(g[i][i] for i in range(dim))
         bound = Fraction(rng.randint(-2, 25), 10) * top
-        want = _assert_matches_oracle(g, bound)
+        strict = trial % 2 == 1
+        want = _assert_matches_oracle(g, bound, strict)
+        if want[0] != "budget":
+            # the bound itself, and a value some vector attains, both ways
+            values = sorted({val for val, _ in want[0]})
+            _assert_matches_full_space(g, [bound] + values[len(values) // 2 :][:1])
         if want[0] != "budget" and want[1] > 1:
             # caps that stop the tree part-way, on a node or on a result
             nodes, results = want[1], len(want[0])
@@ -342,7 +385,7 @@ def test_integer_kernel_matches_fraction_oracle_on_random_forms():
                 {"result_cap": rng.randint(0, 2 * results)},
                 {"node_cap": rng.randint(1, nodes), "result_cap": rng.randint(0, results)},
             ):
-                budgets += _assert_matches_oracle(g, bound, **caps)[0] == "budget"
+                budgets += _assert_matches_oracle(g, bound, strict, **caps)[0] == "budget"
     assert budgets > 100
 
 
@@ -361,9 +404,58 @@ def test_integer_kernel_matches_fraction_oracle_on_witness_forms(name):
     a = WITNESS_FORMS[name]()
     form = svp._prepare(gram(a))  # both enumerators take the prepared form
     t = a.trace()
-    found, nodes = _assert_matches_oracle(form, t)
+    for strict in (False, True):
+        found, nodes = _assert_matches_oracle(form, t, strict)
+        for caps in ({"node_cap": min(1500, nodes // 2)}, {"result_cap": len(found) // 2}):
+            assert _assert_matches_oracle(form, t, strict, **caps)[0] == "budget"
     mu = found[0][0]
     for bound in (mu, Fraction(0), Fraction(-1)):
-        _assert_matches_oracle(form, bound)
-    for caps in ({"node_cap": min(1500, nodes // 2)}, {"result_cap": 100}):
-        assert _assert_matches_oracle(form, t, **caps)[0] == "budget"
+        for strict in (False, True):
+            _assert_matches_oracle(form, bound, strict)
+    _assert_matches_full_space(form, [t, mu])
+
+
+@pytest.mark.parametrize("conductor, count", ((25, 8875), (32, 49840)))
+def test_result_cap_counts_only_the_vectors_returned(conductor, count):
+    # no -v twin is visited, so a cap equal to the result's length suffices
+    a = witness_for_conductor(conductor)
+    form = svp._prepare(gram(a))
+    t = a.trace()
+    assert len(enumerate_below(form, t).vectors) == count
+    assert len(enumerate_below(form, t, result_cap=count).vectors) == count
+    with pytest.raises(BudgetError) as exc:
+        enumerate_below(form, t, result_cap=count - 1)
+    assert exc.value.results == count
+
+
+def test_orbit_norms_match_direct_resultants():
+    # one resultant per orbit of x -> +-z^j x over K_N, none shared over K_N+
+    x = make_field(33).element([1, 1, 0, 0, 0, 1])
+    sets = {
+        "witness 25": verify_witness(25).reduced_evidence,
+        "witness 32": verify_witness(32).reduced_evidence,
+        "real witness 49": verify_real_witness(49, force=True).reduced_evidence,
+        "shortest over K_33": shortest(gram(x * x.conj())).minima,
+    }
+    for name, vectors in sets.items():
+        assert vectors, name
+        ring = vectors[0].norms.ring
+        for fv in vectors:
+            assert fv.norm == ring.element(fv.coeffs).norm(), (name, fv.coeffs)
+
+
+def test_orbit_norms_fold_signs_only_in_even_degree():
+    # -x is read before x: a key folded by sign in odd degree would hand x
+    # the norm of -x, which is -N(x)
+    rng = random.Random(508)
+    rings = (make_field(1), make_real_field(7), make_real_field(9), make_real_field(16),
+             make_field(5), make_field(12))
+    for ring in rings:
+        norms = svp._OrbitNorms(ring)
+        for _ in range(6):
+            x = [rng.randint(-3, 3) for _ in range(ring.degree)]
+            if not any(x):
+                continue
+            neg = tuple(-c for c in x)
+            for y in (neg, tuple(x), neg):
+                assert norms[y] == ring.element(y).norm(), (ring, y)
