@@ -257,7 +257,7 @@ def enumerate_below(
             f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
         )
 
-    def recurse(lvl: int, rem: int, free, partial: list[int]):
+    def recurse(lvl: int, rem: int, free: int, partial: list[int]):
         # rem: top minus the steps above lvl; free: a coordinate above lvl is
         # nonzero; partial: the original-basis coordinates of those levels
         nonlocal nodes, results

@@ -40,8 +40,8 @@ class _TraceScan:
 def _scan_to_trace(a, node_cap, result_cap, *, strict: bool) -> _TraceScan:
     """Enumerate Tr(a x conj(x)) up to Tr(a), the value at x = 1, or only
     strictly below it when strict.  If nothing is, the minimum is Tr(a),
-    read off the shell by an inclusive scan of the same prepared form under
-    the budget left; nodes counts both scans.
+    read off the shell by an inclusive scan of the same prepared form; each
+    scan runs under the caps, and nodes (also a BudgetError's) counts both.
 
     Raises NotTotallyPositiveError when a is not totally positive and
     BudgetError when the enumeration hits a cap.
@@ -52,7 +52,7 @@ def _scan_to_trace(a, node_cap, result_cap, *, strict: bool) -> _TraceScan:
     nodes = res.nodes
     if strict and not res.vectors:
         try:
-            res = enumerate_below(form, t, node_cap=node_cap - nodes, result_cap=result_cap)
+            res = enumerate_below(form, t, node_cap=node_cap, result_cap=result_cap)
         except BudgetError as exc:
             exc.nodes += nodes
             raise

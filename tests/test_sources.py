@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import unitred
@@ -20,3 +22,25 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_bench_files_name_both_commits_and_every_workload():
+    # each performance change commits bench/BENCH_<label>.json: the perfbench
+    # medians and quartiles of the parent and of the change, per workload
+    root = Path(__file__).resolve().parents[1]
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    assert workloads == {"witness", "forms", "sweep", "identities"}
+    files = sorted((root / "bench").glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        shas = (data["parent_sha"], data["change_sha"])
+        assert all(re.fullmatch(r"[0-9a-f]{40}", sha) for sha in shas), path.name
+        assert shas[0] != shas[1], path.name
+        assert set(data["workloads"]) == workloads, path.name
+        for name, w in data["workloads"].items():
+            assert w["pairs"] == len(w["seeds"]) > 0, (path.name, name)
+            for metric in ("setup_s", "wall_s", "peak_rss_mb"):
+                for side in ("parent", "change"):
+                    q = w["metrics"][metric][side]
+                    assert q["q1"] <= q["median"] <= q["q3"], (path.name, name, metric, side)

@@ -2,6 +2,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
+import unitred.svp as svp
+from unitred.errors import BudgetError
 from unitred.field import CycloElement, make_field
 from unitred.realfield import RealElement, verify_real_witness
 from unitred.serialize import dumps_canonical
@@ -220,3 +224,26 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     assert len(at_or_below) == 5 < len(scan)
     assert [tuple(int(c) for c in y.coeffs) for y in calls] == at_or_below[:1]
     assert sorted(set(ctx.norm_orbit(at_or_below[0]))) == at_or_below
+
+
+def test_empty_strict_scan_reads_the_minimum_off_the_shell():
+    # nothing lies strictly below Tr(1) = 4 over K_12; an inclusive scan of the
+    # same prepared form finds the six units on the shell, and the nodes (a
+    # budget stop's too) are the sum of both scans
+    one = make_field(12).one()
+    form = svp._prepare(gram(one))
+    strict = enumerate_below(form, 4, strict=True)
+    shell = enumerate_below(form, 4)
+    assert strict.vectors == () and len(shell.vectors) == 6
+    cert = is_reduced(one)
+    assert cert.reduced and cert.below_trace == ()
+    assert cert.nodes == strict.nodes + shell.nodes
+    with pytest.raises(BudgetError) as exc:
+        is_reduced(one, node_cap=strict.nodes + 1)
+    assert exc.value.nodes == 2 * strict.nodes + 2
+    # the floored witnesses: mu(a) = Tr(a), attained by x = 1 -+ z exactly
+    # when Tr(a) = phi(N)
+    for n, attained in ((3, False), (5, False), (7, False), (8, True), (9, True), (11, True)):
+        w = verify_witness(n)
+        assert w.reduced_evidence == () and w.mu_a == w.trace_a, n
+        assert w.mu_attained_at_expected is attained, n
