@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ConductorError, DegreeError, VerificationError
 from .field import CycloElement, make_field
-from .numtheory import euler_phi, is_canonical_conductor, prime_divisors
+from .numtheory import euler_phi, prime_divisors, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, MinimaReport, shortest
 from .traceform import gram
 from .units import EtaCertificate, eta
@@ -77,8 +77,7 @@ def strong_criterion(n: int) -> CriterionResult:
     lhs < rhs is decisive; lhs == rhs leaves exactly the boundary forms to
     inspect; lhs > rhs says nothing.
     """
-    if not isinstance(n, int) or n < 1 or not is_canonical_conductor(n):
-        raise ConductorError(f"conductor {n} is not canonical")
+    require_canonical_conductor(n)
     deg = euler_phi(n)
     gp = hermite_pow(deg)  # DegreeError for deg > 8, before a field is built
     ctx = make_field(n)
@@ -231,8 +230,7 @@ class Certificate:
 
 def classify(n: int) -> Certificate:
     """Unit-reducibility verdict for the field of conductor n."""
-    if not isinstance(n, int) or n < 1 or not is_canonical_conductor(n):
-        raise ConductorError(f"conductor {n} is not canonical")
+    require_canonical_conductor(n)
 
     div = not_ur_by_divisor(n)
     if div is not None:

@@ -8,8 +8,8 @@ N % 4 != 2), so every field has one name; N % 4 == 2 is rejected because
 that field equals the one of conductor N/2.
 
 No floating point anywhere: traces come from a Moebius closed form, norms
-from integer resultants, inverses from the extended Euclidean algorithm
-modulo the cyclotomic polynomial.
+from integer resultants, inverses from one integer solve against the matrix
+of multiplication modulo the cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .linalg import solve_exact
 from .numtheory import (
     divisors,
     euler_phi,
-    factorize,
-    is_canonical_conductor,
     moebius,
     prime_divisors,
+    require_canonical_conductor,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,35 +127,11 @@ def _resultant_int(a, b):
             return s * h
 
 
-# rational polynomial helpers, used by the inverse
-
-
-def _poly_divmod_frac(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    dn, dd = len(num) - 1, len(den) - 1
-    lc = den[-1]
-    if dn < dd:
-        return [], _trim(num)
-    q = [Fraction(0)] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd] / lc
-        if c:
-            q[k] = c
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    return q, _trim(num)
-
-
-def _poly_sub_scaled(a, q, b):
-    """a - q*b for coefficient lists (q a polynomial)."""
-    out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
-    for i, qi in enumerate(q):
-        if qi:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] -= qi * bj
-    return _trim(out)
+def _times_x(p, f):
+    """x * p mod the monic f, for a coefficient list p of length deg f:
+    a shift, reduced by f when the top coefficient is nonzero."""
+    top, out = p[-1], [0] + list(p[:-1])
+    return [c - top * fc for c, fc in zip(out, f)] if top else out
 
 
 @lru_cache(maxsize=256)  # phi(n) + 1 ints each; multiples ask for their divisors
@@ -220,8 +195,8 @@ class _Element:
 
     Everything here is independent of f.  Subclasses supply what depends on
     it: multiplication (the reduction table), norm (the resultant against f),
-    inverse, repr and the maps to other fields.  Only elements of the same
-    class and conductor mix; ints and Fractions coerce.
+    inverse (the solve against f), repr and the maps to other fields.  Only
+    elements of the same class and conductor mix; ints and Fractions coerce.
     """
 
     ctx: _Ring
@@ -366,6 +341,19 @@ class _Element:
         res = _resultant_int(list(modulus), ints)
         return Fraction(res, den**self.ctx.degree)
 
+    def _inverse(self, modulus):
+        """1/x from one integer solve M u = den * e_0, M the matrix of
+        multiplication by den * x on the power basis of Z[x]/(modulus): its
+        column j is den * x * z^j, each one the previous times z."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        cols = [[int(c * den) for c in self.coeffs]]
+        for _ in range(self.ctx.degree - 1):
+            cols.append(_times_x(cols[-1], modulus))
+        rhs = [den] + [0] * (self.ctx.degree - 1)
+        return type(self)(self.ctx, tuple(solve_exact(list(zip(*cols)), rhs)))
+
 
 class CycloElement(_Element):
     def __mul__(self, other):
@@ -408,23 +396,7 @@ class CycloElement(_Element):
         return self._norm(self.ctx.cyclo_poly)
 
     def inverse(self) -> "CycloElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in self.ctx.cyclo_poly]
-        r0, r1 = phi, _trim([Fraction(c) for c in self.coeffs])
-        t0, t1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub_scaled(t0, q, t1)
-        if not r1:
-            raise VerificationError(
-                "cyclotomic polynomial is irreducible; gcd must be a constant"
-            )
-        c = r1[0]
-        _, u = _poly_divmod_frac([x / c for x in t1], phi)
-        out = list(u) + [Fraction(0)] * (self.ctx.degree - len(u))
-        return CycloElement(self.ctx, tuple(out))
+        return self._inverse(self.ctx.cyclo_poly)
 
     # -- moving between fields -----------------------------------------------------
 
@@ -465,19 +437,18 @@ class CycloElement(_Element):
 
     def decompose(self, n: int) -> list["CycloElement"]:
         """Write self = sum_i lift(x_i) * z_M^i with x_i in the subfield of
-        conductor n and 0 <= i < M/n.
+        conductor n and 0 <= i < r = M/n.
 
-        Requires every prime of M/n to divide n; then z_M has minimal polynomial
-        x^(M/n) - z_n over the subfield, the decomposition is unique, and the
-        components are integral exactly when self is.  Prime-power steps are
-        peeled off one prime at a time.
+        Requires every prime of r to divide n; then phi(M) = r * phi(n),
+        lift(z_n^j) * z_M^i = z_M^(i + j*r), and these exponents run over
+        0 .. phi(M) - 1 exactly once.  So the components are read off the
+        coefficients, x_i taking those of z_M^i, z_M^(i+r), ...; the
+        decomposition is unique and integral exactly when self is.
         """
         m = self.ctx.conductor
         down = make_field(n)
         if m % n != 0:
             raise ConductorError(f"{n} does not divide {m}")
-        if m == n:
-            return [self]
         ratio = m // n
         bad = [p for p in prime_divisors(ratio) if n % p != 0]
         if bad:
@@ -485,34 +456,7 @@ class CycloElement(_Element):
                 f"decomposition needs every prime of {m}//{n} to divide {n}; "
                 f"offending primes: {bad}"
             )
-        fac = factorize(ratio)
-        if len(fac) == 1:
-            return self._decompose_prime_power(down)
-        p, e = fac[0]
-        mid = m // p**e
-        outer = self.decompose(mid)
-        r_out = p**e
-        out: list[CycloElement | None] = [None] * ratio
-        for i, y in enumerate(outer):
-            inner = y.decompose(n)
-            for j, x in enumerate(inner):
-                out[i + j * r_out] = x
-        return out  # type: ignore[return-value]
-
-    def _decompose_prime_power(self, down: FieldContext) -> list["CycloElement"]:
-        up = self.ctx
-        r = up.conductor // down.conductor
-        d = down.degree
-        cols = []
-        for i in range(r):
-            zi = up.zeta(i)
-            for j in range(d):
-                cols.append((zi * down.zeta(j).lift(up.conductor)).coeffs)
-        matrix = [[cols[c][row] for c in range(len(cols))] for row in range(up.degree)]
-        sol = solve_exact(matrix, list(self.coeffs))
-        return [
-            CycloElement(down, tuple(sol[i * d : (i + 1) * d])) for i in range(r)
-        ]
+        return [CycloElement(down, self.coeffs[i::ratio]) for i in range(ratio)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -545,13 +489,10 @@ class FieldContext(_Ring):
         polynomial.  In degree 1 (conductor 1), x stands alone."""
         if self.degree % 2:
             return [tuple(coeffs)]
-        f, x, out = self.cyclo_poly, list(coeffs), []
+        x, out = list(coeffs), []
         for _ in range(self.conductor):
             out.append(tuple(x) if next(c for c in x if c) > 0 else tuple(-c for c in x))
-            top = x.pop()
-            x.insert(0, 0)
-            if top:
-                x = [c - top * fc for c, fc in zip(x, f)]
+            x = _times_x(x, self.cyclo_poly)
         return out
 
     # -- trace form -----------------------------------------------------------
@@ -572,12 +513,7 @@ class FieldContext(_Ring):
 @lru_cache(maxsize=64)  # N x phi(N) tables each: a sweep must not keep them all
 def make_field(n: int) -> FieldContext:
     """Context for the cyclotomic field of canonical conductor n."""
-    if not isinstance(n, int) or n < 1:
-        raise ConductorError(f"conductor must be a positive integer, got {n!r}")
-    if not is_canonical_conductor(n):
-        raise ConductorError(
-            f"conductor {n} is not canonical (N % 4 == 2); use {n // 2} instead"
-        )
+    require_canonical_conductor(n)
     phi = euler_phi(n)
     cyclo = cyclotomic_poly(n)
     if len(cyclo) - 1 != phi:
@@ -596,11 +532,7 @@ def make_field(n: int) -> FieldContext:
     cur[0] = 1
     for _ in range(n):
         red.append(tuple(cur))
-        top = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if top:
-            nxt = [nxt[i] - top * cyclo[i] for i in range(phi)]
-        cur = nxt
+        cur = _times_x(cur, cyclo)
     if tuple(cur) != red[0]:
         raise VerificationError(f"z^{n} does not reduce to 1")
 

@@ -1,15 +1,65 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are plain nested lists of Fractions (or ints); nothing here ever
-touches floating point.  Sizes stay small (degree <= ~40), so classical
-O(n^3) Gaussian elimination with exact pivots is plenty.
+Matrices are plain nested lists of ints or Fractions; nothing here ever
+touches floating point.  Both routines clear denominators once and run one
+fraction-free Gauss-Jordan elimination on the integer matrix (Bareiss,
+Math. Comp. 22, 1968): every entry stays a minor of the input, so every
+division is exact, and a Fraction is formed only for the result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import LinearAlgebraError
+from .errors import LinearAlgebraError, VerificationError
+
+
+def _integer_scale(rows) -> tuple[int, list[list[int]]]:
+    """Smallest positive s with s*rows integral, and s*rows as int rows;
+    entries are ints or Fractions."""
+    s = math.lcm(*(c.denominator for row in rows for c in row))
+    return s, [[c.numerator * (s // c.denominator) for c in row] for row in rows]
+
+
+def _eliminate(a, ncols) -> tuple[int, int, int]:
+    """Fraction-free Gauss-Jordan on the int rows a, in place, over the first
+    ncols columns.
+
+    Each pivot step sets every other row to (row * pivot - f * pivot_row) /
+    previous_pivot, f being the row's entry in the pivot column; a row with
+    f = 0 is rescaled by pivot / previous_pivot.  Columns left of the pivot
+    are not updated, as nothing reads them again.  Afterwards the first
+    `rank` rows are the pivot rows, and row i reads d * x_(c_i) plus its
+    non-pivot entries, with d the last pivot.  Returns (rank, d, sign), sign
+    being that of the row permutation.
+    """
+    m = len(a)
+    r, d, sign = 0, 1, 1
+    for c in range(ncols):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        prow = a[r][c:]
+        piv = prow[0]
+        for i in range(m):
+            if i == r:
+                continue
+            f = a[i][c]
+            row = a[i]
+            for j, y in enumerate(prow, c):
+                q, rem = divmod(row[j] * piv - f * y, d)
+                if rem:
+                    raise VerificationError("inexact division in fraction-free elimination")
+                row[j] = q
+        d = piv
+        r += 1
+    return r, d, sign
 
 
 def solve_exact(rows, rhs) -> list[Fraction]:
@@ -18,49 +68,19 @@ def solve_exact(rows, rhs) -> list[Fraction]:
     Raises LinearAlgebraError if the system is inconsistent or underdetermined.
     """
     m, n = len(rows), len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(piv_cols) < n:
+    _, a = _integer_scale([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    rank, d, _ = _eliminate(a, n)
+    if rank < n:
         raise LinearAlgebraError("underdetermined system")
-    if any(aug[i][n] != 0 for i in range(r, m)):
+    if any(a[i][n] for i in range(n, m)):
         raise LinearAlgebraError("inconsistent system")
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
-    return x
+    return [Fraction(a[i][n], d) for i in range(n)]
 
 
 def det_exact(rows) -> Fraction:
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+    s, a = _integer_scale(rows)
+    rank, d, sign = _eliminate(a, n)
+    if rank < n:
+        return Fraction(0)
+    return Fraction(sign * d, s**n)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import ConductorError
+
 
 @lru_cache(maxsize=4096)  # primes() asks for every integer it passes
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -83,3 +85,13 @@ def multiplicative_order(a: int, n: int) -> int:
 def is_canonical_conductor(n: int) -> bool:
     """Conductor labels are unique: N >= 1 and N % 4 != 2 (K_{2m} = K_m for odd m)."""
     return n >= 1 and n % 4 != 2
+
+
+def require_canonical_conductor(n) -> None:
+    """ConductorError unless n is a canonical conductor: an int N >= 1 with
+    N % 4 != 2 (K_2m = K_m for odd m, so that field is named m)."""
+    if not (isinstance(n, int) and is_canonical_conductor(n)):
+        hint = f"; use {n // 2} instead" if isinstance(n, int) and n > 0 else ""
+        raise ConductorError(
+            f"conductor {n!r} is not canonical (need N >= 1 and N % 4 != 2){hint}"
+        )

@@ -29,7 +29,7 @@ from .errors import (
     NotTotallyPositiveError,
     VerificationError,
 )
-from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, make_field
+from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, _times_x, make_field
 from .linalg import solve_exact
 from .numtheory import factorize, is_prime
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
@@ -54,9 +54,7 @@ class RealElement(_Element):
         return self._norm(self.ctx.min_poly)
 
     def inverse(self) -> "RealElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return project(self.embed().inverse())
+        return self._inverse(self.ctx.min_poly)
 
     def embed(self) -> CycloElement:
         """Image in the cyclotomic field, on the power basis."""
@@ -84,7 +82,7 @@ class RealFieldContext(_Ring):
     min_poly: tuple[int, ...]
     _cyclo: FieldContext
     _theta_embed: tuple[CycloElement, ...]
-    _theta_pow: tuple[tuple[Fraction, ...], ...]
+    _theta_pow: tuple[tuple[int, ...], ...]
     _mono_trace: tuple[Fraction, ...]
 
     _element_type = RealElement
@@ -137,17 +135,9 @@ def make_real_field(n: int) -> RealFieldContext:
 
     # t^k on the basis, far enough for products and trace-form entries
     reach = max(3 * d - 2, 2)
-    pows = [(Fraction(1),) + (Fraction(0),) * (d - 1)]
+    pows = [(1,) + (0,) * (d - 1)]
     for _ in range(reach - 1):
-        prev = pows[-1]
-        cur = [Fraction(0)] * d
-        top = prev[d - 1]
-        for j in range(d - 1):
-            cur[j + 1] = prev[j]
-        if top:
-            for j in range(d):
-                cur[j] -= top * min_poly[j]
-        pows.append(tuple(cur))
+        pows.append(tuple(_times_x(pows[-1], min_poly)))
 
     basis_tr = [Fraction(emb[j].trace(), 2) for j in range(d)]
     mono = tuple(

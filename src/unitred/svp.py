@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
-from .linalg import det_exact
-from .traceform import GramMatrix, LDLResult, _integer_scale, _require_positive, ldl
+from .linalg import _integer_scale, det_exact
+from .traceform import GramMatrix, LDLResult, _require_positive, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000

@@ -9,12 +9,11 @@ decomposition, and check det G = |disc| * Norm(a) as a standing invariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotTotallyPositiveError
-from .linalg import det_exact
+from .linalg import _integer_scale, det_exact
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -49,12 +48,6 @@ class GramMatrix:
             "scale": str(s),
             "matrix": [[str(v) for v in row] for row in rows],
         }
-
-
-def _integer_scale(rows) -> tuple[int, list[list[int]]]:
-    """Smallest positive s with s*rows integral, and s*rows as int rows."""
-    s = math.lcm(*(c.denominator for row in rows for c in row))
-    return s, [[int(c * s) for c in row] for row in rows]
 
 
 def gram(a) -> GramMatrix:
@@ -154,15 +147,3 @@ def _require_positive(res: LDLResult, what: str, scale=1) -> LDLResult:
 def require_totally_positive(g: GramMatrix) -> LDLResult:
     return _require_positive(ldl(g), f"trace form of {g.element!r}")
 
-
-def embedding_values(a):
-    """Float values of a cyclotomic element at the complex embeddings.
-    Diagnostic only; every decision path stays rational."""
-    import cmath
-
-    n = a.ctx.conductor
-    out = []
-    for k in a.ctx.galois_units:
-        z = cmath.exp(2j * cmath.pi * k / n)
-        out.append(sum(float(c) * z**i for i, c in enumerate(a.coeffs)))
-    return out

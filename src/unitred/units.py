@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, ConductorError, VerificationError
-from .numtheory import is_canonical_conductor, multiplicative_order, primes
+from .errors import BudgetError, VerificationError
+from .numtheory import multiplicative_order, primes, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, _prepare, enumerate_below
 from .traceform import gram
 
@@ -231,8 +231,7 @@ class EtaCertificate:
 
 def eta(n: int) -> EtaCertificate:
     """Least prime-ideal norm in the cyclotomic field of conductor n."""
-    if not isinstance(n, int) or n < 1 or not is_canonical_conductor(n):
-        raise ConductorError(f"conductor {n} is not canonical")
+    require_canonical_conductor(n)
     best = best_p = best_f = None
     examined = []
     for p in primes():

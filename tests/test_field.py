@@ -7,6 +7,7 @@ import pytest
 from unitred.errors import ConductorError, FieldMismatchError
 from unitred.field import (
     CycloElement,
+    _trim,
     cyclotomic_poly,
     element_from_json_dict,
     element_to_json_dict,
@@ -14,8 +15,10 @@ from unitred.field import (
     parse_element,
     recompose,
 )
-from unitred.numtheory import euler_phi, moebius
-from unitred.realfield import make_real_field
+from unitred.numtheory import euler_phi, factorize, moebius, prime_divisors
+from unitred.realfield import embed, make_real_field, project
+
+from linalg_helpers import fraction_solve
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 
@@ -206,6 +209,154 @@ def test_decompose_needs_power_compatible_step():
     y = make_field(15).zeta()
     with pytest.raises(ConductorError, match="offending primes"):
         y.decompose(3)
+
+
+# -- oracles: the kernels as they were before the integer solve and slicing
+
+
+def _poly_divmod_frac(num, den):
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    dn, dd = len(num) - 1, len(den) - 1
+    lc = den[-1]
+    if dn < dd:
+        return [], _trim(num)
+    q = [Fraction(0)] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        c = num[k + dd] / lc
+        if c:
+            q[k] = c
+            for i in range(dd + 1):
+                num[k + i] -= c * den[i]
+    return q, _trim(num)
+
+
+def _poly_sub_scaled(a, q, b):
+    """a - q*b for coefficient lists (q a polynomial)."""
+    out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
+    for i, qi in enumerate(q):
+        if qi:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] -= qi * bj
+    return _trim(out)
+
+
+def _euclid_inverse(x, modulus):
+    """Oracle: coefficients of 1/x by the extended Euclidean algorithm over
+    Q[x] against the irreducible modulus."""
+    f = [Fraction(c) for c in modulus]
+    r0, r1 = f, _trim([Fraction(c) for c in x.coeffs])
+    t0, t1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _poly_divmod_frac(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _poly_sub_scaled(t0, q, t1)
+    assert r1, "the modulus is irreducible; the gcd must be a constant"
+    c = r1[0]
+    _, u = _poly_divmod_frac([v / c for v in t1], f)
+    return tuple(u) + (Fraction(0),) * (x.ctx.degree - len(u))
+
+
+def _prime_power_decompose(y, n):
+    """Oracle: decompose by a Fraction solve against the relative basis
+    lift(z_n^j) * z_M^i, one prime of M/n at a time."""
+    m = y.ctx.conductor
+    if m == n:
+        return [y]
+    fac = factorize(m // n)
+    if len(fac) > 1:
+        p, e = fac[0]
+        r_out = p**e
+        out = [None] * (m // n)
+        for i, mid_part in enumerate(_prime_power_decompose(y, m // r_out)):
+            for j, x in enumerate(_prime_power_decompose(mid_part, n)):
+                out[i + j * r_out] = x
+        return out
+    up, down = y.ctx, make_field(n)
+    r, d = m // n, down.degree
+    cols = [
+        (up.zeta(i) * down.zeta(j).lift(m)).coeffs for i in range(r) for j in range(d)
+    ]
+    matrix = [[col[row] for col in cols] for row in range(up.degree)]
+    sol = fraction_solve(matrix, list(y.coeffs))
+    return [down.element(sol[i * d : (i + 1) * d]) for i in range(r)]
+
+
+CANONICAL_TO_100 = [n for n in range(1, 101) if n % 4 != 2]
+
+
+def _sparse_elem(rng, ctx, denom):
+    # 1 plus up to three terms: sparse enough that the Euclid oracle stays
+    # fast at degree 96, where it takes 20 s on a dense element
+    c = [Fraction(1)] + [Fraction(0)] * (ctx.degree - 1)
+    for _ in range(3):
+        c[rng.randrange(ctx.degree)] += Fraction(rng.randint(-3, 3), rng.randint(1, denom))
+    return ctx.element(c)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["K_N", "K_N+"])
+def test_inverse_matches_euclid_oracle(real):
+    rng = random.Random(311 + real)
+    degrees = set()
+    for n in CANONICAL_TO_100:
+        if real and n < 3:
+            continue
+        ctx = make_real_field(n) if real else make_field(n)
+        modulus = ctx.min_poly if real else ctx.cyclo_poly
+        degrees.add(ctx.degree)
+        with pytest.raises(ZeroDivisionError):
+            ctx.zero().inverse()
+        xs = [
+            _sparse_elem(rng, ctx, 1),
+            _sparse_elem(rng, ctx, 4),
+            ctx.from_rational(Fraction(-3, 7)),
+        ]
+        if ctx.degree <= 24:
+            xs.append(_rand_elem(ctx, rng, denom=rng.randint(1, 5)))
+        for x in xs:
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv.coeffs == _euclid_inverse(x, modulus), (n, x)
+            assert x * inv == 1
+        if real and n <= 32:
+            # the embed -> invert in K_N -> project round trip K_N+ used to take
+            x = xs[1]
+            assert project(embed(x).inverse()) == x.inverse()
+    assert 1 in degrees and max(degrees) == (48 if real else 96)
+    if real:
+        for n in (3, 4):  # degree 1: t = -1 and t = 0
+            ctx = make_real_field(n)
+            assert ctx.degree == 1
+            assert ctx.from_rational(Fraction(5, 2)).inverse() == Fraction(2, 5)
+    else:
+        assert make_field(1).element([-4]).inverse() == Fraction(-1, 4)
+
+
+def _decompose_pairs(limit):
+    """Every (M, n) with M < limit that decompose accepts, M == n included."""
+    canon = [m for m in range(1, limit) if m % 4 != 2]
+    return [
+        (m, n)
+        for m in canon
+        for n in canon
+        if m % n == 0 and all(n % p == 0 for p in prime_divisors(m // n))
+    ]
+
+
+def test_decompose_is_coefficient_slicing_for_every_pair_below_200():
+    rng = random.Random(313)
+    pairs = _decompose_pairs(200)
+    assert len(pairs) > 200 and (196, 28) in pairs and (15, 3) not in pairs
+    for m, n in pairs:
+        ctx = make_field(m)
+        y = _rand_elem(ctx, rng, denom=rng.randint(1, 3))
+        parts = y.decompose(n)
+        assert len(parts) == m // n
+        assert all(x.ctx.conductor == n for x in parts)
+        assert parts == _prime_power_decompose(y, n), (m, n)
+        assert recompose(parts, m) == y
 
 
 def test_mixed_field_arithmetic_rejected():

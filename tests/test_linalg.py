@@ -6,7 +6,15 @@ import pytest
 from unitred.errors import LinearAlgebraError
 from unitred.linalg import det_exact, solve_exact
 
-from linalg_helpers import identity, invert_exact, mat_mul, mat_vec, transpose
+from linalg_helpers import (
+    fraction_det,
+    fraction_solve,
+    identity,
+    invert_exact,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 
 
 def _rand_matrix(rng, n, m=None, lo=-9, hi=9):
@@ -103,3 +111,65 @@ def test_invert_round_trip():
 def test_invert_singular_raises():
     with pytest.raises(LinearAlgebraError):
         invert_exact([[Fraction(0)]])
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except LinearAlgebraError as exc:
+        return (type(exc), str(exc))
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_solve_matches_fraction_oracle():
+    # square, tall, singular, inconsistent and underdetermined systems with
+    # Fraction entries: the same solution, or the same error and message
+    rng = random.Random(207)
+    kinds = {}
+    for trial in range(400):
+        kind = ("square", "tall", "singular", "inconsistent", "wide")[trial % 5]
+        n = rng.randint(1, 6)
+        rows = {"tall": n + rng.randint(1, 3), "inconsistent": n + 1, "wide": rng.randint(1, n)}
+        m = rows.get(kind, n)
+        if kind == "wide":
+            n += 1
+        a = [[_rand_fraction(rng) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # sparse rows exercise the zero-f rescale and row swaps
+            a = [[x if rng.random() < 0.4 else Fraction(0) for x in row] for row in a]
+        x = [_rand_fraction(rng) for _ in range(n)]
+        b = mat_vec(a, x)
+        if kind == "singular":  # one row a combination of the others
+            i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+            f = _rand_fraction(rng)
+            a[i] = [f * y for y in a[j]]
+            b[i] = _rand_fraction(rng) if rng.random() < 0.5 else f * b[j]
+        elif kind == "inconsistent":
+            a[-1] = [sum(col) for col in zip(*a[:-1])]
+            b[-1] = sum(b[:-1]) + rng.choice((-1, 1)) * rng.randint(1, 5)
+        want = _outcome(fraction_solve, a, b)
+        got = _outcome(solve_exact, a, b)
+        assert got == want, (kind, a, b)
+        label = want[1] if isinstance(want, tuple) else "solved"
+        kinds[(kind, label)] = kinds.get((kind, label), 0) + 1
+    outcomes = {label for _, label in kinds}
+    assert outcomes == {"solved", "underdetermined system", "inconsistent system"}
+    assert kinds[("tall", "solved")] > 0 and kinds[("wide", "underdetermined system")] > 0
+
+
+def test_det_matches_fraction_oracle():
+    rng = random.Random(208)
+    zero = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a = [[x if rng.random() < 0.4 else Fraction(0) for x in row] for row in a]
+        if rng.random() < 0.2 and n > 1:
+            a[0] = list(a[-1])
+        want = fraction_det(a)
+        zero += want == 0
+        assert det_exact(a) == want, a
+    assert zero > 20

@@ -1,6 +1,11 @@
 import math
 import random
 
+import pytest
+
+from unitred.certify import classify, strong_criterion
+from unitred.errors import ConductorError
+from unitred.field import make_field
 from unitred.numtheory import (
     divisors,
     euler_phi,
@@ -11,7 +16,9 @@ from unitred.numtheory import (
     multiplicative_order,
     prime_divisors,
     primes,
+    require_canonical_conductor,
 )
+from unitred.units import eta
 
 PHI_TABLE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 6, 12: 4, 15: 8, 16: 8, 25: 20, 27: 18, 97: 96}
 MU_TABLE = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0, 30: -1, 210: 1, 49: 0}
@@ -97,3 +104,21 @@ def test_canonical_conductors():
     bad = [0, -4, 2, 6, 10, 14, 18, 22, 26]
     assert all(is_canonical_conductor(n) for n in good)
     assert not any(is_canonical_conductor(n) for n in bad)
+
+
+def test_every_conductor_gate_raises_one_text():
+    # make_field, classify, strong_criterion and eta share one check
+    rule = "is not canonical (need N >= 1 and N % 4 != 2)"
+    cases = {
+        0: f"conductor 0 {rule}",
+        -4: f"conductor -4 {rule}",
+        22: f"conductor 22 {rule}; use 11 instead",
+        "5": f"conductor '5' {rule}",
+    }
+    for n, text in cases.items():
+        for gate in (require_canonical_conductor, make_field, classify, strong_criterion, eta):
+            with pytest.raises(ConductorError) as exc:
+                gate(n)
+            assert str(exc.value) == text, (gate.__name__, n)
+    for n in (1, 4, 15):
+        require_canonical_conductor(n)

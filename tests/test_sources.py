@@ -24,6 +24,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_float_code():
+    # every verdict rests on integers and Fractions: no cmath import, no
+    # float() call and no float or complex literal anywhere in the package
+    modules = sorted(Path(unitred.__file__).parent.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name == "cmath" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "cmath"
+            elif isinstance(node, ast.Call):
+                bad = isinstance(node.func, ast.Name) and node.func.id == "float"
+            elif isinstance(node, ast.Constant):
+                bad = isinstance(node.value, (float, complex))
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_bench_files_name_both_commits_and_every_workload():
     # each performance change commits bench/BENCH_<label>.json: the perfbench
     # medians and quartiles of the parent and of the change, per workload

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from unitred.realfield import make_real_field
 from unitred.svp import lll_reduce, shortest
 from unitred.traceform import (
     LDLResult,
-    embedding_values,
     gram,
     is_totally_positive,
     ldl,
@@ -20,6 +20,17 @@ from unitred.units import is_reduced, mu_star
 from linalg_helpers import mat_mul, transpose
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
+
+
+def embedding_values(a):
+    """Float values of a cyclotomic element at the complex embeddings: a
+    numerical cross-check for the exact decisions, which never use it."""
+    n = a.ctx.conductor
+    out = []
+    for k in a.ctx.galois_units:
+        z = cmath.exp(2j * cmath.pi * k / n)
+        out.append(sum(float(c) * z**i for i, c in enumerate(a.coeffs)))
+    return out
 
 
 def _rand_elem(rng, ctx, lo=-4, hi=4):
