@@ -117,7 +117,7 @@ def _int_rows(m):
 
 def _verify_lll(g, u, w, mu, b, delta):
     n = len(g)
-    d = det_exact([[Fraction(c) for c in row] for row in u])
+    d = det_exact(u)
     if d not in (1, -1):
         raise VerificationError(f"LLL transform is not unimodular (det {d})")
     ug = [[sum(x * y for x, y in zip(ui, col)) for col in zip(*g)] for ui in u]

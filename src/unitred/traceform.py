@@ -35,7 +35,7 @@ class GramMatrix:
         return f"GramMatrix(conductor={self.conductor}, dim={self.dim})"
 
     def det(self) -> Fraction:
-        return det_exact([list(r) for r in self.entries])
+        return det_exact(self.entries)
 
     def integer_scale(self) -> tuple[int, list[list[int]]]:
         """Smallest positive s with s*G integral, and s*G as int rows."""
