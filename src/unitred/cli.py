@@ -27,26 +27,13 @@ from .errors import (
     VerificationError,
 )
 from .field import _poly_str, element_to_json_dict, make_field, parse_element
-from .realfield import (
-    classify_real,
-    make_real_field,
-    real_witness_2power,
-    real_witness_ppower,
-    verify_real_witness,
-)
-from .numtheory import factorize, is_canonical_conductor
+from .numtheory import is_canonical_conductor
+from .realfield import _real_witness_data, classify_real, make_real_field, verify_real_witness
 from .serialize import dumps_canonical
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, shortest
 from .traceform import gram
 from .units import eta, is_reduced, mu_star
-from .witness import (
-    delta_lower_bound,
-    eq4_check,
-    l75_scan,
-    verify_witness,
-    witness_closed_ratio,
-    witness_for_conductor,
-)
+from .witness import _witness_data, delta_lower_bound, eq4_check, l75_scan, verify_witness
 
 DEFAULT_SEED = 12345
 COEFF_RANGE = 5  # random integral elements draw coefficients from [-5, 5]
@@ -228,84 +215,78 @@ def cmd_eta(args) -> CommandResult:
     return CommandResult(0, text=text, payload=cert.to_json_dict())
 
 
-def cmd_witness(args) -> CommandResult:
-    if not args.verify:
-        a = witness_for_conductor(args.N)
-        ratio = witness_closed_ratio(args.N)
-        payload = {
-            "kind": "witness_element",
-            "conductor": args.N,
-            "coeffs": [str(c) for c in a.coeffs],
-            "trace": str(a.trace()),
-            "closed_ratio": str(ratio),
-        }
-        p = factorize(args.N)[0][0]
-        shape = "((1+z)(1+1/z))^-1" if p == 2 else "((1-z)(1-1/z))^-1"
-        lines = [
-            f"witness over K_{args.N}: a = {shape}, trace {a.trace()}",
-            f"  coeffs: {_coeff_line(a.coeffs)}",
-            f"  certified trace/mu ratio (closed form): {ratio}",
-        ]
-        return CommandResult(0, text="\n".join(lines), payload=payload)
-
+def _certified(args, verify, field: str, details) -> CommandResult:
+    """Run a witness check under the CLI caps: exit 3 with the partial
+    certificate on a budget stop, else the VERIFIED header and details(cert)."""
     node_cap, result_cap = _caps(args)
-    cert = verify_witness(args.N, node_cap=node_cap, result_cap=result_cap)
+    cert = verify(args.N, node_cap=node_cap, result_cap=result_cap)
     payload = cert.to_json_dict()
     if cert.status == "budget_exceeded":
         text = (
-            f"witness over K_{args.N}: BUDGET EXCEEDED after {cert.nodes} nodes "
+            f"witness over {field}: BUDGET EXCEEDED after {cert.nodes} nodes "
             f"(cap {cert.budget['node_cap']}); partial certificate follows"
         )
         return CommandResult(3, text=text, payload=payload, force_json=True)
-    lines = [
-        f"witness over K_{args.N}: VERIFIED",
+    lines = [f"witness over {field}: VERIFIED", *details(cert)]
+    return CommandResult(0, text="\n".join(lines), payload=payload)
+
+
+def _witness_lines(cert) -> list[str]:
+    return [
         f"  trace {cert.trace_a}, mu {cert.mu_a}, ratio {cert.ratio} "
         f"(closed form {cert.closed_form})",
         f"  reduced: every vector below the trace is a non-unit "
         f"({len(cert.reduced_evidence)} of them); nodes visited {cert.nodes}",
     ]
-    return CommandResult(0, text="\n".join(lines), payload=payload)
 
 
-def cmd_real_witness(args) -> CommandResult:
-    if not args.verify:
-        fac = factorize(args.N)
-        if len(fac) != 1:
-            raise ConductorError(
-                f"real witnesses exist for prime powers only, got {args.N}"
-            )
-        p, n = fac[0]
-        a = real_witness_2power(n) if p == 2 else real_witness_ppower(p, n)
-        shape = "(2+t)^-1" if p == 2 else "(2-t)^-1"
-        payload = {
-            "kind": "real_witness_element",
-            "conductor": args.N,
-            "element": a.to_json_dict(),
-            "trace": str(a.trace()),
-        }
-        lines = [
-            f"witness over K_{args.N}+: a = {shape}, trace {a.trace()}",
-            f"  theta-basis coeffs: {_coeff_line(a.coeffs)}",
-        ]
-        return CommandResult(0, text="\n".join(lines), payload=payload)
-
-    node_cap, result_cap = _caps(args)
-    cert = verify_real_witness(args.N, node_cap=node_cap, result_cap=result_cap)
-    payload = cert.to_json_dict()
-    if cert.status == "budget_exceeded":
-        text = (
-            f"witness over K_{args.N}+: BUDGET EXCEEDED after {cert.nodes} nodes "
-            f"(cap {cert.budget['node_cap']}); partial certificate follows"
-        )
-        return CommandResult(3, text=text, payload=payload, force_json=True)
+def _real_witness_lines(cert) -> list[str]:
     agrees = "matches" if cert.closed_form_agrees else "DISAGREES with"
-    lines = [
-        f"witness over K_{args.N}+: VERIFIED",
+    return [
         f"  trace {cert.trace_a}, mu {cert.mu_exact}, mu* {cert.mu_star}, "
         f"exact ratio {cert.ratio_exact}",
         f"  certified bound mu*/Tr(a^-1) = {cert.bound} "
         f"{agrees} the quoted closed form {cert.quoted_form}",
         f"  reduced: {cert.reduced}; nodes visited {cert.nodes}",
+    ]
+
+
+def cmd_witness(args) -> CommandResult:
+    if args.verify:
+        return _certified(args, verify_witness, f"K_{args.N}", _witness_lines)
+    a, p, _, ratio = _witness_data(args.N)
+    trace = a.trace()
+    payload = {
+        "kind": "witness_element",
+        "conductor": args.N,
+        "coeffs": [str(c) for c in a.coeffs],
+        "trace": str(trace),
+        "closed_ratio": str(ratio),
+    }
+    shape = "((1+z)(1+1/z))^-1" if p == 2 else "((1-z)(1-1/z))^-1"
+    lines = [
+        f"witness over K_{args.N}: a = {shape}, trace {trace}",
+        f"  coeffs: {_coeff_line(a.coeffs)}",
+        f"  certified trace/mu ratio (closed form): {ratio}",
+    ]
+    return CommandResult(0, text="\n".join(lines), payload=payload)
+
+
+def cmd_real_witness(args) -> CommandResult:
+    if args.verify:
+        return _certified(args, verify_real_witness, f"K_{args.N}+", _real_witness_lines)
+    a = _real_witness_data(args.N)[0]
+    trace = a.trace()
+    payload = {
+        "kind": "real_witness_element",
+        "conductor": args.N,
+        "element": a.to_json_dict(),
+        "trace": str(trace),
+    }
+    shape = "(2+t)^-1" if args.N % 2 == 0 else "(2-t)^-1"
+    lines = [
+        f"witness over K_{args.N}+: a = {shape}, trace {trace}",
+        f"  theta-basis coeffs: {_coeff_line(a.coeffs)}",
     ]
     return CommandResult(0, text="\n".join(lines), payload=payload)
 

@@ -22,20 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    BudgetError,
-    ConductorError,
-    DegreeError,
-    NotTotallyPositiveError,
-    VerificationError,
-)
+from .errors import ConductorError, VerificationError
 from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, _times_x, make_field
 from .linalg import solve_exact
-from .numtheory import factorize, is_prime
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
+from .numtheory import factorize, is_prime, require_canonical_conductor
+from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, enumerate_below
 from .traceform import gram, is_totally_positive
-from .units import _scan_to_trace, mu_star
-from .witness import VERIFY_DEGREE_CAP, _budget, witness_for_conductor
+from .units import mu_star
+from .witness import _certify, _prime_power, _WitnessCertificate, witness_for_conductor
 
 
 class RealElement(_Element):
@@ -210,8 +204,21 @@ def real_witness_ppower(p: int, n: int, *, raw: bool = False) -> RealElement:
     return base if raw else base.inverse()
 
 
-@dataclass(frozen=True)
-class RealDiscrepancyCertificate:
+def _real_witness_data(big_n: int):
+    """(element, trace closed form, Tr(a^-1) closed form, quoted ratio) for
+    N = p^n."""
+    p, n = _prime_power(big_n, "real witnesses")
+    if p == 2:
+        a = real_witness_2power(n)
+        return a, Fraction(2 ** (2 * n - 5)), Fraction(2 ** (n - 1)), Fraction(2 ** (n - 4))
+    a = real_witness_ppower(p, n)
+    trace_cf = Fraction(p ** (2 * (n - 1)) * (p * p - 1), 24)
+    upper_cf = Fraction(p ** (n - 1) * (p - 1)) if n >= 2 else Fraction(p)
+    return a, trace_cf, upper_cf, Fraction(p ** (n - 1) * (p * p - 1), 24 * (p - 2))
+
+
+@dataclass(frozen=True, kw_only=True)
+class RealDiscrepancyCertificate(_WitnessCertificate):
     """Half-degree witness report.
 
     bound = mu_star / mu_upper is the proof-route lower bound on the
@@ -222,48 +229,32 @@ class RealDiscrepancyCertificate:
     published trace of 2-t drops a term).
     """
 
-    conductor: int
     witness: RealElement
-    status: str
-    trace_a: Fraction
     mu_upper: Fraction
     quoted_form: Fraction
-    nodes: int
     mu_star: Fraction | None = None
     mu_exact: Fraction | None = None
     mu_path: str = "trace_inverse_upper_bound"
     bound: Fraction | None = None
     ratio_exact: Fraction | None = None
     closed_form_agrees: bool | None = None
-    reduced: bool | None = None
-    reduced_evidence: tuple[FoundVector, ...] = ()
-    budget: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        head = {
             "kind": "real_discrepancy_witness",
-            "conductor": self.conductor,
-            "status": self.status,
             "witness": self.witness.to_json_dict(),
-            "trace_a": str(self.trace_a),
             "mu_upper": str(self.mu_upper),
             "quoted_form": str(self.quoted_form),
             "mu_path": self.mu_path,
-            "nodes_visited": self.nodes,
         }
-        if self.status == "verified":
-            out["mu_star"] = str(self.mu_star)
-            out["mu_exact"] = str(self.mu_exact)
-            out["bound"] = str(self.bound)
-            out["ratio_exact"] = str(self.ratio_exact)
-            out["closed_form_agrees"] = self.closed_form_agrees
-            out["reduced"] = self.reduced
-            out["reduced_evidence"] = [
-                fv.to_json_dict() for fv in self.reduced_evidence
-            ]
-        if self.budget is not None:
-            out["budget"] = self.budget
-        return out
+        verified = {
+            "mu_star": str(self.mu_star),
+            "mu_exact": str(self.mu_exact),
+            "bound": str(self.bound),
+            "ratio_exact": str(self.ratio_exact),
+            "closed_form_agrees": self.closed_form_agrees,
+        }
+        return self._json(head, verified)
 
 
 def verify_real_witness(
@@ -280,73 +271,29 @@ def verify_real_witness(
     evidence.  The reported bound divides mu* by Tr(a^-1), the quantity the
     closed forms are built from; ratio_exact divides by the enumerated mu.
     """
-    fac = factorize(big_n)
-    if len(fac) != 1:
-        raise ConductorError(f"real witnesses exist for prime powers only, got {big_n}")
-    p, n = fac[0]
-    if p == 2:
-        a = real_witness_2power(n)
-        trace_cf = Fraction(2 ** (2 * n - 5))
-        upper_cf = Fraction(2 ** (n - 1))
-        quoted = Fraction(2 ** (n - 4))
-    else:
-        a = real_witness_ppower(p, n)
-        trace_cf = Fraction(p ** (2 * (n - 1)) * (p * p - 1), 24)
-        upper_cf = Fraction(p ** (n - 1) * (p - 1)) if n >= 2 else Fraction(p)
-        quoted = Fraction(p ** (n - 1) * (p * p - 1), 24 * (p - 2))
-    d = a.ctx.degree
-    if d > VERIFY_DEGREE_CAP and not force:
-        raise DegreeError(
-            f"enumeration dimension {d} exceeds the default cap "
-            f"{VERIFY_DEGREE_CAP}; pass force=True to attempt it"
-        )
-
+    a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
+    scan, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "real witness")
     if a.embed() != witness_for_conductor(big_n):
         raise VerificationError(
             f"real witness at {big_n} does not embed to the cyclotomic one"
         )
-    t = a.trace()
-    if t != trace_cf:
-        raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
     upper = a.inverse().trace()
     if upper != upper_cf:
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    try:
-        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
-    except NotTotallyPositiveError:
-        raise VerificationError(f"real witness at {big_n} is not totally positive") from None
-    except BudgetError as exc:
-        return RealDiscrepancyCertificate(
-            conductor=big_n,
-            witness=a,
-            status="budget_exceeded",
-            trace_a=t,
-            mu_upper=upper,
-            quoted_form=quoted,
-            nodes=exc.nodes or 0,
-            budget=_budget(exc, node_cap, result_cap),
-        )
+    if scan is None:
+        return RealDiscrepancyCertificate(witness=a, mu_upper=upper, quoted_form=quoted, **fields)
 
     mu_exact = scan.vectors[0].value
-    unit = scan.unit_below
-    if unit is not None:
-        raise VerificationError(
-            f"unit {unit.coeffs} has form value {unit.value} "
-            f"< Tr(a); the witness at {big_n} is not reduced"
-        )
-    mu_star_val = t  # u = 1 attains it and nothing below is a unit
     if mu_exact > upper:
         raise VerificationError(
             f"enumerated minimum {mu_exact} exceeds the Tr(a^-1) bound {upper}"
         )
+    mu_star_val = scan.trace  # u = 1 attains it and nothing below is a unit
     bound = mu_star_val / upper
     return RealDiscrepancyCertificate(
-        conductor=big_n,
         witness=a,
-        status="verified",
-        trace_a=t,
         mu_upper=upper,
         quoted_form=quoted,
         mu_star=mu_star_val,
@@ -355,9 +302,7 @@ def verify_real_witness(
         bound=bound,
         ratio_exact=mu_star_val / mu_exact,
         closed_form_agrees=bound == quoted,
-        reduced=True,
-        reduced_evidence=scan.below,
-        nodes=scan.nodes,
+        **fields,
     )
 
 
@@ -513,9 +458,7 @@ def classify_real(n: int) -> RealCertificate:
     bare prime 23, where the corrected witness ratio is exactly 1 (see
     README); that entry is carried as published.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ConductorError(f"conductor must be a positive integer, got {n!r}")
-    make_field(n)  # canonicality gate
+    require_canonical_conductor(n)
     if n == 1:
         return RealCertificate(
             conductor=1, verdict="UR", reason="degenerate: the field is Q"

@@ -58,23 +58,32 @@ def witness_ppower(p: int, n: int) -> CycloElement:
     return ((1 - z) * (1 - z.conj())).inverse()
 
 
-def _witness_data(big_n: int):
-    """(element, p, n, trace closed form, ratio closed form) for N = p^n."""
+def _prime_power(big_n: int, what: str) -> tuple[int, int]:
+    """(p, n) with N = p^n; ConductorError naming `what` for any other N."""
     fac = factorize(big_n)
     if len(fac) != 1:
-        raise ConductorError(f"witnesses exist for prime powers only, got {big_n}")
-    p, n = fac[0]
+        raise ConductorError(f"{what} exist for prime powers only, got {big_n}")
+    return fac[0]
+
+
+def _closed_ratio(p: int, k: int) -> Fraction:
+    """Tr(a)/mu(a) of the witness at p^k before flooring at 1:
+    2^(k-3) for p = 2, p^(k-1)(p+1)/12 for odd p."""
+    return Fraction(2) ** (k - 3) if p == 2 else Fraction(p ** (k - 1) * (p + 1), 12)
+
+
+def _witness_data(big_n: int):
+    """(element, p, trace closed form, floored ratio closed form) for N = p^n."""
+    p, n = _prime_power(big_n, "witnesses")
     if p == 2:
         if n < 3:
             raise ValueError(f"2-power witness needs 2^n with n >= 3, got {big_n}")
         a = witness_2power(n)
         trace_cf = Fraction(2 ** (2 * n - 4))
-        ratio_cf = Fraction(2 ** (n - 3))
     else:
         a = witness_ppower(p, n)
         trace_cf = Fraction(p ** (2 * (n - 1)) * (p * p - 1), 12)
-        ratio_cf = Fraction(p ** (n - 1) * (p + 1), 12)
-    return a, p, n, trace_cf, max(Fraction(1), ratio_cf)
+    return a, p, trace_cf, max(Fraction(1), _closed_ratio(p, n))
 
 
 def witness_for_conductor(big_n: int) -> CycloElement:
@@ -82,65 +91,114 @@ def witness_for_conductor(big_n: int) -> CycloElement:
 
 
 def witness_closed_ratio(big_n: int) -> Fraction:
-    return _witness_data(big_n)[4]
+    return _witness_data(big_n)[3]
 
 
-@dataclass(frozen=True)
-class DiscrepancyCertificate:
-    """Exhaustively certified witness report.
+@dataclass(frozen=True, kw_only=True)
+class _WitnessCertificate:
+    """What every witness certificate carries.
 
-    status "verified": mu_a is exact, reduced_evidence is the complete list
-    of vectors with form value strictly below trace_a (all non-units), and
-    ratio = trace_a / mu_a equals closed_form.
-    status "budget_exceeded": the enumeration hit its cap; trace_a and
-    closed_form still hold, mu_a and ratio are None, and budget carries the
-    partial counts.
+    status "verified": reduced_evidence is the complete list of vectors with
+    form value strictly below trace_a, all non-units.  status
+    "budget_exceeded": the enumeration hit its cap, the closed-form checks
+    still hold, the enumerated fields are None and budget carries the caps
+    and the partial counts.
     """
 
     conductor: int
-    witness: CycloElement
     status: str
     trace_a: Fraction
-    closed_form: Fraction
     nodes: int
-    mu_a: Fraction | None = None
-    ratio: Fraction | None = None
-    mu_attained_at_expected: bool | None = None
     reduced: bool | None = None
     reduced_evidence: tuple[FoundVector, ...] = ()
     budget: dict | None = None
 
-    def to_json_dict(self) -> dict:
+    def _json(self, head: dict, verified: dict) -> dict:
+        """The shared fields with head, and with verified once status is "verified"."""
         out = {
-            "kind": "discrepancy_witness",
+            **head,
             "conductor": self.conductor,
             "status": self.status,
-            "witness_coeffs": [str(c) for c in self.witness.coeffs],
             "trace_a": str(self.trace_a),
-            "closed_form": str(self.closed_form),
             "nodes_visited": self.nodes,
         }
         if self.status == "verified":
-            out["mu_a"] = str(self.mu_a)
-            out["ratio"] = str(self.ratio)
-            out["mu_attained_at_expected"] = self.mu_attained_at_expected
+            out.update(verified)
             out["reduced"] = self.reduced
-            out["reduced_evidence"] = [
-                fv.to_json_dict() for fv in self.reduced_evidence
-            ]
+            out["reduced_evidence"] = [fv.to_json_dict() for fv in self.reduced_evidence]
         if self.budget is not None:
             out["budget"] = self.budget
         return out
 
 
-def _budget(exc: BudgetError, node_cap: int, result_cap: int) -> dict:
-    """The caps and the partial counts of an enumeration that hit its budget."""
-    return {
-        "node_cap": node_cap,
-        "result_cap": result_cap,
-        "nodes": exc.nodes,
-        "results": exc.results,
-    }
+def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bool, what: str):
+    """The steps both witness checks share: the degree cap, Tr(a) against its
+    closed form, one enumeration strictly below Tr(a) and the check that no
+    unit lies there.
+
+    Returns (scan, fields): fields are the _WitnessCertificate arguments.  On
+    a budget stop scan is None and fields describe the partial certificate.
+    """
+    deg = a.ctx.degree
+    if deg > VERIFY_DEGREE_CAP and not force:
+        raise DegreeError(
+            f"enumeration dimension {deg} exceeds the default cap "
+            f"{VERIFY_DEGREE_CAP}; pass force=True to attempt it"
+        )
+    t = a.trace()
+    if t != trace_cf:
+        raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
+    node_cap, result_cap = caps
+    fields = {"conductor": big_n, "trace_a": t}
+    try:
+        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
+    except NotTotallyPositiveError:
+        raise VerificationError(f"{what} at {big_n} is not totally positive") from None
+    except BudgetError as exc:
+        budget = {
+            "node_cap": node_cap,
+            "result_cap": result_cap,
+            "nodes": exc.nodes,
+            "results": exc.results,
+        }
+        fields.update(status="budget_exceeded", nodes=exc.nodes or 0, budget=budget)
+        return None, fields
+    unit = scan.unit_below
+    if unit is not None:
+        raise VerificationError(
+            f"unit {unit.coeffs} has form value {unit.value} < Tr(a) = {t}; "
+            f"the {what} at {big_n} is not reduced"
+        )
+    fields.update(status="verified", nodes=scan.nodes, reduced=True, reduced_evidence=scan.below)
+    return scan, fields
+
+
+@dataclass(frozen=True, kw_only=True)
+class DiscrepancyCertificate(_WitnessCertificate):
+    """Exhaustively certified witness report.
+
+    When verified, mu_a is exact and ratio = trace_a / mu_a equals
+    closed_form; after a budget stop mu_a and ratio are None.
+    """
+
+    witness: CycloElement
+    closed_form: Fraction
+    mu_a: Fraction | None = None
+    ratio: Fraction | None = None
+    mu_attained_at_expected: bool | None = None
+
+    def to_json_dict(self) -> dict:
+        head = {
+            "kind": "discrepancy_witness",
+            "witness_coeffs": [str(c) for c in self.witness.coeffs],
+            "closed_form": str(self.closed_form),
+        }
+        verified = {
+            "mu_a": str(self.mu_a),
+            "ratio": str(self.ratio),
+            "mu_attained_at_expected": self.mu_attained_at_expected,
+        }
+        return self._json(head, verified)
 
 
 def verify_witness(
@@ -154,51 +212,24 @@ def verify_witness(
 
     Checks, and raises VerificationError if any fails:
       - Tr(a) matches the closed form and a is totally positive;
+      - no vector below Tr(a) is a unit (a is reduced), each has |norm| >= 2;
       - mu(a) from enumeration satisfies trace/mu == closed ratio;
-      - x (= 1+z or 1-z) attains mu exactly when the ratio is not floored;
-      - no vector below Tr(a) is a unit (a is reduced), each has |norm| >= 2.
+      - x (= 1+z or 1-z) attains mu exactly when the ratio is not floored.
 
     Dimensions above VERIFY_DEGREE_CAP are refused unless force=True
     (budget caps still apply and a cap hit yields a partial certificate).
     """
-    a, p, n, trace_cf, ratio_cf = _witness_data(big_n)
-    deg = a.ctx.degree
-    if deg > VERIFY_DEGREE_CAP and not force:
-        raise DegreeError(
-            f"enumeration dimension {deg} exceeds the default cap "
-            f"{VERIFY_DEGREE_CAP}; pass force=True to attempt it"
-        )
-    t = a.trace()
-    if t != trace_cf:
-        raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
-    try:
-        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
-    except NotTotallyPositiveError:
-        raise VerificationError(f"witness at {big_n} is not totally positive") from None
-    except BudgetError as exc:
-        return DiscrepancyCertificate(
-            conductor=big_n,
-            witness=a,
-            status="budget_exceeded",
-            trace_a=t,
-            closed_form=ratio_cf,
-            nodes=exc.nodes or 0,
-            budget=_budget(exc, node_cap, result_cap),
-        )
+    a, p, trace_cf, ratio_cf = _witness_data(big_n)
+    scan, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "witness")
+    if scan is None:
+        return DiscrepancyCertificate(witness=a, closed_form=ratio_cf, **fields)
 
     mu_a = scan.vectors[0].value
-    ratio = t / mu_a
+    ratio = scan.trace / mu_a
     if ratio != ratio_cf:
         raise VerificationError(
             f"ratio {ratio} differs from closed form {ratio_cf} at conductor {big_n}"
         )
-    bad = scan.unit_below
-    if bad is not None:
-        raise VerificationError(
-            f"sub-trace vector {bad.coeffs} has |norm| {abs(bad.norm)} < 2; "
-            "witness is not reduced"
-        )
-
     # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
     # unless the ratio is floored; its first coefficient is 1, so the scan,
     # exhaustive up to mu_a, lists x as it is whenever x attains mu_a
@@ -211,17 +242,12 @@ def verify_witness(
         raise VerificationError(f"x does not attain the minimum at conductor {big_n}")
 
     return DiscrepancyCertificate(
-        conductor=big_n,
         witness=a,
-        status="verified",
-        trace_a=t,
         closed_form=ratio_cf,
         mu_a=mu_a,
         ratio=ratio,
         mu_attained_at_expected=attained,
-        reduced=True,
-        reduced_evidence=scan.below,
-        nodes=scan.nodes,
+        **fields,
     )
 
 
@@ -430,11 +456,10 @@ class DeltaBound:
     def provenance(self) -> str:
         if self.source_divisor is None:
             return "trivial bound (a = 1 is reduced)"
-        tag = "desk-verifiable" if self.desk_verifiable else "closed form, not desk-verified"
-        base = f"witness at divisor {self.source_divisor} ({tag})"
         if self.floored:
             return f"trivial bound (witness ratio at divisor {self.source_divisor} is below 1)"
-        return base
+        tag = "desk-verifiable" if self.desk_verifiable else "closed form, not desk-verified"
+        return f"witness at divisor {self.source_divisor} ({tag})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -457,26 +482,20 @@ def delta_lower_bound(n: int) -> DeltaBound:
         raise ConductorError(f"conductor must be a positive integer, got {n!r}")
     best = None  # (ratio, divisor)
     for p, k in factorize(n):
-        if p == 2:
-            if k < 3:
-                continue
-            raw = Fraction(2 ** (k - 3))
-        else:
-            raw = Fraction(p ** (k - 1) * (p + 1), 12)
+        if p == 2 and k < 3:
+            continue
+        raw = _closed_ratio(p, k)
         if best is None or raw > best[0]:
             best = (raw, p**k)
-    if best is None or best[0] <= 1:
+    if best is None:
         return DeltaBound(
-            conductor=n,
-            bound=Fraction(1),
-            source_divisor=None if best is None else best[1],
-            desk_verifiable=None if best is None else euler_phi(best[1]) <= VERIFY_DEGREE_CAP,
-            floored=best is not None and best[0] < 1,
+            conductor=n, bound=Fraction(1), source_divisor=None, desk_verifiable=None, floored=False
         )
+    ratio, divisor = best
     return DeltaBound(
         conductor=n,
-        bound=best[0],
-        source_divisor=best[1],
-        desk_verifiable=euler_phi(best[1]) <= VERIFY_DEGREE_CAP,
-        floored=False,
+        bound=max(ratio, Fraction(1)),
+        source_divisor=divisor,
+        desk_verifiable=euler_phi(divisor) <= VERIFY_DEGREE_CAP,
+        floored=ratio < 1,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -222,3 +223,36 @@ def test_sweep_to_5000_runs_in_bounded_memory():
     assert rc == 0
     assert lines == 3749  # the canonical conductors in 3..5000
     assert max_rss_kb < 100 * 1024
+
+
+def _witness_commands():
+    # every error path (ConductorError, ValueError, DegreeError), both budget
+    # stops and the closed-form delta bounds
+    modes = ([], ["--json"], ["--verify"], ["--verify", "--json"])
+    cmds = []
+    for n in (1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 25, 27, 32, 49):
+        cmds += [["witness", str(n), *m] for m in modes]
+    for n in (5, 7, 8, 9, 11, 12, 13, 16, 23, 25, 27, 32, 49, 64):
+        cmds += [["real", "witness", str(n), *m] for m in modes]
+    for j in ([], ["--json"]):
+        cmds.append(["witness", "27", "--verify", "--budget", "1500", *j])
+        cmds.append(["real", "witness", "64", "--verify", "--budget", "2000", *j])
+    for n in (0, 1, 2, 8, 15, 16, 22, 23, 25, 27, 49, 64, 81, 97, 121, 1024):
+        cmds += [["delta-bound", str(n)], ["delta-bound", str(n), "--json"]]
+    return cmds
+
+
+def test_witness_commands_are_byte_identical(capsys):
+    # sha256 of [exit code, stdout, stderr] as JSON, per command; the JSON
+    # carries nodes_visited, so a scan that visits one node more fails here
+    path = Path(__file__).with_name("witness_cli_digests.json")
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    got = {}
+    for argv in _witness_commands():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        blob = json.dumps([code, out, err]).encode()
+        got[" ".join(argv)] = hashlib.sha256(blob).hexdigest()
+    assert len(got) == 152
+    assert got.keys() == expected.keys()
+    assert [cmd for cmd in got if got[cmd] != expected[cmd]] == []

@@ -6,6 +6,7 @@ import pytest
 from unitred.certify import classify, strong_criterion
 from unitred.errors import ConductorError
 from unitred.field import make_field
+from unitred.realfield import classify_real
 from unitred.numtheory import (
     divisors,
     euler_phi,
@@ -107,7 +108,7 @@ def test_canonical_conductors():
 
 
 def test_every_conductor_gate_raises_one_text():
-    # make_field, classify, strong_criterion and eta share one check
+    # make_field, classify, strong_criterion, eta and classify_real share one check
     rule = "is not canonical (need N >= 1 and N % 4 != 2)"
     cases = {
         0: f"conductor 0 {rule}",
@@ -115,8 +116,16 @@ def test_every_conductor_gate_raises_one_text():
         22: f"conductor 22 {rule}; use 11 instead",
         "5": f"conductor '5' {rule}",
     }
+    gates = (
+        require_canonical_conductor,
+        make_field,
+        classify,
+        strong_criterion,
+        eta,
+        classify_real,
+    )
     for n, text in cases.items():
-        for gate in (require_canonical_conductor, make_field, classify, strong_criterion, eta):
+        for gate in gates:
             with pytest.raises(ConductorError) as exc:
                 gate(n)
             assert str(exc.value) == text, (gate.__name__, n)

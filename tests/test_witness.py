@@ -9,8 +9,11 @@ import pytest
 
 import unitred.realfield as realfield
 import unitred.svp as svp
+import unitred.units as units
+import unitred.witness as witness_module
 from unitred.errors import ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
+from unitred.svp import FoundVector
 from unitred.traceform import LDLResult, ldl
 from unitred.witness import (
     delta_lower_bound,
@@ -145,6 +148,28 @@ def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
         verify_witness(16)
     with pytest.raises(VerificationError, match="not totally positive"):
         realfield.verify_real_witness(16)
+
+
+def test_witness_checks_reject_a_unit_below_the_trace(monkeypatch):
+    # only a broken enumerator can list a unit below Tr(a); both checks share
+    # the test and its text
+    def broken(a, node_cap, result_cap, *, strict):
+        t = a.trace()
+        fv = FoundVector((1,) + (0,) * (a.ctx.degree - 1), t - 1)
+        return units._TraceScan(t, (fv,), (fv,), fv, 1)
+
+    monkeypatch.setattr(witness_module, "_scan_to_trace", broken)
+    with pytest.raises(VerificationError) as exc:
+        verify_witness(16)
+    assert str(exc.value) == (
+        "unit (1, 0, 0, 0, 0, 0, 0, 0) has form value 15 < Tr(a) = 16; "
+        "the witness at 16 is not reduced"
+    )
+    with pytest.raises(VerificationError) as exc:
+        realfield.verify_real_witness(16)
+    assert str(exc.value) == (
+        "unit (1, 0, 0, 0) has form value 7 < Tr(a) = 8; the real witness at 16 is not reduced"
+    )
 
 
 def test_rho_identity():
