@@ -1,11 +1,11 @@
 """Exact lattice tools: LLL reduction and bounded enumeration.
 
 Everything here is rational: LLL runs on an integer Gram matrix with the
-transform and Gram kept in integers and the orthogonalization in Fractions,
-and enumeration runs in integers over one common denominator, with exact
-integer square roots for the interval ends.  A successful run is therefore
-a proof, not an approximation; post-conditions are re-verified and raise VerificationError
-on any internal inconsistency.
+transform, the Gram and the Gram-Schmidt data (leading minors and scaled
+mu) kept in integers, and enumeration runs in integers over one common
+denominator, with exact integer square roots for the interval ends.  A
+successful run is therefore a proof, not an approximation; post-conditions
+are re-verified and raise VerificationError on any internal inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
 from .linalg import _integer_scale, det_exact
-from .traceform import GramMatrix, LDLResult, _require_positive, ldl
+from .traceform import GramMatrix, LDLResult, _fraction_free, _ldl_result, _require_positive, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
@@ -46,11 +46,17 @@ def _coerce_gram(g):
 
 @dataclass(frozen=True)
 class LLLResult:
-    """transform is unimodular with transform * G * transform^T == gram."""
+    """transform is unimodular with transform * G * transform^T == gram for
+    G = scale * g, and ldl factors gram, checking the reduction.  This is
+    the form enumeration reads; element is a trace form's, else None."""
 
     transform: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     delta: Fraction
+    swaps: int
+    scale: int
+    element: object = field(repr=False, compare=False)
+    ldl: LDLResult = field(repr=False, compare=False)
 
 
 def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
@@ -59,9 +65,12 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
     the scaled integer matrix; a common scale factor does not change which
     bases are reduced.
 
-    The first factorization decides positive definiteness: a form that is
-    not raises NotTotallyPositiveError, which names the element of a trace
-    form and reports the pivot of the unscaled matrix.
+    Integral LLL (Cohen, Alg. 2.6.7): d[i], the i-th leading principal minor
+    of the current Gram w, and lam[k][j] = d[j + 1] * mu[k][j] come from the
+    elimination behind ldl and are updated in integers, by exact divisions.
+    That elimination decides positive definiteness: a form that is not
+    raises NotTotallyPositiveError, which names the element of a trace form
+    and reports the pivot of the unscaled matrix.
     """
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must be in (1/4, 1)")
@@ -69,68 +78,73 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     w = [list(r) for r in rows]
-    what = "Gram matrix" if element is None else f"trace form of {element!r}"
-
-    def gso():
-        # Gram-Schmidt data (mu, B) of the current basis: the LDL factors of w
-        dec = _require_positive(ldl(w), what, scale)
-        return [list(r) for r in dec.lower], list(dec.pivots)
-
-    mu, b = gso()
-
-    def size_reduce(k, j):
-        q = (2 * mu[k][j] + 1) // 2  # nearest integer, ties down
-        if q == 0:
-            return
-        u[k] = [u[k][t] - q * u[j][t] for t in range(n)]
-        wkk = w[k][k] - 2 * q * w[k][j] + q * q * w[j][j]
-        for t in range(n):
-            if t != k:
-                w[k][t] -= q * w[j][t]
-                w[t][k] = w[k][t]
-        w[k][k] = wkk
-        for t in range(j):
-            mu[k][t] -= q * mu[j][t]
-        mu[k][j] -= q
+    status, stop, d, lam = _fraction_free(w)
+    if status != "positive_definite":
+        what = "Gram matrix" if element is None else f"trace form of {element!r}"
+        _require_positive(_ldl_result(1, status, stop, d, lam), what, scale)
+    num, den, swaps = delta.numerator, delta.denominator, 0
 
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            size_reduce(k, j)
-        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+            # size reduction by q = floor(mu[k][j] + 1/2), the nearest
+            # integer with ties rounded up
+            dj = d[j + 1]
+            q = (2 * lam[k][j] + dj) // (2 * dj)
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                w[k] = [x - q * y for x, y in zip(w[k], w[j])]
+                for row in w:
+                    row[k] -= q * row[j]
+                for t in range(j):
+                    lam[k][t] -= q * lam[j][t]
+                lam[k][j] -= q * dj
+        lkk = lam[k][k - 1]
+        x = d[k - 1] * d[k + 1] + lkk * lkk
+        if den * x >= num * d[k] * d[k]:  # Lovasz, with delta = num / den
             k += 1
-        else:
-            u[k - 1], u[k] = u[k], u[k - 1]
-            w[k - 1], w[k] = w[k], w[k - 1]
-            for row in w:
-                row[k - 1], row[k] = row[k], row[k - 1]
-            mu, b = gso()
-            k = max(k - 1, 1)
+            continue
+        # swap b_(k-1) and b_k; d[k] and lam[i][k - 1 : k + 1] change for i > k
+        swaps += 1
+        u[k - 1], u[k] = u[k], u[k - 1]
+        w[k - 1], w[k] = w[k], w[k - 1]
+        for row in w:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        b = x // d[k]
+        for li in lam[k + 1 :]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
 
-    _verify_lll(rows, u, w, mu, b, delta)
-    return LLLResult(_int_rows(u), _int_rows(w), delta)
+    dec = ldl(w)
+    _verify_lll(rows, u, w, dec, delta)
+    return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), delta, swaps, scale, element, dec)
 
 
-def _int_rows(m):
-    return tuple(tuple(int(c) for c in row) for row in m)
-
-
-def _verify_lll(g, u, w, mu, b, delta):
+def _verify_lll(g, u, w, dec, delta):
+    """Check the reduction against g and against dec, a fresh ldl of w that
+    shares nothing with the loop's bookkeeping."""
     n = len(g)
+    if dec.status != "positive_definite":
+        raise VerificationError(
+            f"LLL-reduced Gram matrix is {dec.status} after LLL found the form "
+            "positive definite"
+        )
     d = det_exact(u)
     if d not in (1, -1):
         raise VerificationError(f"LLL transform is not unimodular (det {d})")
     ug = [[sum(x * y for x, y in zip(ui, col)) for col in zip(*g)] for ui in u]
-    for i in range(n):
-        for j in range(n):
-            if sum(x * y for x, y in zip(ug[i], u[j])) != w[i][j]:
-                raise VerificationError("LLL Gram bookkeeping mismatch")
+    if [[sum(x * y for x, y in zip(r, uj)) for uj in u] for r in ug] != w:
+        raise VerificationError("LLL Gram bookkeeping mismatch")
+    mu, b = dec.lower, dec.pivots
     for i in range(n):
         for j in range(i):
             if abs(mu[i][j]) > Fraction(1, 2):
                 raise VerificationError(f"basis not size-reduced at ({i},{j})")
-    for i in range(1, n):
-        if b[i] < (delta - mu[i][i - 1] ** 2) * b[i - 1]:
+        if i and b[i] < (delta - mu[i][i - 1] ** 2) * b[i - 1]:
             raise VerificationError(f"Lovasz condition fails at {i}")
 
 
@@ -178,30 +192,9 @@ class EnumerationResult:
     nodes: int
 
 
-@dataclass(frozen=True)
-class _PreparedForm:
-    """A form ready to enumerate: its integer scale, the LLL reduction of
-    the scaled rows, and the LDL factors of the reduced Gram."""
-
-    scale: int
-    element: object  # CycloElement, RealElement or None
-    lll: LLLResult
-    ldl: LDLResult
-
-
-def _prepare(g) -> _PreparedForm:
-    """Scale, LLL-reduce and LDL-factor g once; a prepared form passes through."""
-    if isinstance(g, _PreparedForm):
-        return g
-    scale, _, element = _coerce_gram(g)
-    red = lll_reduce(g)
-    dec = ldl(red.gram)
-    if dec.status != "positive_definite":
-        raise VerificationError(
-            f"LLL-reduced Gram matrix is {dec.status} after LLL found the form "
-            "positive definite"
-        )
-    return _PreparedForm(scale, element, red, dec)
+def _prepare(g) -> LLLResult:
+    """Scale and LLL-reduce g once; a reduced form passes through."""
+    return g if isinstance(g, LLLResult) else lll_reduce(g)
 
 
 def enumerate_below(
@@ -231,7 +224,7 @@ def enumerate_below(
     """
     bound = Fraction(bound)
     form = _prepare(g)
-    u, piv, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
+    u, piv, low = form.transform, form.ldl.pivots, form.ldl.lower
     n = len(piv)
     dens = [
         math.lcm(*(low[j][l].denominator for j in range(l + 1, n))) for l in range(n)
@@ -330,7 +323,7 @@ def shortest(
     exhaustive and the reported minimum is certified.
     """
     form = _prepare(g)
-    start = Fraction(min(row[i] for i, row in enumerate(form.lll.gram)), form.scale)
+    start = Fraction(min(row[i] for i, row in enumerate(form.gram)), form.scale)
     res = enumerate_below(form, start, node_cap=node_cap, result_cap=result_cap)
     if not res.vectors:
         raise VerificationError(f"no vector attains the basis-vector bound {start}")

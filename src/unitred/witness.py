@@ -31,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .field import CycloElement, make_field
-from .numtheory import euler_phi, factorize, is_prime
+from .numtheory import euler_phi, factorize, is_prime, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector
 from .units import _scan_to_trace
 
@@ -478,8 +478,7 @@ class DeltaBound:
 def delta_lower_bound(n: int) -> DeltaBound:
     """max over prime-power divisors p^k | n of the witness ratios
     (2^(k-3) for p = 2 with k >= 3; p^(k-1)(p+1)/12 for odd p), floored at 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ConductorError(f"conductor must be a positive integer, got {n!r}")
+    require_canonical_conductor(n)
     best = None  # (ratio, divisor)
     for p, k in factorize(n):
         if p == 2 and k < 3:

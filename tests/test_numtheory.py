@@ -20,6 +20,7 @@ from unitred.numtheory import (
     require_canonical_conductor,
 )
 from unitred.units import eta
+from unitred.witness import delta_lower_bound
 
 PHI_TABLE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 6, 12: 4, 15: 8, 16: 8, 25: 20, 27: 18, 97: 96}
 MU_TABLE = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0, 30: -1, 210: 1, 49: 0}
@@ -108,7 +109,8 @@ def test_canonical_conductors():
 
 
 def test_every_conductor_gate_raises_one_text():
-    # make_field, classify, strong_criterion, eta and classify_real share one check
+    # make_field, classify, strong_criterion, eta, classify_real and
+    # delta_lower_bound share one check
     rule = "is not canonical (need N >= 1 and N % 4 != 2)"
     cases = {
         0: f"conductor 0 {rule}",
@@ -123,6 +125,7 @@ def test_every_conductor_gate_raises_one_text():
         strong_criterion,
         eta,
         classify_real,
+        delta_lower_bound,
     )
     for n, text in cases.items():
         for gate in gates:

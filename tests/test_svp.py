@@ -9,6 +9,7 @@ import unitred.svp as svp
 from unitred.errors import BudgetError, VerificationError
 from unitred.field import make_field
 from unitred.linalg import det_exact
+from unitred.numtheory import euler_phi
 from unitred.realfield import (
     make_real_field,
     real_witness_2power,
@@ -16,7 +17,7 @@ from unitred.realfield import (
     verify_real_witness,
 )
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
-from unitred.traceform import gram
+from unitred.traceform import _require_positive, gram, ldl
 from unitred.witness import verify_witness, witness_for_conductor
 
 from linalg_helpers import invert_exact, mat_mul, transpose
@@ -248,7 +249,7 @@ def _fraction_enumerate(
     below the bound."""
     bound = Fraction(bound)
     form = svp._prepare(g)
-    u, dvec, low = form.lll.transform, form.ldl.pivots, form.ldl.lower
+    u, dvec, low = form.transform, form.ldl.pivots, form.ldl.lower
     n = len(dvec)
     target = bound * form.scale
     if bound < 0:
@@ -459,3 +460,90 @@ def test_orbit_norms_fold_signs_only_in_even_degree():
             neg = tuple(-c for c in x)
             for y in (neg, tuple(x), neg):
                 assert norms[y] == ring.element(y).norm(), (ring, y)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-GSO LLL as a differential oracle for the integral kernel
+
+
+def _fraction_lll(g, delta=svp.DEFAULT_DELTA):
+    """lll_reduce as it ran before its integral kernel: the LDL factors of
+    w are recomputed after every swap and mu, B are Fractions.  Returns
+    (transform, gram, swaps)."""
+    scale, rows, element = svp._coerce_gram(g)
+    n = len(rows)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [list(r) for r in rows]
+    what = "Gram matrix" if element is None else f"trace form of {element!r}"
+    swaps = 0
+
+    def gso():
+        # Gram-Schmidt data (mu, B) of the current basis: the LDL factors of w
+        dec = _require_positive(ldl(w), what, scale)
+        return [list(r) for r in dec.lower], list(dec.pivots)
+
+    mu, b = gso()
+
+    def size_reduce(k, j):
+        q = (2 * mu[k][j] + 1) // 2  # nearest integer, ties rounded up
+        if q == 0:
+            return
+        u[k] = [u[k][t] - q * u[j][t] for t in range(n)]
+        wkk = w[k][k] - 2 * q * w[k][j] + q * q * w[j][j]
+        for t in range(n):
+            if t != k:
+                w[k][t] -= q * w[j][t]
+                w[t][k] = w[k][t]
+        w[k][k] = wkk
+        for t in range(j):
+            mu[k][t] -= q * mu[j][t]
+        mu[k][j] -= q
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            size_reduce(k, j)
+        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+            k += 1
+        else:
+            swaps += 1
+            u[k - 1], u[k] = u[k], u[k - 1]
+            w[k - 1], w[k] = w[k], w[k - 1]
+            for row in w:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            mu, b = gso()
+            k = max(k - 1, 1)
+
+    return tuple(map(tuple, u)), tuple(map(tuple, w)), swaps
+
+
+def _forms_basket():
+    # the four degree-20 forms of perfbench's forms workload, drawn as it
+    # draws them (FORMS_BASKET_SEED = 2311, coefficients in {-1, 0, 1})
+    rng = random.Random(2311)
+    for n in (33, 33, 44, 44):
+        coeffs = [rng.randint(-1, 1) for _ in range(euler_phi(n))]
+        if not any(coeffs):
+            coeffs[0] = 1
+        x = make_field(n).element(coeffs)
+        yield gram(x * x.conj())
+
+
+def test_integral_lll_matches_fraction_oracle():
+    rng = random.Random(509)
+    grams = [_rand_pd_gram(rng, 2 + i % 7) for i in range(20)]
+    grams += [_rand_rational_pd_gram(rng, 2 + i % 7) for i in range(20)]
+    # mu = +-1/2 exactly: the tie rule decides the basis
+    grams += [[[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[2, 1, -1], [1, 2, 0], [-1, 0, 2]]]
+    grams += list(_forms_basket())
+    grams += [gram(witness_for_conductor(25)), gram(witness_for_conductor(32))]
+    grams += [gram(real_witness_ppower(7, 2))]
+    swaps = 0
+    for g in grams:
+        res = lll_reduce(g)
+        assert (res.transform, res.gram, res.swaps) == _fraction_lll(g), g
+        swaps += res.swaps
+    assert swaps > 300
+    # floor(mu + 1/2) takes mu = 1/2 to -1/2 and leaves mu = -1/2
+    assert lll_reduce([[2, 1], [1, 2]]).transform == ((1, 0), (-1, 1))
+    assert lll_reduce([[2, -1], [-1, 2]]).transform == ((1, 0), (0, 1))

@@ -14,7 +14,7 @@ import unitred.witness as witness_module
 from unitred.errors import ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
 from unitred.svp import FoundVector
-from unitred.traceform import LDLResult, ldl
+from unitred.traceform import ldl
 from unitred.witness import (
     delta_lower_bound,
     eq4_check,
@@ -139,11 +139,12 @@ def test_verify_witness_budget_partial():
 
 def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
     # the positivity check and the enumeration share one Gram matrix; a
-    # failed check is a VerificationError, also under python -O
-    def indefinite(g):
-        return LDLResult("indefinite", (Fraction(-1),), 0, ())
+    # failed check is a VerificationError, also under python -O.  LLL's
+    # first elimination is the check: here it finds a negative first minor
+    def indefinite(a):
+        return "indefinite", 0, [1, -1] + [0] * (len(a) - 1), [[0] * len(a) for _ in a]
 
-    monkeypatch.setattr(svp, "ldl", indefinite)
+    monkeypatch.setattr(svp, "_fraction_free", indefinite)
     with pytest.raises(VerificationError, match="not totally positive"):
         verify_witness(16)
     with pytest.raises(VerificationError, match="not totally positive"):
@@ -359,11 +360,18 @@ def test_delta_bound_provenance():
 
 
 def test_delta_monotone_under_divisibility():
+    # K_2m = K_m for odd m, and n | m keeps that divisibility between the
+    # canonical names, which are the only conductors delta_lower_bound takes
+    def canonical(n):
+        return n // 2 if n % 4 == 2 else n
+
     rng = random.Random(805)
     checked = 0
     while checked < 60:
         n = rng.randint(1, 200)
         mult = rng.randint(1, 12)
         m = n * mult
-        assert delta_lower_bound(n).bound <= delta_lower_bound(m).bound
+        assert delta_lower_bound(canonical(n)).bound <= delta_lower_bound(canonical(m)).bound
         checked += 1
+    with pytest.raises(ConductorError):
+        delta_lower_bound(6)
