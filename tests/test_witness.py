@@ -373,5 +373,3 @@ def test_delta_monotone_under_divisibility():
         m = n * mult
         assert delta_lower_bound(canonical(n)).bound <= delta_lower_bound(canonical(m)).bound
         checked += 1
-    with pytest.raises(ConductorError):
-        delta_lower_bound(6)
