@@ -3,13 +3,14 @@
 The field of conductor N is Q(z) for a primitive N-th root of unity z,
 represented on the power basis 1, z, ..., z^(phi(N)-1) with exact rational
 coefficients.  Integer coefficient vectors are exactly the ring of integers.
-Conductor labels are canonical (N = 1 or N % 4 != 0 mod ... specifically
-N % 4 != 2), so every field has one name; N % 4 == 2 is rejected because
-that field equals the one of conductor N/2.
+Conductor labels are canonical (N = 1 or N % 4 != 2), so every field has
+one name; N % 4 == 2 is rejected because that field equals the one of
+conductor N/2.
 
-No floating point anywhere: traces come from a Moebius closed form, norms
-from integer resultants, inverses from one integer solve against the matrix
-of multiplication modulo the cyclotomic polynomial.
+No floating point anywhere: products and Galois maps are integer
+polynomials reduced modulo the cyclotomic polynomial, traces come from a
+Moebius closed form, norms from integer resultants, inverses from one
+integer solve against the matrix of multiplication by the element.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConductorError, FieldMismatchError, VerificationError
-from .linalg import solve_exact
+from .linalg import _integer_scale, solve_exact
 from .numtheory import (
     divisors,
     euler_phi,
@@ -40,21 +41,22 @@ def _trim(p):
 
 
 def _poly_divmod_monic(num, den):
-    """Exact division by a monic integer polynomial; returns (quotient, remainder)."""
+    """Division by a monic integer polynomial: (quotient, remainder), the
+    remainder padded to deg den coefficients.  Zero coefficients of den are
+    skipped: a step costs one update per nonzero lower term of den."""
     if den[-1] != 1:
         raise ValueError(f"divisor {den} is not monic")
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        return [], num
-    q = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
+    dd = len(den) - 1
+    num = list(num) + [0] * (dd - len(num))
+    taps = [(i, c) for i, c in enumerate(den[:-1]) if c]
+    q = [0] * (len(num) - dd)
+    for k in range(len(q) - 1, -1, -1):
         c = num[k + dd]
         if c:
             q[k] = c
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    return q, _trim(num)
+            for i, fi in taps:
+                num[k + i] -= c * fi
+    return q, num[:dd]
 
 
 def _exact_div(a, b):
@@ -142,8 +144,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
-            poly, rem = _poly_divmod_monic(poly, list(cyclotomic_poly(d)))
-            if rem:
+            poly, rem = _poly_divmod_monic(poly, cyclotomic_poly(d))
+            if any(rem):
                 raise VerificationError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
@@ -193,10 +195,10 @@ class _Ring:
 class _Element:
     """Exact element on the power basis of a monic integer polynomial f.
 
-    Everything here is independent of f.  Subclasses supply what depends on
-    it: multiplication (the reduction table), norm (the resultant against f),
-    inverse (the solve against f), repr and the maps to other fields.  Only
-    elements of the same class and conductor mix; ints and Fractions coerce.
+    Everything here takes f as an argument.  Subclasses pass their own f to
+    multiplication, norm and inverse, and supply repr and the maps to other
+    fields.  Only elements of the same class and conductor mix; ints and
+    Fractions coerce.
     """
 
     ctx: _Ring
@@ -235,34 +237,25 @@ class _Element:
     def __neg__(self):
         return type(self)(self.ctx, tuple(-x for x in self.coeffs))
 
-    def _mul(self, other, rows):
-        """Product with other, reduced through rows[j] = x^j mod f.
-
-        rows is either periodic (z^N = 1 in K_N) or long enough that every
-        index k < 2 * degree - 1 is its own residue mod len(rows).
-        """
+    def _mul(self, other, modulus):
+        """Product with other: one integer convolution over the common
+        denominator s, reduced modulo the monic modulus, then divided by s^2."""
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return type(self)(self.ctx, tuple(x * q for x in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.ctx.degree
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            ck = conv[k]
-            if ck:
-                row = rows[k % len(rows)]
-                for t in range(n):
-                    if row[t]:
-                        out[t] += ck * row[t]
-        return type(self)(self.ctx, tuple(out))
+        s, (a, b) = _integer_scale([self.coeffs, o.coeffs])
+        taps = [(j, y) for j, y in enumerate(b) if y]
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in taps:
+                    conv[i + j] += x * y
+        den = s * s
+        out = _poly_divmod_monic(conv, modulus)[1]
+        return type(self)(self.ctx, tuple(Fraction(c, den) for c in out))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -331,15 +324,13 @@ class _Element:
     def _norm(self, modulus) -> Fraction:
         """Resultant of the monic modulus and the coefficient polynomial,
         denominators cleared first; exact and sign-exact."""
-        f = _trim([Fraction(c) for c in self.coeffs])
+        f = _trim(list(self.coeffs))
         if not f:
             return Fraction(0)
         if len(f) == 1:
             return f[0] ** self.ctx.degree
-        den = math.lcm(*(c.denominator for c in f))
-        ints = [int(c * den) for c in f]
-        res = _resultant_int(list(modulus), ints)
-        return Fraction(res, den**self.ctx.degree)
+        den, (ints,) = _integer_scale([f])
+        return Fraction(_resultant_int(list(modulus), ints), den**self.ctx.degree)
 
     def _inverse(self, modulus):
         """1/x from one integer solve M u = den * e_0, M the matrix of
@@ -347,8 +338,7 @@ class _Element:
         column j is den * x * z^j, each one the previous times z."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        cols = [[int(c * den) for c in self.coeffs]]
+        den, cols = _integer_scale([self.coeffs])
         for _ in range(self.ctx.degree - 1):
             cols.append(_times_x(cols[-1], modulus))
         rhs = [den] + [0] * (self.ctx.degree - 1)
@@ -357,7 +347,7 @@ class _Element:
 
 class CycloElement(_Element):
     def __mul__(self, other):
-        return self._mul(other, self.ctx._zeta_pow)
+        return self._mul(other, self.ctx.cyclo_poly)
 
     __rmul__ = __mul__
 
@@ -372,15 +362,19 @@ class CycloElement(_Element):
         k %= big_n
         if math.gcd(k, big_n) != 1:
             raise ValueError(f"{k} is not invertible mod {big_n}")
-        n = self.ctx.degree
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = self.ctx._zeta_pow[(i * k) % big_n]
-                for t in range(n):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return CycloElement(self.ctx, tuple(out))
+        return self._monomial_map(self.ctx, k)
+
+    def _monomial_map(self, up: "FieldContext", step: int) -> "CycloElement":
+        """Image under z -> w^step, w the generator of up: c_i moves to the
+        exponent i * step mod up's conductor, which then reduces modulo up's
+        cyclotomic polynomial, all over one common denominator."""
+        s, (a,) = _integer_scale([self.coeffs])
+        m = up.conductor
+        p = [0] * m
+        for i, c in enumerate(a):
+            p[i * step % m] += c
+        out = _poly_divmod_monic(p, up.cyclo_poly)[1]
+        return CycloElement(up, tuple(Fraction(c, s) for c in out))
 
     def conj(self) -> "CycloElement":
         """Complex conjugation z -> z^(-1) (identity for conductor 1)."""
@@ -406,15 +400,7 @@ class CycloElement(_Element):
         up = make_field(m)
         if m % big_n != 0:
             raise ConductorError(f"{big_n} does not divide {m}")
-        step = m // big_n
-        out = [Fraction(0)] * up.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = up._zeta_pow[(i * step) % m]
-                for t in range(up.degree):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return CycloElement(up, tuple(out))
+        return self._monomial_map(up, m // big_n)
 
     def relative_trace(self, n: int) -> "CycloElement":
         """Trace down to the subfield of conductor n (n must divide the conductor):
@@ -461,15 +447,14 @@ class CycloElement(_Element):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FieldContext(_Ring):
-    """Immutable per-conductor data: cyclotomic polynomial, reduction tables,
-    monomial traces, Galois residues, |discriminant|."""
+    """Immutable per-conductor data: cyclotomic polynomial, monomial traces,
+    Galois residues, |discriminant|."""
 
     conductor: int
     degree: int
     cyclo_poly: tuple[int, ...]
     discriminant_abs: int
     galois_units: tuple[int, ...]
-    _zeta_pow: tuple[tuple[int, ...], ...]
     _mono_trace: tuple[Fraction, ...]
 
     _element_type = CycloElement
@@ -479,8 +464,8 @@ class FieldContext(_Ring):
 
     def zeta(self, k: int = 1) -> CycloElement:
         """z^k for any integer k (reduced mod the conductor)."""
-        row = self._zeta_pow[k % self.conductor]
-        return CycloElement(self, tuple(Fraction(c) for c in row))
+        p = [0] * (k % self.conductor) + [1]
+        return self.element(_poly_divmod_monic(p, self.cyclo_poly)[1])
 
     def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
         """Sign-canonical coefficients of every +-z^j * x, x nonzero and
@@ -510,7 +495,7 @@ class FieldContext(_Ring):
         return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=64)  # N x phi(N) tables each: a sweep must not keep them all
+@lru_cache(maxsize=64)  # O(N) traces and units each: a sweep must not keep them all
 def make_field(n: int) -> FieldContext:
     """Context for the cyclotomic field of canonical conductor n."""
     require_canonical_conductor(n)
@@ -526,14 +511,7 @@ def make_field(n: int) -> FieldContext:
         if r or s:
             raise VerificationError(f"|disc| of conductor {n}: inexact at p = {p}")
 
-    # z^j reduced mod the cyclotomic polynomial, for every j mod n
-    red = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(n):
-        red.append(tuple(cur))
-        cur = _times_x(cur, cyclo)
-    if tuple(cur) != red[0]:
+    if _poly_divmod_monic([0] * n + [1], cyclo)[1] != [1] + [0] * (phi - 1):
         raise VerificationError(f"z^{n} does not reduce to 1")
 
     # Tr(z^j) = phi(n) * moebius(d) / phi(d) with d = n / gcd(j, n)
@@ -549,7 +527,6 @@ def make_field(n: int) -> FieldContext:
         cyclo_poly=cyclo,
         discriminant_abs=disc,
         galois_units=units,
-        _zeta_pow=tuple(red),
         _mono_trace=tuple(mono),
     )
 

@@ -34,7 +34,7 @@ from .witness import _certify, _prime_power, _WitnessCertificate, witness_for_co
 
 class RealElement(_Element):
     def __mul__(self, other):
-        return self._mul(other, self.ctx._theta_pow)
+        return self._mul(other, self.ctx.min_poly)
 
     __rmul__ = __mul__
 
@@ -69,14 +69,13 @@ class RealElement(_Element):
 @dataclass(frozen=True, eq=False, repr=False)
 class RealFieldContext(_Ring):
     """Immutable per-conductor data for Q(t): minimal polynomial of t,
-    power-reduction table, monomial traces, and the embedded t-powers."""
+    monomial traces, and the embedded t-powers."""
 
     conductor: int
     degree: int
     min_poly: tuple[int, ...]
     _cyclo: FieldContext
     _theta_embed: tuple[CycloElement, ...]
-    _theta_pow: tuple[tuple[int, ...], ...]
     _mono_trace: tuple[Fraction, ...]
 
     _element_type = RealElement
@@ -85,10 +84,8 @@ class RealFieldContext(_Ring):
         return f"RealFieldContext(conductor={self.conductor}, degree={self.degree})"
 
     def theta(self) -> RealElement:
-        if self.degree == 1:
-            # t is rational here (conductors 3 and 4)
-            return self.element([self._theta_pow[1][0]])
-        return self.element([0, 1])
+        # x * 1 mod the minimal polynomial: rational in degree 1 (conductors 3, 4)
+        return self.element(_times_x(self.one().coeffs, self.min_poly))
 
     # -- trace form -------------------------------------------------------------
 
@@ -105,7 +102,7 @@ class RealFieldContext(_Ring):
         return [[t[i + j] for j in range(d)] for i in range(d)]
 
 
-@lru_cache(maxsize=64)  # each holds tables of size phi(N)/2, like make_field's
+@lru_cache(maxsize=64)  # phi(N)^2 / 2 embedded coefficients each: a sweep must not keep them all
 def make_real_field(n: int) -> RealFieldContext:
     """Context for the maximal totally real subfield at canonical conductor
     n >= 3.  The minimal polynomial of t comes from the exact linear
@@ -127,8 +124,8 @@ def make_real_field(n: int) -> RealFieldContext:
         raise VerificationError(f"t is not integral over Z at conductor {n}")
     min_poly = tuple(-int(c) for c in sol) + (1,)
 
-    # t^k on the basis, far enough for products and trace-form entries
-    reach = max(3 * d - 2, 2)
+    # t^k on the basis, as far as trace-form entries read (k <= 3d - 3)
+    reach = 3 * d - 2
     pows = [(1,) + (0,) * (d - 1)]
     for _ in range(reach - 1):
         pows.append(tuple(_times_x(pows[-1], min_poly)))
@@ -144,7 +141,6 @@ def make_real_field(n: int) -> RealFieldContext:
         min_poly=min_poly,
         _cyclo=cyclo,
         _theta_embed=tuple(emb[:d]),
-        _theta_pow=tuple(pows),
         _mono_trace=mono,
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, VerificationError
-from .linalg import _integer_scale, det_exact
+from .linalg import _integer_scale
 from .traceform import GramMatrix, LDLResult, _fraction_free, _ldl_result, _require_positive, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
@@ -82,6 +82,7 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
     if status != "positive_definite":
         what = "Gram matrix" if element is None else f"trace form of {element!r}"
         _require_positive(_ldl_result(1, status, stop, d, lam), what, scale)
+    det_g = d[n]
     num, den, swaps = delta.numerator, delta.denominator, 0
 
     k = 1
@@ -120,25 +121,27 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
         k = max(k - 1, 1)
 
     dec = ldl(w)
-    _verify_lll(rows, u, w, dec, delta)
+    _verify_lll(rows, det_g, u, w, dec, delta)
     return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), delta, swaps, scale, element, dec)
 
 
-def _verify_lll(g, u, w, dec, delta):
-    """Check the reduction against g and against dec, a fresh ldl of w that
-    shares nothing with the loop's bookkeeping."""
+def _verify_lll(g, det_g, u, w, dec, delta):
+    """Check the reduction against g, whose determinant det_g was read before
+    the loop, and against dec, a fresh ldl of w that shares nothing with the
+    loop's bookkeeping.  Once u * g * u^T == w, det w = det(u)^2 * det_g, so
+    det w == det_g shows that the integral u is unimodular."""
     n = len(g)
     if dec.status != "positive_definite":
         raise VerificationError(
             f"LLL-reduced Gram matrix is {dec.status} after LLL found the form "
             "positive definite"
         )
-    d = det_exact(u)
-    if d not in (1, -1):
-        raise VerificationError(f"LLL transform is not unimodular (det {d})")
     ug = [[sum(x * y for x, y in zip(ui, col)) for col in zip(*g)] for ui in u]
     if [[sum(x * y for x, y in zip(r, uj)) for uj in u] for r in ug] != w:
         raise VerificationError("LLL Gram bookkeeping mismatch")
+    det_w = math.prod(dec.pivots)
+    if det_w != det_g:
+        raise VerificationError(f"LLL transform is not unimodular (det^2 {det_w / det_g})")
     mu, b = dec.lower, dec.pivots
     for i in range(n):
         for j in range(i):

@@ -268,10 +268,7 @@ def rho(big_n: int, z) -> Fraction:
 def rho_closed(big_n: int, z) -> Fraction:
     """Closed form of rho for prime-power N: 2^(n-1) * sum z_i^2 when N = 2^n,
     p^(n-1) * sum of Q over coordinate slices when N = p^n."""
-    fac = factorize(big_n)
-    if len(fac) != 1:
-        raise ConductorError(f"closed form needs a prime power, got {big_n}")
-    p, n = fac[0]
+    p, n = _prime_power(big_n, "closed forms")
     vals = [Fraction(c) for c in z]
     if len(vals) != euler_phi(big_n):
         raise ValueError(f"expected {euler_phi(big_n)} coordinates, got {len(vals)}")

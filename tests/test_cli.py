@@ -201,9 +201,9 @@ def test_sweep_lines_parse_and_respect_divisor_rule():
 
 
 def test_sweep_to_5000_runs_in_bounded_memory():
-    # a field context holds N x phi(N) tables; building and caching one per
-    # conductor took sweep 3..1200 past 2 GB.  The child caps its own address
-    # space, so such a regression fails here instead of exhausting memory
+    # building and caching a field context per conductor, when each held an
+    # N x phi(N) table, took sweep 3..1200 past 2 GB.  The child caps its own
+    # address space, so such a regression fails here instead of exhausting memory
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import contextlib, io, resource, sys\n"

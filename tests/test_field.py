@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +62,30 @@ def test_zeta_is_root():
             acc = acc + z**i * c
         assert acc.is_zero()
         assert z**n == ctx.one()
+
+
+def test_field_4999_multiplies_in_bounded_memory():
+    # a context used to keep z^j mod Phi_N for every j mod N, 4999 rows of
+    # 4998 entries at N = 4999 (over 200 MB); a product now reads only Phi_N.
+    # (1 + z^4997)(2 + z) reduces z^4998 = -(1 + z + ... + z^4997) once
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from unitred.field import make_field\n"
+        "k = make_field(4999)\n"
+        "p = (1 + k.zeta(4997)) * (2 + k.zeta())\n"
+        "ok = p == k.element([1, 0] + [-1] * 4995 + [1])\n"
+        "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, max_rss_kb = proc.stdout.split()
+    assert ok == "True"
+    assert int(max_rss_kb) < 64 * 1024
 
 
 def test_conductor_gate():

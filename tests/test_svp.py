@@ -66,6 +66,15 @@ def test_lll_transform_is_unimodular_and_consistent():
         assert [tuple(row) for row in back] == [tuple(row) for row in res.gram]
 
 
+def test_verify_lll_rejects_a_consistent_transform_of_determinant_2():
+    # u * g * u^T == w, and w is size-reduced and Lovasz-reduced, but det u
+    # = 2: only comparing det w with det g can catch it
+    g, u, w = [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 4]]
+    with pytest.raises(VerificationError, match=r"not unimodular \(det\^2 4\)"):
+        svp._verify_lll(g, 1, u, w, ldl(w), svp.DEFAULT_DELTA)
+    svp._verify_lll(g, 1, g, g, ldl(g), svp.DEFAULT_DELTA)  # u = 1 passes
+
+
 def test_lll_rejects_bad_delta():
     with pytest.raises(ValueError):
         lll_reduce([[1]], delta=Fraction(2))

@@ -188,7 +188,7 @@ def test_rho_identity():
 def test_rho_rejects_bad_length():
     with pytest.raises(ValueError):
         rho(8, [1, 2])
-    with pytest.raises(ConductorError):
+    with pytest.raises(ConductorError, match="closed forms exist for prime powers only, got 12"):
         rho_closed(12, [1, 2, 3, 4])
 
 
