@@ -366,15 +366,13 @@ class CycloElement(_Element):
 
     def _monomial_map(self, up: "FieldContext", step: int) -> "CycloElement":
         """Image under z -> w^step, w the generator of up: c_i moves to the
-        exponent i * step mod up's conductor, which then reduces modulo up's
-        cyclotomic polynomial, all over one common denominator."""
+        exponent i * step mod up's conductor, over one common denominator."""
         s, (a,) = _integer_scale([self.coeffs])
         m = up.conductor
         p = [0] * m
         for i, c in enumerate(a):
             p[i * step % m] += c
-        out = _poly_divmod_monic(p, up.cyclo_poly)[1]
-        return CycloElement(up, tuple(Fraction(c, s) for c in out))
+        return up._from_exponents(p, s)
 
     def conj(self) -> "CycloElement":
         """Complex conjugation z -> z^(-1) (identity for conductor 1)."""
@@ -464,8 +462,13 @@ class FieldContext(_Ring):
 
     def zeta(self, k: int = 1) -> CycloElement:
         """z^k for any integer k (reduced mod the conductor)."""
-        p = [0] * (k % self.conductor) + [1]
-        return self.element(_poly_divmod_monic(p, self.cyclo_poly)[1])
+        return self._from_exponents([0] * (k % self.conductor) + [1])
+
+    def _from_exponents(self, p, den: int = 1) -> CycloElement:
+        """sum_j p[j] z^j / den for integers p[j], j < conductor: one
+        reduction modulo the cyclotomic polynomial."""
+        out = _poly_divmod_monic(p, self.cyclo_poly)[1]
+        return CycloElement(self, tuple(Fraction(c, den) for c in out))
 
     def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
         """Sign-canonical coefficients of every +-z^j * x, x nonzero and

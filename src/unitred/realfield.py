@@ -18,13 +18,14 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConductorError, VerificationError
-from .field import CycloElement, FieldContext, _Element, _poly_str, _Ring, _times_x, make_field
-from .linalg import solve_exact
+from .field import CycloElement, _Element, _poly_divmod_monic, _poly_str, _Ring, _times_x, make_field
+from .linalg import _integer_scale
 from .numtheory import factorize, is_prime, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, enumerate_below
 from .traceform import gram, is_totally_positive
@@ -51,12 +52,16 @@ class RealElement(_Element):
         return self._inverse(self.ctx.min_poly)
 
     def embed(self) -> CycloElement:
-        """Image in the cyclotomic field, on the power basis."""
-        out = self.ctx._cyclo.zero()
-        for c, tk in zip(self.coeffs, self.ctx._theta_embed):
+        """Image in the cyclotomic field, on the power basis: t^i expands as
+        sum_j C(i, j) z^(i - 2j), summed by exponent mod N and reduced once."""
+        big_n = self.ctx.conductor
+        s, (a,) = _integer_scale([self.coeffs])
+        p = [0] * big_n
+        for i, c in enumerate(a):
             if c:
-                out = out + tk * c
-        return out
+                for j in range(i + 1):
+                    p[(i - 2 * j) % big_n] += c * math.comb(i, j)
+        return make_field(big_n)._from_exponents(p, s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,15 +73,13 @@ class RealElement(_Element):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class RealFieldContext(_Ring):
-    """Immutable per-conductor data for Q(t): minimal polynomial of t,
-    monomial traces, and the embedded t-powers."""
+    """Immutable per-conductor data for Q(t): minimal polynomial of t and
+    the monomial traces Tr(t^k) that trace-form entries read."""
 
     conductor: int
     degree: int
     min_poly: tuple[int, ...]
-    _cyclo: FieldContext
-    _theta_embed: tuple[CycloElement, ...]
-    _mono_trace: tuple[Fraction, ...]
+    _mono_trace: tuple[int, ...]
 
     _element_type = RealElement
 
@@ -102,46 +105,42 @@ class RealFieldContext(_Ring):
         return [[t[i + j] for j in range(d)] for i in range(d)]
 
 
-@lru_cache(maxsize=64)  # phi(N)^2 / 2 embedded coefficients each: a sweep must not keep them all
+def _dickson_sum(c) -> list[int]:
+    """c[0] + sum_(k >= 1) c[k] * D_k(t) as integer coefficients in t, low
+    first.  D_k(t) = z^k + z^(-k) for t = z + 1/z, so D_0 = 2, D_1 = t and
+    D_(k+1) = t * D_k - D_(k-1)."""
+    out = [c[0]] + [0] * (len(c) - 1)
+    prev, cur = [2], [0, 1]
+    for ck in c[1:]:
+        for i, v in enumerate(cur):
+            out[i] += ck * v
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return out
+
+
+@lru_cache(maxsize=64)  # O(N) integers each, as for make_field
 def make_real_field(n: int) -> RealFieldContext:
     """Context for the maximal totally real subfield at canonical conductor
-    n >= 3.  The minimal polynomial of t comes from the exact linear
-    dependency among t-powers inside the cyclotomic field."""
+    n >= 3.  Phi_n is palindromic of degree 2d, so z^(-d) * Phi_n(z) =
+    c_d + sum_k c_(d+k) * D_k(t) is the minimal polynomial of t."""
     if not isinstance(n, int) or n < 3:
         raise ConductorError(
             f"real subfield contexts need a conductor >= 3, got {n!r}"
         )
     cyclo = make_field(n)  # rejects non-canonical n
-    d = cyclo.degree // 2
-    th = cyclo.zeta() + cyclo.zeta().conj()
+    phi_n, d = cyclo.cyclo_poly, cyclo.degree // 2
+    if phi_n != phi_n[::-1]:
+        raise VerificationError(f"Phi_{n} is not palindromic")
+    m = _dickson_sum(phi_n[d:])
 
-    emb = [cyclo.one()]
-    for _ in range(d):
-        emb.append(emb[-1] * th)
-    cols = [[emb[i].coeffs[r] for i in range(d)] for r in range(cyclo.degree)]
-    sol = solve_exact(cols, list(emb[d].coeffs))
-    if any(c.denominator != 1 for c in sol):
-        raise VerificationError(f"t is not integral over Z at conductor {n}")
-    min_poly = tuple(-int(c) for c in sol) + (1,)
-
-    # t^k on the basis, as far as trace-form entries read (k <= 3d - 3)
-    reach = 3 * d - 2
-    pows = [(1,) + (0,) * (d - 1)]
-    for _ in range(reach - 1):
-        pows.append(tuple(_times_x(pows[-1], min_poly)))
-
-    basis_tr = [Fraction(emb[j].trace(), 2) for j in range(d)]
-    mono = tuple(
-        sum((pows[k][j] * basis_tr[j] for j in range(d)), Fraction(0))
-        for k in range(reach)
-    )
+    # Tr(t^k), k <= 3d - 3, is the power sum p_k of the roots of m; Newton's
+    # identities: p_k = -k m_(d-k) [k <= d] - sum_(0 < i <= d, i < k) m_(d-i) p_(k-i)
+    mono = [d]
+    for k in range(1, 3 * d - 2):
+        head = k * m[d - k] if k <= d else 0
+        mono.append(-head - sum(m[d - i] * mono[k - i] for i in range(1, min(k, d + 1))))
     return RealFieldContext(
-        conductor=n,
-        degree=d,
-        min_poly=min_poly,
-        _cyclo=cyclo,
-        _theta_embed=tuple(emb[:d]),
-        _mono_trace=mono,
+        conductor=n, degree=d, min_poly=tuple(m), _mono_trace=tuple(mono)
     )
 
 
@@ -150,16 +149,14 @@ def embed(x: RealElement) -> CycloElement:
 
 
 def project(y: CycloElement) -> RealElement:
-    """Inverse of embed on conjugation-fixed elements; ValueError otherwise."""
+    """Inverse of embed on conjugation-fixed elements; ValueError otherwise.
+    Such a y = sum_i y_i z^i equals (y + conj(y)) / 2 = sum_i y_i D_i(t) / 2."""
     if y.conj() != y:
         raise ValueError(f"{y!r} is not fixed by conjugation")
     ctx = make_real_field(y.ctx.conductor)
-    cols = [
-        [ctx._theta_embed[i].coeffs[r] for i in range(ctx.degree)]
-        for r in range(y.ctx.degree)
-    ]
-    sol = solve_exact(cols, list(y.coeffs))
-    return RealElement(ctx, tuple(sol))
+    s, (a,) = _integer_scale([y.coeffs])
+    out = _poly_divmod_monic(_dickson_sum([2 * a[0]] + a[1:]), ctx.min_poly)[1]
+    return RealElement(ctx, tuple(Fraction(c, 2 * s) for c in out))
 
 
 def real_element_from_json_dict(payload: dict) -> RealElement:

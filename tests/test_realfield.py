@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,35 @@ def test_embed_project_round_trip():
             y = embed(x)
             assert y.conj() == y
             assert project(y) == x
+
+
+def test_field_1009_builds_its_real_subfield_in_bounded_memory():
+    # the real subfield used to come from a solve over phi(N)^2 / 2 embedded
+    # coefficients, and `field 1009` did not finish within 100 s; the
+    # Dickson derivation keeps O(N) integers per context
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from unitred.cli import main\n"
+        "from unitred.realfield import embed, make_real_field, project\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(['field', '1009', '--json'])\n"
+        "mp = json.loads(out.getvalue())['real_min_poly']\n"
+        "ctx = make_real_field(1009)\n"
+        "x = ctx.element([(7 * i) % 11 - 5 or 6 for i in range(ctx.degree)]) / 3\n"
+        "ok = rc == 0 and len(mp) == 505 and mp[-1] == 1 and project(embed(x)) == x\n"
+        "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, max_rss_kb = proc.stdout.split()
+    assert ok == "True"
+    assert int(max_rss_kb) < 64 * 1024
 
 
 def test_project_rejects_non_fixed():
