@@ -198,7 +198,7 @@ class _Element:
     Everything here takes f as an argument.  Subclasses pass their own f to
     multiplication, norm and inverse, and supply repr and the maps to other
     fields.  Only elements of the same class and conductor mix; ints and
-    Fractions coerce.
+    Fractions coerce.  A rational element equals its value in every field.
     """
 
     ctx: _Ring
@@ -283,10 +283,14 @@ class _Element:
         return out
 
     def __eq__(self, other):
+        # rational elements compare by value, which keeps equality transitive;
+        # K_N+ has half the degree of K_N, so the coefficients tell them apart
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rational(other)
-        if not isinstance(other, type(self)):
+            return self.is_rational() and self.coeffs[0] == other
+        if not isinstance(other, _Element):
             return NotImplemented
+        if self.is_rational() and other.is_rational():
+            return self.coeffs[0] == other.coeffs[0]
         return (
             self.ctx.conductor == other.ctx.conductor and self.coeffs == other.coeffs
         )

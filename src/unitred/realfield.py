@@ -18,7 +18,6 @@ one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,15 +51,14 @@ class RealElement(_Element):
         return self._inverse(self.ctx.min_poly)
 
     def embed(self) -> CycloElement:
-        """Image in the cyclotomic field, on the power basis: t^i expands as
-        sum_j C(i, j) z^(i - 2j), summed by exponent mod N and reduced once."""
+        """Image in the cyclotomic field, on the power basis: Horner's rule in
+        t = z + z^-1 on exponents mod N, additions only, reduced once."""
         big_n = self.ctx.conductor
         s, (a,) = _integer_scale([self.coeffs])
         p = [0] * big_n
-        for i, c in enumerate(a):
-            if c:
-                for j in range(i + 1):
-                    p[(i - 2 * j) % big_n] += c * math.comb(i, j)
+        for c in reversed(a):
+            p = [x + y for x, y in zip(p[-1:] + p[:-1], p[1:] + p[:1])]  # p * t
+            p[0] += c
         return make_field(big_n)._from_exponents(p, s)
 
     def to_json_dict(self) -> dict:

@@ -16,8 +16,22 @@ def frac_str(q) -> str:
     return str(Fraction(q))
 
 
+_AS_IS = frozenset((str, int, bool, type(None)))
+
+
 def jsonable(obj):
-    """Recursively convert Fractions to strings; leave JSON natives alone."""
+    """Recursively convert Fractions to strings; leave JSON natives alone.
+
+    The exact builtin types are dispatched first, since isinstance against
+    Fraction goes through ABCMeta; anything else, subclasses included, takes
+    the isinstance chain."""
+    cls = type(obj)
+    if cls in _AS_IS:
+        return obj
+    if cls is dict:
+        return {k: jsonable(v) for k, v in obj.items()}
+    if cls is list or cls is tuple:
+        return [jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, dict):

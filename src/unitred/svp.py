@@ -224,6 +224,14 @@ def enumerate_below(
     steps sum to at most floor(s * scale * bound), or ceil(...) - 1 when
     strict.  While the coordinates above a level are all 0, C_l = 0 and t
     runs over t >= 0 only, so no -v twin is visited.
+
+    Only the reduced-basis coordinates v are kept on the way down.  Each
+    frame works out its children's centres and intervals, so an empty
+    interval costs no call.  A level-0 interval is counted in one step, and
+    the original-basis coordinates sum_l v_l u[l] are built only for the
+    vectors it keeps.  When a cap would trip inside a level-0 interval, that
+    interval is replayed node by node, so a BudgetError carries the nodes
+    and results of a node-by-node walk.
     """
     bound = Fraction(bound)
     form = _prepare(g)
@@ -235,9 +243,12 @@ def enumerate_below(
     weights = [piv[l] / (dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
     ks = [int(w * s) for w in weights]
-    cols = [
-        [(j, int(low[j][l] * dens[l])) for j in range(l + 1, n) if low[j][l]]
-        for l in range(n)
+    # C_l = near[l] * v_(l+1) + the sum over far[l] of L[j][l] * den_l * v_j;
+    # the frame at level l + 1 sums far[l] once and hands each child its C_l
+    near = [int(low[l + 1][l] * dens[l]) for l in range(n - 1)]
+    far = [
+        [(j, int(low[j][l] * dens[l])) for j in range(l + 2, n) if low[j][l]]
+        for l in range(n - 1)
     ]
 
     scaled = bound * form.scale * s
@@ -246,44 +257,65 @@ def enumerate_below(
         return EnumerationResult(bound, (), 0)
     nodes = results = 0
     found: list[tuple[int, tuple[int, ...]]] = []  # (s * scale * value, coords)
-    v = [0] * n
+    v = [0] * n  # reduced-basis coordinates of the levels above the current one
+    u0 = u[0]
 
     def over(what, cap):
         return BudgetError(
             f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
         )
 
-    def recurse(lvl: int, rem: int, free: int, partial: list[int]):
-        # rem: top minus the steps above lvl; free: a coordinate above lvl is
-        # nonzero; partial: the original-basis coordinates of those levels
+    def recurse(lvl: int, rem: int, free: int, c: int, lo: int, hi: int):
+        # the non-empty run lo..hi of level lvl below v[lvl + 1:]; rem: top
+        # minus the steps above lvl; free: a coordinate above lvl is nonzero;
+        # c: the integer centre C_lvl
         nonlocal nodes, results
-        k, den, row = ks[lvl], dens[lvl], u[lvl]
-        c = 0
-        for j, lj in cols[lvl]:
-            c += lj * v[j]
-        m = math.isqrt(rem // k)  # |t * den + c| <= m
-        lo = -((m + c) // den) if free else 0
-        for t in range(lo, (m - c) // den + 1):
+        k, den = ks[lvl], dens[lvl]
+        if lvl == 0:
+            count = hi - lo + 1
+            kept = count if free else count - 1  # not free: t = 0 is the zero vector
+            if nodes + count > node_cap or results + kept > result_cap:
+                for t in range(lo, hi + 1):  # a cap trips in this run: replay it
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise over("node", node_cap)
+                    if free or t:
+                        results += 1
+                        if results > result_cap:
+                            raise over("result", result_cap)
+            else:
+                nodes += count
+                results += kept
+            base = [0] * n  # original-basis coordinates, built for kept vectors only
+            for l in range(1, n):
+                if vl := v[l]:
+                    base = [b + vl * r for b, r in zip(base, u[l])]
+            for t in range(lo if free else 1, hi + 1):
+                coords = [b + t * r for b, r in zip(base, u0)]
+                if next(a for a in coords if a) < 0:
+                    coords = [-a for a in coords]
+                x = t * den + c
+                found.append((top - rem + k * x * x, tuple(coords)))
+            return
+        # each child's interval is worked out here, so an empty one costs no call
+        kc, dc, nb = ks[lvl - 1], dens[lvl - 1], near[lvl - 1]
+        cb = 0
+        for j, lj in far[lvl - 1]:
+            cb += lj * v[j]
+        for t in range(lo, hi + 1):
             nodes += 1
             if nodes > node_cap:
                 raise over("node", node_cap)
             x = t * den + c
-            if lvl:
+            r, cc, f = rem - k * x * x, cb + nb * t, free or t
+            m = math.isqrt(r // kc)  # |t' * dc + cc| <= m one level down
+            lc = -((m + cc) // dc) if f else 0
+            hc = (m - cc) // dc
+            if lc <= hc:
                 v[lvl] = t
-                below = [p + t * r for p, r in zip(partial, row)] if t else partial
-                recurse(lvl - 1, rem - k * x * x, free or t, below)
-                continue
-            if not (free or t):
-                continue  # the zero vector
-            results += 1
-            if results > result_cap:
-                raise over("result", result_cap)
-            coords = [p + t * r for p, r in zip(partial, row)]
-            if next(a for a in coords if a) < 0:
-                coords = [-a for a in coords]
-            found.append((top - rem + k * x * x, tuple(coords)))
+                recurse(lvl - 1, r, f, cc, lc, hc)
 
-    recurse(n - 1, top, 0, [0] * n)
+    recurse(n - 1, top, 0, 0, 0, math.isqrt(top // ks[-1]) // dens[-1])
     found.sort()
 
     norms = None if form.element is None else _OrbitNorms(form.element.ctx)

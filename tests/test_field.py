@@ -404,6 +404,22 @@ def test_parse_and_json_round_trip():
         parse_element(ctx, "")
 
 
+def test_rational_elements_equal_their_value_across_fields():
+    # equality is transitive: the ones of K_5 and K_7 equal 1 and each other,
+    # so a set holds one of them whatever the order
+    a, b = make_field(5).one(), make_field(7).one()
+    assert a == b == 1 and hash(a) == hash(b) == hash(1)
+    assert len({1, a, b}) == len({a, b, 1}) == len({a, 1, b}) == 1
+    half = Fraction(1, 2)
+    pair = make_field(5).from_rational(half), make_real_field(7).from_rational(half)
+    assert pair[0] == pair[1] == half and len({half, *pair}) == len({*pair, half}) == 1
+    # non-rational elements differ across conductors even with equal coefficients
+    assert make_field(5).zeta() != make_field(7).zeta()
+    assert make_field(5).zeta() != make_field(5).one()
+    with pytest.raises(FieldMismatchError):
+        _ = a + b
+
+
 def test_scalar_mixing():
     ctx = make_field(12)
     a = ctx.element([1, 0, 2, 0])
@@ -455,10 +471,12 @@ def test_element_base_behaviour(make, other):
     with pytest.raises(FieldMismatchError):
         _ = ctx.one() - make(15).one()
 
-    # K_16 and K_16+ share a conductor but not a type: never equal, never mixed
+    # K_16 and K_16+ share a conductor but not a type: never mixed, and equal
+    # only where both are rational with one value
     mine, theirs = ctx.one(), other(16).one()
-    assert (mine == theirs) is False
-    assert mine != theirs
+    assert (mine == theirs) is True and hash(mine) == hash(theirs)
+    assert (ctx.element([1, 1]) == other(16).element([1, 1])) is False
+    assert ctx.element([1, 1]) != other(16).element([1, 1])
     for op in (
         lambda a, b: a + b,
         lambda a, b: a - b,

@@ -11,6 +11,7 @@ context, and that the conductor gate, which make_real_field keeps, is left
 out.
 """
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ import pytest
 
 from unitred.errors import VerificationError
 from unitred.field import _times_x, make_field
-from unitred.linalg import solve_exact
+from unitred.linalg import _integer_scale, solve_exact
 from unitred.realfield import RealElement, embed, make_real_field, project
 
 CANONICAL_3_TO_100 = [n for n in range(3, 101) if n % 4 != 2]
@@ -117,3 +118,28 @@ def test_non_palindromic_modulus_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(rf, "make_field", lambda n: fake)
     with pytest.raises(VerificationError, match="Phi_5 is not palindromic"):
         rf.make_real_field.__wrapped__(5)
+
+
+# ---------------------------------------------------------------------------
+# embed by Horner's rule against the binomial expansion it replaced
+
+
+def _binomial_embed(x):
+    """embed as it ran before Horner's rule: t^i expands as
+    sum_j C(i, j) z^(i - 2j), summed by exponent mod N and reduced once."""
+    big_n = x.ctx.conductor
+    s, (a,) = _integer_scale([x.coeffs])
+    p = [0] * big_n
+    for i, c in enumerate(a):
+        if c:
+            for j in range(i + 1):
+                p[(i - 2 * j) % big_n] += c * math.comb(i, j)
+    return make_field(big_n)._from_exponents(p, s)
+
+
+def test_horner_embed_matches_binomial_oracle():
+    rng = random.Random(1201)
+    for n in CANONICAL_3_TO_100 + [1009]:
+        ctx = make_real_field(n)
+        for x in _elements(rng, ctx) + [ctx.zero(), ctx.from_rational(Fraction(-5, 3))]:
+            assert embed(x) == _binomial_embed(x), (n, x)

@@ -438,6 +438,50 @@ def test_result_cap_counts_only_the_vectors_returned(conductor, count):
     assert exc.value.results == count
 
 
+def _first_leaf_run(form, bound, strict, span=80):
+    """The first nodes j, at least three in a row, that each keep a vector:
+    consecutive leaves of one level-0 interval, since every node above level
+    0 keeps none.  kept[j] is the number of vectors kept by the first j
+    nodes, read off a node cap of j."""
+    kept = []
+    for j in range(span):
+        try:
+            enumerate_below(form, bound, strict=strict, node_cap=j)
+        except BudgetError as exc:
+            kept.append(exc.results)
+    run = []
+    for j in range(1, len(kept)):
+        if kept[j] > kept[j - 1]:
+            run.append(j)
+        elif len(run) >= 3:
+            return run, kept
+        else:
+            run = []
+    raise AssertionError(f"no leaf run of three nodes in the first {span} nodes")
+
+
+@pytest.mark.parametrize("name", ["witness 25", "witness 32", "real witness 49"])
+def test_budget_stops_inside_a_leaf_run_match_the_oracle(name):
+    # the kernel counts a level-0 interval in one step and replays it node by
+    # node only when a cap falls inside it; the stop must match the oracle's
+    # at the first, middle and last node of the run, and just past it
+    a = WITNESS_FORMS[name]()
+    form = svp._prepare(gram(a))
+    t = a.trace()
+    for strict in (False, True):
+        run, kept = _first_leaf_run(form, t, strict)
+        for j in (run[0], run[len(run) // 2], run[-1]):
+            for caps, results in (
+                ({"node_cap": j - 1}, kept[j - 1]),
+                ({"result_cap": kept[j] - 1}, kept[j]),
+            ):
+                stop = _assert_matches_oracle(form, t, strict, **caps)
+                assert stop[0] == "budget" and stop[2:] == (j, results), (strict, caps)
+        for caps in ({"node_cap": run[-1]}, {"result_cap": kept[run[-1]]}):
+            stop = _assert_matches_oracle(form, t, strict, **caps)
+            assert stop[0] == "budget" and stop[2] > run[-1], (strict, caps)
+
+
 def test_orbit_norms_match_direct_resultants():
     # one resultant per orbit of x -> +-z^j x over K_N, none shared over K_N+
     x = make_field(33).element([1, 1, 0, 0, 0, 1])
