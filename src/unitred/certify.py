@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .errors import ConductorError, DegreeError, VerificationError
 from .field import CycloElement, make_field
-from .numtheory import euler_phi, prime_divisors, require_canonical_conductor
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, MinimaReport, shortest
+from .numtheory import euler_phi, listed_divisor, require_canonical_conductor
+from .svp import MinimaReport, shortest
 from .traceform import gram
 from .units import EtaCertificate, eta
 
@@ -104,13 +104,7 @@ NOT_UR_PRIME_FLOOR = 13
 
 def not_ur_by_divisor(n: int):
     """First forbidden divisor of n as (prime, exponent), or None."""
-    for p, k in NOT_UR_PRIME_POWERS:
-        if n % p**k == 0:
-            return (p, k)
-    for p in sorted(prime_divisors(n)):
-        if p >= NOT_UR_PRIME_FLOOR:
-            return (p, 1)
-    return None
+    return listed_divisor(n, NOT_UR_PRIME_POWERS, NOT_UR_PRIME_FLOOR)
 
 
 @dataclass(frozen=True)

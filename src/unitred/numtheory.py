@@ -33,6 +33,15 @@ def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
 
 
+def listed_divisor(n: int, prime_powers, floor: int):
+    """The first (p, k) of prime_powers with p^k | n, else (p, 1) for the
+    least prime p >= floor dividing n, else None."""
+    for p, k in prime_powers:
+        if n % p**k == 0:
+            return (p, k)
+    return next(((p, 1) for p, _ in factorize(n) if p >= floor), None)
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .errors import ConductorError, VerificationError
 from .field import CycloElement, _Element, _poly_divmod_monic, _poly_str, _Ring, _times_x, make_field
 from .linalg import _integer_scale
-from .numtheory import factorize, is_prime, require_canonical_conductor
+from .numtheory import is_prime, listed_divisor, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, enumerate_below
 from .traceform import gram, is_totally_positive
 from .units import mu_star
@@ -263,7 +263,7 @@ def verify_real_witness(
     closed forms are built from; ratio_exact divides by the enumerated mu.
     """
     a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
-    scan, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "real witness")
+    mu_exact, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "real witness")
     if a.embed() != witness_for_conductor(big_n):
         raise VerificationError(
             f"real witness at {big_n} does not embed to the cyclotomic one"
@@ -273,15 +273,14 @@ def verify_real_witness(
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    if scan is None:
+    if mu_exact is None:
         return RealDiscrepancyCertificate(witness=a, mu_upper=upper, quoted_form=quoted, **fields)
 
-    mu_exact = scan.vectors[0].value
     if mu_exact > upper:
         raise VerificationError(
             f"enumerated minimum {mu_exact} exceeds the Tr(a^-1) bound {upper}"
         )
-    mu_star_val = scan.trace  # u = 1 attains it and nothing below is a unit
+    mu_star_val = fields["trace_a"]  # u = 1 attains it and nothing below is a unit
     bound = mu_star_val / upper
     return RealDiscrepancyCertificate(
         witness=a,
@@ -409,13 +408,7 @@ REAL_NOT_UR_PRIME_FLOOR = 23
 def real_not_ur_by_divisor(n: int):
     """Smallest listed prime power (p, k) with p^k | n forcing the real
     subfield out of unit reducibility, or None."""
-    for p, k in REAL_NOT_UR_PRIME_POWERS:
-        if n % p**k == 0:
-            return (p, k)
-    odd = [p for p, _ in factorize(n) if p >= REAL_NOT_UR_PRIME_FLOOR]
-    if odd:
-        return (min(odd), 1)
-    return None
+    return listed_divisor(n, REAL_NOT_UR_PRIME_POWERS, REAL_NOT_UR_PRIME_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ prime-ideal norm.
 For totally positive a, the quadratic form q(u) = Tr(a * u * conj(u)) takes
 the value Tr(a) at u = 1.  Its minimum over all nonzero integers is mu(a);
 its minimum over units is mu*(a); a is reduced when no unit beats u = 1.
-All three are decided by one exhaustive enumeration up to Tr(a) (strictly
-below it for reducedness), with the norm of every candidate checked exactly.
+Each is decided by one exhaustive enumeration, with the norm of every
+candidate checked exactly: mu_star scans up to Tr(a) and reads the units on
+that shell; is_reduced scans strictly below Tr(a), and when nothing lies
+there the minimum is Tr(a), which u = 1 attains.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, VerificationError
+from .errors import VerificationError
 from .numtheory import multiplicative_order, primes, require_canonical_conductor
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, _prepare, enumerate_below
+from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
 from .traceform import gram
 
 ATTAINING_CAP = 512
@@ -24,44 +26,6 @@ ATTAINING_CAP = 512
 def is_unit(x) -> bool:
     """True for integral elements of norm +-1."""
     return x.is_integral() and abs(x.norm()) == 1
-
-
-@dataclass(frozen=True)
-class _TraceScan:
-    """The vectors of the form of a against Tr(a), from one prepared form."""
-
-    trace: Fraction
-    vectors: tuple[FoundVector, ...]  # ascending (value, coeffs); vectors[0] is mu
-    below: tuple[FoundVector, ...]  # value strictly under the trace
-    unit_below: FoundVector | None  # the first unit among them
-    nodes: int
-
-
-def _scan_to_trace(a, node_cap, result_cap, *, strict: bool) -> _TraceScan:
-    """Enumerate Tr(a x conj(x)) up to Tr(a), the value at x = 1, or only
-    strictly below it when strict.  If nothing is, the minimum is Tr(a),
-    read off the shell by an inclusive scan of the same prepared form; each
-    scan runs under the caps, and nodes (also a BudgetError's) counts both.
-
-    Raises NotTotallyPositiveError when a is not totally positive and
-    BudgetError when the enumeration hits a cap.
-    """
-    t = a.trace()
-    form = _prepare(gram(a))
-    res = enumerate_below(form, t, strict=strict, node_cap=node_cap, result_cap=result_cap)
-    nodes = res.nodes
-    if strict and not res.vectors:
-        try:
-            res = enumerate_below(form, t, node_cap=node_cap, result_cap=result_cap)
-        except BudgetError as exc:
-            exc.nodes += nodes
-            raise
-        nodes += res.nodes
-    if not res.vectors:
-        raise VerificationError(f"no vector attains Tr(a) = {t}, which u = 1 does")
-    below = tuple(fv for fv in res.vectors if fv.value < t)
-    unit = next((fv for fv in below if abs(fv.norm) == 1), None)
-    return _TraceScan(t, res.vectors, below, unit, nodes)
 
 
 @dataclass(frozen=True)
@@ -112,11 +76,12 @@ def mu_star(
 ) -> MuStarReport:
     """Minimum of Tr(a u conj(u)) over units u, by exhaustive enumeration up
     to Tr(a) (the value at u = 1, so the search bound is always attained)."""
-    scan = _scan_to_trace(a, node_cap, result_cap, strict=False)
+    t = a.trace()
+    res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
     level = None
     attaining = []
     count = 0
-    for fv in scan.vectors:
+    for fv in res.vectors:
         if level is not None and fv.value > level:
             break
         if abs(fv.norm) == 1:
@@ -126,16 +91,16 @@ def mu_star(
             if len(attaining) < attaining_cap:
                 attaining.append(fv)
     if level is None:
-        raise VerificationError(f"no unit attains Tr(a) = {scan.trace}, which u = 1 does")
+        raise VerificationError(f"no unit attains Tr(a) = {t}, which u = 1 does")
     return MuStarReport(
         element=a,
-        trace=scan.trace,
-        mu=scan.vectors[0].value,
+        trace=t,
+        mu=res.vectors[0].value,
         mu_star=level,
         attaining=tuple(attaining),
         attaining_count=count,
         attaining_truncated=count > len(attaining),
-        nodes=scan.nodes,
+        nodes=res.nodes,
     )
 
 
@@ -183,17 +148,23 @@ def is_reduced(
     node_cap: int = DEFAULT_NODE_CAP,
     result_cap: int = DEFAULT_RESULT_CAP,
 ) -> ReducednessCertificate:
-    """Whether no unit does strictly better than u = 1 in the form of a."""
-    scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
-    witness = scan.unit_below
+    """Whether no unit does strictly better than u = 1 in the form of a, by
+    one enumeration strictly below Tr(a).
+
+    Raises NotTotallyPositiveError when a is not totally positive and
+    BudgetError when the enumeration hits a cap.
+    """
+    t = a.trace()
+    res = enumerate_below(gram(a), t, strict=True, node_cap=node_cap, result_cap=result_cap)
+    witness = next((fv for fv in res.vectors if abs(fv.norm) == 1), None)
     return ReducednessCertificate(
         element=a,
         reduced=witness is None,
-        trace=scan.trace,
-        mu_star=scan.trace if witness is None else witness.value,
+        trace=t,
+        mu_star=t if witness is None else witness.value,
         witness_unit=witness,
-        below_trace=scan.below,
-        nodes=scan.nodes,
+        below_trace=res.vectors,
+        nodes=res.nodes,
     )
 
 

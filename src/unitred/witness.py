@@ -33,7 +33,7 @@ from .errors import (
 from .field import CycloElement, make_field
 from .numtheory import euler_phi, factorize, is_prime, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector
-from .units import _scan_to_trace
+from .units import is_reduced
 
 VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
 
@@ -133,11 +133,13 @@ class _WitnessCertificate:
 
 def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bool, what: str):
     """The steps both witness checks share: the degree cap, Tr(a) against its
-    closed form, one enumeration strictly below Tr(a) and the check that no
-    unit lies there.
+    closed form, is_reduced's one enumeration strictly below Tr(a) and the
+    check that no unit lies there.
 
-    Returns (scan, fields): fields are the _WitnessCertificate arguments.  On
-    a budget stop scan is None and fields describe the partial certificate.
+    Returns (mu, fields): mu is the minimum of the form of a, the first value
+    below Tr(a), or Tr(a) itself when nothing lies below it, since u = 1
+    attains Tr(a); fields are the _WitnessCertificate arguments.  On a budget
+    stop mu is None and fields describe the partial certificate.
     """
     deg = a.ctx.degree
     if deg > VERIFY_DEGREE_CAP and not force:
@@ -151,7 +153,7 @@ def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bo
     node_cap, result_cap = caps
     fields = {"conductor": big_n, "trace_a": t}
     try:
-        scan = _scan_to_trace(a, node_cap, result_cap, strict=True)
+        cert = is_reduced(a, node_cap=node_cap, result_cap=result_cap)
     except NotTotallyPositiveError:
         raise VerificationError(f"{what} at {big_n} is not totally positive") from None
     except BudgetError as exc:
@@ -163,14 +165,15 @@ def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bo
         }
         fields.update(status="budget_exceeded", nodes=exc.nodes or 0, budget=budget)
         return None, fields
-    unit = scan.unit_below
+    unit = cert.witness_unit
     if unit is not None:
         raise VerificationError(
             f"unit {unit.coeffs} has form value {unit.value} < Tr(a) = {t}; "
             f"the {what} at {big_n} is not reduced"
         )
-    fields.update(status="verified", nodes=scan.nodes, reduced=True, reduced_evidence=scan.below)
-    return scan, fields
+    below = cert.below_trace
+    fields.update(status="verified", nodes=cert.nodes, reduced=True, reduced_evidence=below)
+    return (below[0].value if below else t), fields
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -220,25 +223,26 @@ def verify_witness(
     (budget caps still apply and a cap hit yields a partial certificate).
     """
     a, p, trace_cf, ratio_cf = _witness_data(big_n)
-    scan, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "witness")
-    if scan is None:
+    mu_a, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "witness")
+    if mu_a is None:
         return DiscrepancyCertificate(witness=a, closed_form=ratio_cf, **fields)
 
-    mu_a = scan.vectors[0].value
-    ratio = scan.trace / mu_a
+    t = fields["trace_a"]
+    ratio = t / mu_a
     if ratio != ratio_cf:
         raise VerificationError(
             f"ratio {ratio} differs from closed form {ratio_cf} at conductor {big_n}"
         )
     # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
     # unless the ratio is floored; its first coefficient is 1, so the scan,
-    # exhaustive up to mu_a, lists x as it is whenever x attains mu_a
+    # exhaustive below Tr(a), lists x as it is whenever x attains a mu_a < Tr(a)
     x = 1 + a.ctx.zeta() if p == 2 else 1 - a.ctx.zeta()
     x_val = (a * x * x.conj()).trace()
     if x_val != euler_phi(big_n):
         raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
     attained = x_val == mu_a
-    if attained and not any(fv.coeffs == x.coeffs for fv in scan.vectors if fv.value == mu_a):
+    minima = (fv for fv in fields["reduced_evidence"] if fv.value == mu_a)
+    if attained and mu_a < t and not any(fv.coeffs == x.coeffs for fv in minima):
         raise VerificationError(f"x does not attain the minimum at conductor {big_n}")
 
     return DiscrepancyCertificate(

@@ -4,15 +4,23 @@ from fractions import Fraction
 import pytest
 
 from unitred.certify import (
+    NOT_UR_PRIME_FLOOR,
+    NOT_UR_PRIME_POWERS,
     boundary_analysis,
     classify,
     hermite_pow,
+    not_ur_by_divisor,
     strong_criterion,
     table1,
 )
 from unitred.errors import ConductorError, DegreeError
 from unitred.field import make_field
 from unitred.numtheory import is_canonical_conductor, is_prime
+from unitred.realfield import (
+    REAL_NOT_UR_PRIME_FLOOR,
+    REAL_NOT_UR_PRIME_POWERS,
+    real_not_ur_by_divisor,
+)
 from unitred.svp import shortest
 from unitred.traceform import gram
 
@@ -181,3 +189,29 @@ def test_classification_reasons_and_json():
     assert cert.divisor == (13, 1)
     cert = classify(11)
     assert "no exact Hermite constant" in cert.reason
+
+
+def test_divisor_obstructions_match_a_direct_definition():
+    # the first listed prime power dividing N, else the least prime at or
+    # above the floor dividing N, with the primes from a sieve
+    top = 5000
+    sieve = [True] * (top + 1)
+    for p in range(2, top + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    plist = [p for p in range(2, top + 1) if sieve[p]]
+
+    def direct(n, powers, floor):
+        for p, k in powers:
+            if n % p**k == 0:
+                return (p, k)
+        for p in plist:
+            if p >= floor and n % p == 0:
+                return (p, 1)
+        return None
+
+    for n in range(1, top + 1):
+        assert not_ur_by_divisor(n) == direct(n, NOT_UR_PRIME_POWERS, NOT_UR_PRIME_FLOOR), n
+        assert real_not_ur_by_divisor(n) == direct(
+            n, REAL_NOT_UR_PRIME_POWERS, REAL_NOT_UR_PRIME_FLOOR
+        ), n

@@ -48,6 +48,28 @@ def test_library_has_no_float_code():
     assert found == []
 
 
+def test_library_imports_only_what_it_uses():
+    # every module-level import is referenced in its module; __init__.py
+    # imports in order to re-export, so it is left out
+    modules = sorted(
+        path for path in Path(unitred.__file__).parent.rglob("*.py") if path.name != "__init__.py"
+    )
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert found == []
+
+
 def test_bench_files_name_both_commits_and_every_workload():
     # each performance change commits bench/BENCH_<label>.json: the perfbench
     # medians and quartiles of the parent and of the change, per workload

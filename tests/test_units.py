@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import unitred.realfield as realfield
 import unitred.svp as svp
+import unitred.units as units
 from unitred.errors import BudgetError
 from unitred.field import CycloElement, make_field
 from unitred.realfield import RealElement, verify_real_witness
@@ -226,24 +228,64 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     assert sorted(set(ctx.norm_orbit(at_or_below[0]))) == at_or_below
 
 
-def test_empty_strict_scan_reads_the_minimum_off_the_shell():
-    # nothing lies strictly below Tr(1) = 4 over K_12; an inclusive scan of the
-    # same prepared form finds the six units on the shell, and the nodes (a
-    # budget stop's too) are the sum of both scans
-    one = make_field(12).one()
-    form = svp._prepare(gram(one))
-    strict = enumerate_below(form, 4, strict=True)
-    shell = enumerate_below(form, 4)
-    assert strict.vectors == () and len(shell.vectors) == 6
-    cert = is_reduced(one)
-    assert cert.reduced and cert.below_trace == ()
-    assert cert.nodes == strict.nodes + shell.nodes
-    with pytest.raises(BudgetError) as exc:
-        is_reduced(one, node_cap=strict.nodes + 1)
-    assert exc.value.nodes == 2 * strict.nodes + 2
+def test_is_reduced_is_one_strict_scan():
+    # nothing lies strictly below Tr(1) over K_12 and K_15, so the minimum is
+    # Tr(1), which u = 1 attains; is_reduced walks the strict tree once and
+    # reports that walk's nodes, a budget stop's too
+    for n, nodes in ((12, 6), (15, 61)):
+        one = make_field(n).one()
+        strict = enumerate_below(gram(one), one.trace(), strict=True)
+        assert strict.vectors == () and strict.nodes == nodes
+        cert = is_reduced(one)
+        assert cert.reduced and cert.below_trace == () and cert.mu_star == cert.trace
+        assert cert.nodes == nodes
+        with pytest.raises(BudgetError) as exc:
+            is_reduced(one, node_cap=nodes - 1)
+        assert exc.value.nodes == nodes
+        assert is_reduced(one, node_cap=nodes).nodes == nodes
     # the floored witnesses: mu(a) = Tr(a), attained by x = 1 -+ z exactly
-    # when Tr(a) = phi(N)
+    # when Tr(a) = phi(N); the inclusive scan of the Tr(a) shell is the oracle
     for n, attained in ((3, False), (5, False), (7, False), (8, True), (9, True), (11, True)):
         w = verify_witness(n)
-        assert w.reduced_evidence == () and w.mu_a == w.trace_a, n
-        assert w.mu_attained_at_expected is attained, n
+        a = w.witness
+        strict = enumerate_below(gram(a), w.trace_a, strict=True)
+        assert strict.vectors == w.reduced_evidence == (), n
+        assert w.nodes == strict.nodes and w.mu_a == w.trace_a, n
+        shell = enumerate_below(gram(a), w.trace_a).vectors
+        assert shell[0].value == w.mu_a, n
+        x = 1 + a.ctx.zeta() if n % 2 == 0 else 1 - a.ctx.zeta()
+        on_shell = any(fv.coeffs == x.coeffs for fv in shell)
+        assert on_shell is w.mu_attained_at_expected is attained, n
+    for n in (5, 7, 9, 11, 13, 16, 23):
+        w = verify_real_witness(n)
+        strict = enumerate_below(gram(w.witness), w.trace_a, strict=True)
+        assert strict.vectors == w.reduced_evidence == (), n
+        assert w.nodes == strict.nodes, n
+        assert w.mu_exact == w.mu_star == w.trace_a, n
+        assert enumerate_below(gram(w.witness), w.trace_a).vectors[0].value == w.mu_exact, n
+
+
+def test_each_check_enumerates_once(monkeypatch):
+    # is_reduced, mu_star and both witness checks each walk one tree, strict
+    # below Tr(a) but for mu_star, which reads the Tr(a) shell
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("strict", False))
+        return enumerate_below(*args, **kwargs)
+
+    for module in (svp, units, realfield):
+        monkeypatch.setattr(module, "enumerate_below", counting)
+    one = make_field(15).one()
+    checks = (
+        (lambda: is_reduced(one), True),
+        (lambda: mu_star(one), False),
+        (lambda: verify_witness(11), True),
+        (lambda: verify_witness(16), True),
+        (lambda: verify_real_witness(16), True),
+        (lambda: verify_real_witness(32), True),
+    )
+    for check, strict in checks:
+        del calls[:]
+        check()
+        assert calls == [strict]

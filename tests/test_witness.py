@@ -154,12 +154,20 @@ def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
 def test_witness_checks_reject_a_unit_below_the_trace(monkeypatch):
     # only a broken enumerator can list a unit below Tr(a); both checks share
     # the test and its text
-    def broken(a, node_cap, result_cap, *, strict):
+    def broken(a, *, node_cap, result_cap):
         t = a.trace()
         fv = FoundVector((1,) + (0,) * (a.ctx.degree - 1), t - 1)
-        return units._TraceScan(t, (fv,), (fv,), fv, 1)
+        return units.ReducednessCertificate(
+            element=a,
+            reduced=False,
+            trace=t,
+            mu_star=fv.value,
+            witness_unit=fv,
+            below_trace=(fv,),
+            nodes=1,
+        )
 
-    monkeypatch.setattr(witness_module, "_scan_to_trace", broken)
+    monkeypatch.setattr(witness_module, "is_reduced", broken)
     with pytest.raises(VerificationError) as exc:
         verify_witness(16)
     assert str(exc.value) == (
