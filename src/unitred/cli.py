@@ -30,7 +30,7 @@ from .field import _poly_str, element_to_json_dict, make_field, parse_element
 from .numtheory import is_canonical_conductor
 from .realfield import _real_witness_data, classify_real, make_real_field, verify_real_witness
 from .serialize import dumps_canonical
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, shortest
+from .svp import DEFAULT_NODE_CAP, shortest
 from .traceform import gram
 from .units import eta, is_reduced, mu_star
 from .witness import _witness_data, delta_lower_bound, eq4_check, l75_scan, verify_witness
@@ -45,8 +45,7 @@ class CommandResult:
     text: str = ""
     payload: object = None
     error: str = ""
-    json_out: bool = False
-    force_json: bool = False  # budget paths print the partial certificate
+    json_out: bool = False  # budget and eq4-failure paths set it themselves
 
 
 def _u64(s: str) -> int:
@@ -71,11 +70,6 @@ def _range_pair(s: str) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError("range needs 1 <= N1 <= N2")
     return lo, hi
-
-
-def _caps(args) -> tuple[int, int]:
-    cap = args.budget if args.budget is not None else DEFAULT_NODE_CAP
-    return cap, DEFAULT_RESULT_CAP
 
 
 def _coeff_line(coeffs) -> str:
@@ -155,8 +149,7 @@ def _parsed_element(args):
 
 def cmd_shortest(args) -> CommandResult:
     a = _parsed_element(args)
-    node_cap, result_cap = _caps(args)
-    rep = shortest(gram(a), node_cap=node_cap, result_cap=result_cap)
+    rep = shortest(gram(a), node_cap=args.budget)
     payload = {
         "kind": "shortest",
         "conductor": args.N,
@@ -175,8 +168,7 @@ def cmd_shortest(args) -> CommandResult:
 
 def cmd_mustar(args) -> CommandResult:
     a = _parsed_element(args)
-    node_cap, result_cap = _caps(args)
-    rep = mu_star(a, node_cap=node_cap, result_cap=result_cap)
+    rep = mu_star(a, node_cap=args.budget)
     payload = {"element": element_to_json_dict(a), **rep.to_json_dict()}
     trunc = " (list truncated)" if rep.attaining_truncated else ""
     lines = [
@@ -189,8 +181,7 @@ def cmd_mustar(args) -> CommandResult:
 
 def cmd_reduced(args) -> CommandResult:
     a = _parsed_element(args)
-    node_cap, result_cap = _caps(args)
-    cert = is_reduced(a, node_cap=node_cap, result_cap=result_cap)
+    cert = is_reduced(a, node_cap=args.budget)
     payload = {"element": element_to_json_dict(a), **cert.to_json_dict()}
     if cert.reduced:
         text = (
@@ -216,17 +207,13 @@ def cmd_eta(args) -> CommandResult:
 
 
 def _certified(args, verify, field: str, details) -> CommandResult:
-    """Run a witness check under the CLI caps: exit 3 with the partial
-    certificate on a budget stop, else the VERIFIED header and details(cert)."""
-    node_cap, result_cap = _caps(args)
-    cert = verify(args.N, node_cap=node_cap, result_cap=result_cap)
+    """Run a witness check under --budget: exit 3 with the partial
+    certificate as JSON on a budget stop, else the VERIFIED header and
+    details(cert)."""
+    cert = verify(args.N, node_cap=args.budget)
     payload = cert.to_json_dict()
     if cert.status == "budget_exceeded":
-        text = (
-            f"witness over {field}: BUDGET EXCEEDED after {cert.nodes} nodes "
-            f"(cap {cert.budget['node_cap']}); partial certificate follows"
-        )
-        return CommandResult(3, text=text, payload=payload, force_json=True)
+        return CommandResult(3, payload=payload, json_out=True)
     lines = [f"witness over {field}: VERIFIED", *details(cert)]
     return CommandResult(0, text="\n".join(lines), payload=payload)
 
@@ -298,13 +285,12 @@ def cmd_delta_bound(args) -> CommandResult:
 
 
 def cmd_check_eq4(args) -> CommandResult:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     small, big = args.N, args.M
     ctx_small = make_field(small)
     ctx_big = make_field(big)
     if big % small != 0:
         raise ConductorError(f"{small} does not divide {big}")
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     for trial in range(args.trials):
         a = ctx_small.element(
             [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(ctx_small.degree)]
@@ -320,7 +306,7 @@ def cmd_check_eq4(args) -> CommandResult:
                 "conductor_big": big,
                 "trials": args.trials,
                 "failed_at": trial,
-                "seed": seed,
+                "seed": args.seed,
                 "passed": False,
                 "counterexample": rep.to_json_dict(),
             }
@@ -329,21 +315,21 @@ def cmd_check_eq4(args) -> CommandResult:
                 payload=payload,
                 error=(
                     f"trace-lift identity FAILED at trial {trial} "
-                    f"(K_{small} -> K_{big}, seed {seed})"
+                    f"(K_{small} -> K_{big}, seed {args.seed})"
                 ),
-                force_json=True,
+                json_out=True,
             )
     payload = {
         "kind": "eq4_trials",
         "conductor_small": small,
         "conductor_big": big,
         "trials": args.trials,
-        "seed": seed,
+        "seed": args.seed,
         "passed": True,
     }
     text = (
         f"trace-lift identity: {args.trials}/{args.trials} random trials passed "
-        f"(K_{small} -> K_{big}, seed {seed})"
+        f"(K_{small} -> K_{big}, seed {args.seed})"
     )
     return CommandResult(0, text=text, payload=payload)
 
@@ -379,17 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="print the full certificate as canonical JSON"
     )
-    common.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)  # the enumerating commands
+    budget.add_argument(
         "--budget",
         type=_positive_int,
+        default=DEFAULT_NODE_CAP,
         metavar="NODES",
         help=f"enumeration node cap (default {DEFAULT_NODE_CAP})",
-    )
-    common.add_argument(
-        "--seed",
-        type=_u64,
-        metavar="SEED",
-        help=f"seed for randomized checks (default {DEFAULT_SEED})",
     )
 
     parser = argparse.ArgumentParser(
@@ -418,27 +400,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = real_sub.add_parser("classify", parents=[common], help="verdict for K_N+")
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_real_classify)
-    p = real_sub.add_parser("witness", parents=[common], help="half-degree witness at N = p^n")
+    p = real_sub.add_parser(
+        "witness", parents=[common, budget], help="half-degree witness at N = p^n"
+    )
     p.add_argument("N", type=int)
     p.add_argument("--verify", action="store_true", help="certify by exhaustive enumeration")
     p.set_defaults(func=cmd_real_witness)
 
     p = sub.add_parser(
-        "shortest", parents=[common], help="minimum of the trace form of a over K_N"
+        "shortest", parents=[common, budget], help="minimum of the trace form of a over K_N"
     )
     p.add_argument("N", type=int)
     p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
     p.set_defaults(func=cmd_shortest)
 
     p = sub.add_parser(
-        "mustar", parents=[common], help="minimum of the trace form of a over units"
+        "mustar", parents=[common, budget], help="minimum of the trace form of a over units"
     )
     p.add_argument("N", type=int)
     p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
     p.set_defaults(func=cmd_mustar)
 
     p = sub.add_parser(
-        "reduced", parents=[common], help="whether no unit beats u = 1 in the form of a"
+        "reduced", parents=[common, budget], help="whether no unit beats u = 1 in the form of a"
     )
     p.add_argument("N", type=int)
     p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
@@ -448,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_eta)
 
-    p = sub.add_parser("witness", parents=[common], help="reduction witness at N = p^n")
+    p = sub.add_parser("witness", parents=[common, budget], help="reduction witness at N = p^n")
     p.add_argument("N", type=int)
     p.add_argument("--verify", action="store_true", help="certify by exhaustive enumeration")
     p.set_defaults(func=cmd_witness)
@@ -467,6 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.add_argument("M", type=int)
     p.add_argument("--trials", type=_positive_int, default=25, metavar="T")
+    p.add_argument(
+        "--seed",
+        type=_u64,
+        default=DEFAULT_SEED,
+        metavar="SEED",
+        help=f"seed for randomized checks (default {DEFAULT_SEED})",
+    )
     p.set_defaults(func=cmd_check_eq4)
 
     p = sub.add_parser(
@@ -476,9 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_positive_int, metavar="R", help="box radius (default p)")
     p.set_defaults(func=cmd_l75)
 
-    p = sub.add_parser(
-        "sweep", parents=[common], help="classify a range of conductors, one JSON line each"
-    )
+    p = sub.add_parser("sweep", help="classify a range of conductors, one JSON line each")
     p.add_argument("range", type=_range_pair, metavar="N1..N2")
     p.set_defaults(func=cmd_sweep)
 
@@ -514,7 +503,7 @@ def run(argv: list[str]) -> CommandResult:
         ZeroDivisionError,
     ) as exc:
         return CommandResult(2, error=str(exc))
-    res.json_out = bool(getattr(args, "json", False))
+    res.json_out = res.json_out or getattr(args, "json", False)
     return res
 
 
@@ -522,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     res = run(sys.argv[1:] if argv is None else argv)
     if res.error:
         print(res.error, file=sys.stderr)
-    if res.payload is not None and (res.json_out or res.force_json):
+    if res.payload is not None and res.json_out:
         print(dumps_canonical(res.payload))
     elif res.text:
         print(res.text)

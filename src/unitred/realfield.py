@@ -23,10 +23,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConductorError, VerificationError
-from .field import CycloElement, _Element, _poly_divmod_monic, _poly_str, _Ring, _times_x, make_field
+from .field import CycloElement, _Element, _poly_str, _Ring, _times_x, make_field
 from .linalg import _integer_scale
 from .numtheory import is_prime, listed_divisor, require_canonical_conductor
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, enumerate_below
+from .svp import DEFAULT_NODE_CAP, enumerate_below
 from .traceform import gram, is_totally_positive
 from .units import mu_star
 from .witness import _certify, _prime_power, _WitnessCertificate, witness_for_conductor
@@ -148,12 +148,22 @@ def embed(x: RealElement) -> CycloElement:
 
 def project(y: CycloElement) -> RealElement:
     """Inverse of embed on conjugation-fixed elements; ValueError otherwise.
-    Such a y = sum_i y_i z^i equals (y + conj(y)) / 2 = sum_i y_i D_i(t) / 2."""
+    Such a y = sum_i y_i z^i equals (y + conj(y)) / 2 = sum_i y_i D_i(t) / 2.
+
+    The sum runs by Clenshaw's recurrence b_k = y_k + t * b_(k+1) - b_(k+2),
+    each step reduced mod the minimal polynomial of t, and ends with
+    2y = 2 y_0 + t * b_1 - 2 b_2 (D_0 = 2, D_1 = t)."""
     if y.conj() != y:
         raise ValueError(f"{y!r} is not fixed by conjugation")
     ctx = make_real_field(y.ctx.conductor)
     s, (a,) = _integer_scale([y.coeffs])
-    out = _poly_divmod_monic(_dickson_sum([2 * a[0]] + a[1:]), ctx.min_poly)[1]
+    f = ctx.min_poly
+    b1 = b2 = [0] * ctx.degree
+    for c in reversed(a[1:]):
+        b1, b2 = [x - z for x, z in zip(_times_x(b1, f), b2)], b1
+        b1[0] += c
+    out = [x - 2 * z for x, z in zip(_times_x(b1, f), b2)]
+    out[0] += 2 * a[0]
     return RealElement(ctx, tuple(Fraction(c, 2 * s) for c in out))
 
 
@@ -181,18 +191,15 @@ def real_witness_2power(n: int) -> RealElement:
     return (2 + ctx.theta()).inverse()
 
 
-def real_witness_ppower(p: int, n: int, *, raw: bool = False) -> RealElement:
+def real_witness_ppower(p: int, n: int) -> RealElement:
     """a = (2-t)^-1 at conductor p^n, p an odd prime; embeds to
-    ((1-z)(1-1/z))^-1.  raw=True returns 2-t itself, the other reading of
-    the source construction (its inverse is what the bound derivation
-    actually uses)."""
+    ((1-z)(1-1/z))^-1."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
     ctx = make_real_field(p**n)
-    base = 2 - ctx.theta()
-    return base if raw else base.inverse()
+    return (2 - ctx.theta()).inverse()
 
 
 def _real_witness_data(big_n: int):
@@ -252,7 +259,6 @@ def verify_real_witness(
     big_n: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
     force: bool = False,
 ) -> RealDiscrepancyCertificate:
     """Certify the half-degree witness at N = 2^n (n >= 4) or p^n.
@@ -263,7 +269,7 @@ def verify_real_witness(
     closed forms are built from; ratio_exact divides by the enumerated mu.
     """
     a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
-    mu_exact, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "real witness")
+    mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
     if a.embed() != witness_for_conductor(big_n):
         raise VerificationError(
             f"real witness at {big_n} does not embed to the cyclotomic one"
@@ -360,16 +366,11 @@ class RealMuRelations:
         }
 
 
-def real_mu_relations_check(
-    a: RealElement,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
-) -> RealMuRelations:
+def real_mu_relations_check(a: RealElement) -> RealMuRelations:
     # each mu_star scan is exhaustive up to Tr(a), which u = 1 attains, so
     # its report's mu is the exact minimum of the form
-    ms_real = mu_star(a, node_cap=node_cap, result_cap=result_cap)
-    ms_lift = mu_star(a.embed(), node_cap=node_cap, result_cap=result_cap)
+    ms_real = mu_star(a)
+    ms_lift = mu_star(a.embed())
     return RealMuRelations(
         element=a,
         mu_star_real=ms_real.mu_star,

@@ -52,18 +52,18 @@ class LLLResult:
 
     transform: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
-    delta: Fraction
     swaps: int
     scale: int
     element: object = field(repr=False, compare=False)
     ldl: LDLResult = field(repr=False, compare=False)
 
 
-def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
+def lll_reduce(g) -> LLLResult:
     """LLL-reduce the lattice with the given integer (or exactly scalable)
-    Gram matrix.  Returns the unimodular transform and the reduced Gram of
-    the scaled integer matrix; a common scale factor does not change which
-    bases are reduced.
+    Gram matrix, with the fixed Lovasz constant DEFAULT_DELTA = 99/100.
+    Returns the unimodular transform and the reduced Gram of the scaled
+    integer matrix; a common scale factor does not change which bases are
+    reduced.
 
     Integral LLL (Cohen, Alg. 2.6.7): d[i], the i-th leading principal minor
     of the current Gram w, and lam[k][j] = d[j + 1] * mu[k][j] come from the
@@ -72,8 +72,6 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
     raises NotTotallyPositiveError, which names the element of a trace form
     and reports the pivot of the unscaled matrix.
     """
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must be in (1/4, 1)")
     scale, rows, element = _coerce_gram(g)
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -83,7 +81,7 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
         what = "Gram matrix" if element is None else f"trace form of {element!r}"
         _require_positive(_ldl_result(1, status, stop, d, lam), what, scale)
     det_g = d[n]
-    num, den, swaps = delta.numerator, delta.denominator, 0
+    num, den, swaps = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator, 0
 
     k = 1
     while k < n:
@@ -102,7 +100,7 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
                 lam[k][j] -= q * dj
         lkk = lam[k][k - 1]
         x = d[k - 1] * d[k + 1] + lkk * lkk
-        if den * x >= num * d[k] * d[k]:  # Lovasz, with delta = num / den
+        if den * x >= num * d[k] * d[k]:  # Lovasz, with DEFAULT_DELTA = num / den
             k += 1
             continue
         # swap b_(k-1) and b_k; d[k] and lam[i][k - 1 : k + 1] change for i > k
@@ -121,8 +119,8 @@ def lll_reduce(g, delta: Fraction = DEFAULT_DELTA) -> LLLResult:
         k = max(k - 1, 1)
 
     dec = ldl(w)
-    _verify_lll(rows, det_g, u, w, dec, delta)
-    return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), delta, swaps, scale, element, dec)
+    _verify_lll(rows, det_g, u, w, dec, DEFAULT_DELTA)
+    return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), swaps, scale, element, dec)
 
 
 def _verify_lll(g, det_g, u, w, dec, delta):
@@ -345,12 +343,7 @@ class MinimaReport:
         }
 
 
-def shortest(
-    g,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
-) -> MinimaReport:
+def shortest(g, *, node_cap: int = DEFAULT_NODE_CAP) -> MinimaReport:
     """Exact minimum of the positive-definite form and all attaining vectors.
 
     The initial bound is the smallest diagonal entry of the LLL-reduced Gram,
@@ -359,7 +352,7 @@ def shortest(
     """
     form = _prepare(g)
     start = Fraction(min(row[i] for i, row in enumerate(form.gram)), form.scale)
-    res = enumerate_below(form, start, node_cap=node_cap, result_cap=result_cap)
+    res = enumerate_below(form, start, node_cap=node_cap)
     if not res.vectors:
         raise VerificationError(f"no vector attains the basis-vector bound {start}")
     mu = res.vectors[0].value

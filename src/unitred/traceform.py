@@ -3,8 +3,10 @@
 For a totally real, totally positive element a (in practice a = x * conj(x)
 or an inverse of such), the pairing (u, v) -> Tr(a * u * conj(v)) is a
 positive-definite quadratic form on the integer lattice.  We build its Gram
-matrix on the power basis exactly, decide definiteness with a rational LDL
-decomposition, and check det G = |disc| * Norm(a) as a standing invariant.
+matrix on the power basis exactly and decide definiteness with a rational
+LDL decomposition.  det G = |disc| * Norm(a) holds for every such form; the
+library does not check it at run time, test_gram_det_is_disc_times_norm in
+tests/test_traceform.py does.
 """
 
 from __future__ import annotations

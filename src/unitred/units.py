@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import VerificationError
 from .numtheory import multiplicative_order, primes, require_canonical_conductor
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector, enumerate_below
+from .svp import DEFAULT_NODE_CAP, FoundVector, enumerate_below
 from .traceform import gram
 
 ATTAINING_CAP = 512
@@ -67,17 +67,11 @@ class MuStarReport:
         }
 
 
-def mu_star(
-    a,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
-    attaining_cap: int = ATTAINING_CAP,
-) -> MuStarReport:
+def mu_star(a, *, node_cap: int = DEFAULT_NODE_CAP) -> MuStarReport:
     """Minimum of Tr(a u conj(u)) over units u, by exhaustive enumeration up
     to Tr(a) (the value at u = 1, so the search bound is always attained)."""
     t = a.trace()
-    res = enumerate_below(gram(a), t, node_cap=node_cap, result_cap=result_cap)
+    res = enumerate_below(gram(a), t, node_cap=node_cap)
     level = None
     attaining = []
     count = 0
@@ -88,7 +82,7 @@ def mu_star(
             if level is None:
                 level = fv.value
             count += 1
-            if len(attaining) < attaining_cap:
+            if len(attaining) < ATTAINING_CAP:
                 attaining.append(fv)
     if level is None:
         raise VerificationError(f"no unit attains Tr(a) = {t}, which u = 1 does")
@@ -142,12 +136,7 @@ class ReducednessCertificate:
         }
 
 
-def is_reduced(
-    a,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
-) -> ReducednessCertificate:
+def is_reduced(a, *, node_cap: int = DEFAULT_NODE_CAP) -> ReducednessCertificate:
     """Whether no unit does strictly better than u = 1 in the form of a, by
     one enumeration strictly below Tr(a).
 
@@ -155,7 +144,7 @@ def is_reduced(
     BudgetError when the enumeration hits a cap.
     """
     t = a.trace()
-    res = enumerate_below(gram(a), t, strict=True, node_cap=node_cap, result_cap=result_cap)
+    res = enumerate_below(gram(a), t, strict=True, node_cap=node_cap)
     witness = next((fv for fv in res.vectors if abs(fv.norm) == 1), None)
     return ReducednessCertificate(
         element=a,

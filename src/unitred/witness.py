@@ -131,7 +131,7 @@ class _WitnessCertificate:
         return out
 
 
-def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bool, what: str):
+def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what: str):
     """The steps both witness checks share: the degree cap, Tr(a) against its
     closed form, is_reduced's one enumeration strictly below Tr(a) and the
     check that no unit lies there.
@@ -150,16 +150,15 @@ def _certify(a, big_n: int, trace_cf: Fraction, caps: tuple[int, int], force: bo
     t = a.trace()
     if t != trace_cf:
         raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
-    node_cap, result_cap = caps
     fields = {"conductor": big_n, "trace_a": t}
     try:
-        cert = is_reduced(a, node_cap=node_cap, result_cap=result_cap)
+        cert = is_reduced(a, node_cap=node_cap)
     except NotTotallyPositiveError:
         raise VerificationError(f"{what} at {big_n} is not totally positive") from None
     except BudgetError as exc:
         budget = {
             "node_cap": node_cap,
-            "result_cap": result_cap,
+            "result_cap": DEFAULT_RESULT_CAP,
             "nodes": exc.nodes,
             "results": exc.results,
         }
@@ -208,7 +207,6 @@ def verify_witness(
     big_n: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
     force: bool = False,
 ) -> DiscrepancyCertificate:
     """Certify the witness at conductor N = p^n by exhaustive enumeration.
@@ -223,7 +221,7 @@ def verify_witness(
     (budget caps still apply and a cap hit yields a partial certificate).
     """
     a, p, trace_cf, ratio_cf = _witness_data(big_n)
-    mu_a, fields = _certify(a, big_n, trace_cf, (node_cap, result_cap), force, "witness")
+    mu_a, fields = _certify(a, big_n, trace_cf, node_cap, force, "witness")
     if mu_a is None:
         return DiscrepancyCertificate(witness=a, closed_form=ratio_cf, **fields)
 

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from unitred.cli import main, run
+from unitred.cli import build_parser, main, run
 from unitred.serialize import dumps_canonical
 
 
@@ -109,7 +112,7 @@ def test_witness_49_refused_exit_3():
 def test_witness_budget_partial_exit_3_with_payload():
     res = run(["witness", "27", "--verify", "--budget", "2000"])
     assert res.exit_code == 3
-    assert res.force_json is True
+    assert res.json_out is True
     assert res.payload["status"] == "budget_exceeded"
     assert res.payload["trace_a"] == "54"
     assert "mu_a" not in res.payload
@@ -256,3 +259,69 @@ def test_witness_commands_are_byte_identical(capsys):
     assert len(got) == 152
     assert got.keys() == expected.keys()
     assert [cmd for cmd in got if got[cmd] != expected[cmd]] == []
+
+
+# every option of every leaf command, -h aside; --budget sits only on the
+# commands that enumerate and --seed only on the one that draws at random
+OPTIONS = {
+    "field": ["--json"],
+    "table1": ["--json"],
+    "classify": ["--json"],
+    "real classify": ["--json"],
+    "real witness": ["--json", "--budget", "--verify"],
+    "shortest": ["--json", "--budget", "-a/--element"],
+    "mustar": ["--json", "--budget", "-a/--element"],
+    "reduced": ["--json", "--budget", "-a/--element"],
+    "eta": ["--json"],
+    "witness": ["--json", "--budget", "--verify"],
+    "delta-bound": ["--json"],
+    "check-eq4": ["--json", "--trials", "--seed"],
+    "l75": ["--json", "--box"],
+    "sweep": [],
+}
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def test_each_command_has_exactly_the_options_it_reads():
+    got = {
+        name: [
+            "/".join(a.option_strings)
+            for a in p._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in _leaves(build_parser())
+    }
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 26
+
+
+@pytest.mark.parametrize(
+    "argv", [["field", "5", "--seed", "1"], ["sweep", "3..5", "--json"]]
+)
+def test_an_option_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_commands_run(capsys):
+    cmds = _readme_commands()
+    assert len(cmds) >= 10
+    for argv in cmds:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -196,8 +196,6 @@ def test_real_witness_shapes():
         real_witness_2power(3)
     b = real_witness_ppower(5, 2)
     assert (2 - b.ctx.theta()) * b == b.ctx.one()
-    raw = real_witness_ppower(5, 2, raw=True)
-    assert raw == 2 - b.ctx.theta()
 
 
 def test_verify_real_witness_16():

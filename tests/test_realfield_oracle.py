@@ -143,3 +143,12 @@ def test_horner_embed_matches_binomial_oracle():
         ctx = make_real_field(n)
         for x in _elements(rng, ctx) + [ctx.zero(), ctx.from_rational(Fraction(-5, 3))]:
             assert embed(x) == _binomial_embed(x), (n, x)
+
+
+def test_clenshaw_project_round_trips_at_1009():
+    # embed is checked against its oracle at 1009 above, so a round trip
+    # checks project there, past the conductors the solve oracle reaches
+    rng = random.Random(1301)
+    ctx = make_real_field(1009)
+    for x in _elements(rng, ctx):
+        assert project(embed(x)) == x, x

@@ -1,11 +1,16 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 import json
 import re
 from pathlib import Path
 
 import unitred
+import unitred.realfield as realfield
+import unitred.svp as svp
+import unitred.units as units
+import unitred.witness as witness
 
 
 def test_library_has_no_assert_statements():
@@ -90,3 +95,21 @@ def test_bench_files_name_both_commits_and_every_workload():
                 for side in ("parent", "change"):
                     q = w["metrics"][metric][side]
                     assert q["q1"] <= q["median"] <= q["q3"], (path.name, name, metric, side)
+
+
+def test_parameters_are_the_ones_callers_set():
+    # node_cap is what --budget sets and force what the benchmark sets; the
+    # Lovasz constant, the attaining-list cap and the result cap are fixed
+    expected = {
+        svp.lll_reduce: ["g"],
+        svp.shortest: ["g", "node_cap"],
+        units.mu_star: ["a", "node_cap"],
+        units.is_reduced: ["a", "node_cap"],
+        witness._certify: ["a", "big_n", "trace_cf", "node_cap", "force", "what"],
+        witness.verify_witness: ["big_n", "node_cap", "force"],
+        realfield.real_witness_ppower: ["p", "n"],
+        realfield.verify_real_witness: ["big_n", "node_cap", "force"],
+        realfield.real_mu_relations_check: ["a"],
+    }
+    got = {f: list(inspect.signature(f).parameters) for f in expected}
+    assert got == expected

@@ -75,11 +75,6 @@ def test_verify_lll_rejects_a_consistent_transform_of_determinant_2():
     svp._verify_lll(g, 1, g, g, ldl(g), svp.DEFAULT_DELTA)  # u = 1 passes
 
 
-def test_lll_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        lll_reduce([[1]], delta=Fraction(2))
-
-
 def test_enumeration_matches_brute_force():
     rng = random.Random(502)
     for _ in range(40):

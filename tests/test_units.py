@@ -150,8 +150,9 @@ def test_not_reduced_example():
     assert abs(cert.witness_unit.norm) == 1
 
 
-def test_mu_star_attaining_cap():
-    rep = mu_star(make_field(12).one(), attaining_cap=2)
+def test_mu_star_attaining_cap(monkeypatch):
+    monkeypatch.setattr(units, "ATTAINING_CAP", 2)
+    rep = mu_star(make_field(12).one())
     assert rep.attaining_truncated
     assert len(rep.attaining) == 2
     assert rep.attaining_count > 2

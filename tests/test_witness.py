@@ -154,7 +154,7 @@ def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
 def test_witness_checks_reject_a_unit_below_the_trace(monkeypatch):
     # only a broken enumerator can list a unit below Tr(a); both checks share
     # the test and its text
-    def broken(a, *, node_cap, result_cap):
+    def broken(a, *, node_cap):
         t = a.trace()
         fv = FoundVector((1,) + (0,) * (a.ctx.degree - 1), t - 1)
         return units.ReducednessCertificate(
