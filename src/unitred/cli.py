@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--budget",
         type=_positive_int,
-        default=DEFAULT_NODE_CAP,
         metavar="NODES",
         help=f"enumeration node cap (default {DEFAULT_NODE_CAP})",
     )
@@ -380,75 +379,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("field", parents=[common], help="summary of the field K_N")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_field)
+    def command(subs, name, func, help, *parents):
+        """A subcommand on a conductor N, with --json and the given parents."""
+        p = subs.add_parser(name, parents=[common, *parents], help=help)
+        p.add_argument("N", type=int)
+        p.set_defaults(func=func, usage_error=p.error)
+        return p
 
+    command(sub, "field", cmd_field, "summary of the field K_N")
     p = sub.add_parser(
         "table1",
         parents=[common],
         help="reference constants for the six smallest interesting conductors",
     )
     p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("classify", parents=[common], help="unit-reducibility verdict for K_N")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_classify)
+    command(sub, "classify", cmd_classify, "unit-reducibility verdict for K_N")
 
     real = sub.add_parser("real", help="commands for the maximal totally real subfield K_N+")
     real_sub = real.add_subparsers(dest="real_command", metavar="{classify,witness}")
-    p = real_sub.add_parser("classify", parents=[common], help="verdict for K_N+")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_real_classify)
-    p = real_sub.add_parser(
-        "witness", parents=[common, budget], help="half-degree witness at N = p^n"
-    )
-    p.add_argument("N", type=int)
+    command(real_sub, "classify", cmd_real_classify, "verdict for K_N+")
+    p = command(real_sub, "witness", cmd_real_witness, "half-degree witness at N = p^n", budget)
     p.add_argument("--verify", action="store_true", help="certify by exhaustive enumeration")
-    p.set_defaults(func=cmd_real_witness)
 
-    p = sub.add_parser(
-        "shortest", parents=[common, budget], help="minimum of the trace form of a over K_N"
-    )
-    p.add_argument("N", type=int)
-    p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
-    p.set_defaults(func=cmd_shortest)
+    for name, func, help in (
+        ("shortest", cmd_shortest, "minimum of the trace form of a over K_N"),
+        ("mustar", cmd_mustar, "minimum of the trace form of a over units"),
+        ("reduced", cmd_reduced, "whether no unit beats u = 1 in the form of a"),
+    ):
+        p = command(sub, name, func, help, budget)
+        p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
 
-    p = sub.add_parser(
-        "mustar", parents=[common, budget], help="minimum of the trace form of a over units"
-    )
-    p.add_argument("N", type=int)
-    p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
-    p.set_defaults(func=cmd_mustar)
-
-    p = sub.add_parser(
-        "reduced", parents=[common, budget], help="whether no unit beats u = 1 in the form of a"
-    )
-    p.add_argument("N", type=int)
-    p.add_argument("-a", "--element", required=True, metavar="C0,C1,...")
-    p.set_defaults(func=cmd_reduced)
-
-    p = sub.add_parser("eta", parents=[common], help="smallest prime-ideal norm in K_N")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_eta)
-
-    p = sub.add_parser("witness", parents=[common, budget], help="reduction witness at N = p^n")
-    p.add_argument("N", type=int)
+    command(sub, "eta", cmd_eta, "smallest prime-ideal norm in K_N")
+    p = command(sub, "witness", cmd_witness, "reduction witness at N = p^n", budget)
     p.add_argument("--verify", action="store_true", help="certify by exhaustive enumeration")
-    p.set_defaults(func=cmd_witness)
+    command(sub, "delta-bound", cmd_delta_bound, "lower bound for the reduction discrepancy")
 
-    p = sub.add_parser(
-        "delta-bound", parents=[common], help="lower bound for the reduction discrepancy"
+    p = command(
+        sub, "check-eq4", cmd_check_eq4, "randomized check of the trace-lifting identity K_N -> K_M"
     )
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_delta_bound)
-
-    p = sub.add_parser(
-        "check-eq4",
-        parents=[common],
-        help="randomized check of the trace-lifting identity K_N -> K_M",
-    )
-    p.add_argument("N", type=int)
     p.add_argument("M", type=int)
     p.add_argument("--trials", type=_positive_int, default=25, metavar="T")
     p.add_argument(
@@ -458,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help=f"seed for randomized checks (default {DEFAULT_SEED})",
     )
-    p.set_defaults(func=cmd_check_eq4)
 
     p = sub.add_parser(
         "l75", parents=[common], help="exhaustive scan of the rounding inequality for Q"
@@ -477,6 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> CommandResult:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) is None:  # --budget not given
+        args.budget = DEFAULT_NODE_CAP
+    elif getattr(args, "verify", True) is False:  # a witness enumerates only then
+        args.usage_error("--budget needs --verify")
     func = getattr(args, "func", None)
     if func is None:
         return CommandResult(2, error="missing command (try --help)")

@@ -9,8 +9,9 @@ conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
-Moebius closed form, norms from integer resultants, inverses from one
-integer solve against the matrix of multiplication by the element.
+Moebius closed form, norms from integer resultants (or, under a known
+bound, from checked roots at split primes), inverses from one integer
+solve against the matrix of multiplication by the element.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .errors import ConductorError, FieldMismatchError, VerificationError
 from .linalg import _integer_scale, solve_exact
@@ -28,6 +30,7 @@ from .numtheory import (
     moebius,
     prime_divisors,
     require_canonical_conductor,
+    split_primes,
 )
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,8 @@ def _resultant_int(a, b):
     """Resultant of integer polynomials via the subresultant PRS.
 
     Divisions in the chain are exact over Z; _exact_div raises
-    VerificationError if the bookkeeping ever breaks that.  Cross-checked in
-    the test suite against products of conjugates.
+    VerificationError if the bookkeeping ever breaks that.  Tested against
+    products of conjugates; the oracle for split_table's norms.
     """
     a = _trim(list(a))
     b = _trim(list(b))
@@ -189,6 +192,37 @@ class _Ring:
         """Coefficients known to share the norm of x: x alone (over K_N+
         only -x could, and in odd degree N(-x) = -N(x))."""
         return [tuple(coeffs)]
+
+    def roots_mod(self, ell: int) -> list[int]:
+        """The roots of the defining polynomial f mod ell, from a w of order
+        N; VerificationError unless their linear factors multiply back to f
+        mod ell, as they do when ell is a prime = 1 (mod N)."""
+        n, p = self.conductor, [1]
+        cofactors = [n // q for q in prime_divisors(n)]
+        w = next((w for w in (pow(g, (ell - 1) // n, ell) for g in range(2, ell))
+                  if all(pow(w, e, ell) != 1 for e in cofactors)), 0)
+        f, roots = self._conjugates_mod(w, ell)
+        for r in roots:
+            p = [(a - r * b) % ell for a, b in zip([0] + p, p + [0])]
+        if p != [c % ell for c in f]:
+            raise VerificationError(f"roots mod {ell} do not multiply back to the modulus")
+        return roots
+
+
+@lru_cache(maxsize=64)  # degree^2 residues each
+def split_table(ring, primes: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(M, rows): M the product of the first `primes` of split_primes(N), and
+    rows[i] = (1, r_i, ..., r_i^(d-1)) mod M for the roots r_i of the
+    defining polynomial mod M, joined by CRT from ring.roots_mod of each."""
+    m, roots = 1, [0] * ring.degree
+    for ell in islice(split_primes(ring.conductor), primes):
+        inv = pow(m, -1, ell)
+        roots = [x + m * ((r - x) * inv % ell) for x, r in zip(roots, ring.roots_mod(ell))]
+        m *= ell
+    powers = [[1] * ring.degree]  # powers[j][i] = r_i^j mod M
+    for _ in range(ring.degree - 1):
+        powers.append([p * r % m for p, r in zip(powers[-1], roots)])
+    return m, tuple(zip(*powers))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -388,7 +422,7 @@ class CycloElement(_Element):
 
     def norm(self) -> Fraction:
         """Field norm, as the resultant of the cyclotomic polynomial and the
-        coefficient polynomial."""
+        coefficient polynomial; no bound on the element is needed."""
         return self._norm(self.ctx.cyclo_poly)
 
     def inverse(self) -> "CycloElement":
@@ -486,6 +520,9 @@ class FieldContext(_Ring):
             out.append(tuple(x) if next(c for c in x if c) > 0 else tuple(-c for c in x))
             x = _times_x(x, self.cyclo_poly)
         return out
+
+    def _conjugates_mod(self, w, ell):  # Phi_N and w^k, k a unit mod N
+        return self.cyclo_poly, [pow(w, k, ell) for k in self.galois_units]
 
     # -- trace form -----------------------------------------------------------
 

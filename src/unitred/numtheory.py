@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import count
 
 from .errors import ConductorError
 
@@ -66,6 +67,25 @@ def divisors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
+
+
+def miller_rabin(n: int) -> bool:
+    """Miller-Rabin to bases 2, 7 and 61: exact below 4,759,123,141
+    (Jaeschke, Math. Comp. 61, 1993), a probable-prime test above."""
+    if n < 3 or n % 2 == 0 or n in (7, 61):
+        return n in (2, 7, 61)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in (2, 7, 61):
+        xs = [pow(a, (n - 1) >> i, n) for i in range(s, 0, -1)]  # a^(odd * 2^j), j < s
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
+
+
+def split_primes(n: int):
+    """The primes l = 1 (mod n) above 2^20, ascending, as miller_rabin finds them."""
+    step = math.lcm(2, n)
+    return (ell for ell in count((2**20 // step + 1) * step + 1, step) if miller_rabin(ell))
 
 
 def primes():

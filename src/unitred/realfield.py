@@ -18,6 +18,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +45,7 @@ class RealElement(_Element):
     def norm(self) -> Fraction:
         """Field norm via the resultant of the minimal polynomial of t and
         the coefficient polynomial; sign-exact, unlike a square root of the
-        cyclotomic norm."""
+        cyclotomic norm, and no bound on the element is needed."""
         return self._norm(self.ctx.min_poly)
 
     def inverse(self) -> "RealElement":
@@ -83,6 +84,11 @@ class RealFieldContext(_Ring):
 
     def __repr__(self):
         return f"RealFieldContext(conductor={self.conductor}, degree={self.degree})"
+
+    def _conjugates_mod(self, w, ell):  # the polynomial of t and w^k + w^-k, k < N/2
+        n = self.conductor
+        units = (k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
+        return self.min_poly, [(pow(w, k, ell) + pow(w, n - k, ell)) % ell for k in units]
 
     def theta(self) -> RealElement:
         # x * 1 mod the minimal polynomial: rational in degree 1 (conductors 3, 4)

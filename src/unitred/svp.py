@@ -15,10 +15,13 @@ other.  The bound is inclusive, or strict on request.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetError, VerificationError
+from .field import split_table
 from .linalg import _integer_scale
 from .traceform import GramMatrix, LDLResult, _fraction_free, _ldl_result, _require_positive, ldl
 
@@ -154,14 +157,27 @@ def _verify_lll(g, det_g, u, w, dec, delta):
 
 
 class _OrbitNorms(dict):
-    """Field norms of one enumeration's vectors, by coefficients: a missing
-    one costs one resultant, filed under all of ring.norm_orbit."""
+    """Norms of one enumeration's integral vectors x, by coefficients, given
+    N(x)^2 <= sq_bound: a missing one is the product of x's values at the
+    roots of split_table mod M, M^2 > 4 * sq_bound, read as the residue of
+    least absolute value, and filed under all of ring.norm_orbit."""
 
-    def __init__(self, ring):
-        self.ring = ring
+    def __init__(self, ring, sq_bound: Fraction):
+        self.ring, self.sq_bound = ring, sq_bound
+
+    @cached_property
+    def table(self):  # each prime is above 2^20, so M^2 > 2^(40 * primes)
+        m, rows = split_table(self.ring, -(-math.ceil(4 * self.sq_bound).bit_length() // 40))
+        if m * m <= 4 * self.sq_bound:
+            raise VerificationError(f"split modulus {m} does not cover the norm bound")
+        return m, rows
 
     def __missing__(self, coeffs: tuple[int, ...]) -> Fraction:
-        norm = self.ring.element(coeffs).norm()
+        m, rows = self.table
+        acc = 1
+        for row in rows:
+            acc = acc * sum(map(operator.mul, coeffs, row)) % m
+        norm = Fraction(acc - m if 2 * acc > m else acc)
         self.update(dict.fromkeys(self.ring.norm_orbit(coeffs), norm))
         return norm
 
@@ -169,7 +185,8 @@ class _OrbitNorms(dict):
 @dataclass(frozen=True)
 class FoundVector:
     """A lattice vector, its form value, and its field norm as an element of
-    a trace form's field (None for raw Gram rows), computed when first read."""
+    a trace form's field (None for raw Gram rows), computed when first read,
+    at split primes (_OrbitNorms)."""
 
     coeffs: tuple[int, ...]
     value: Fraction
@@ -211,8 +228,10 @@ def enumerate_below(
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  When G
-    came from a trace form, each vector's norm is the field norm of the
-    corresponding element, one resultant per orbit under x -> +-zeta^j x.
+    came from the trace form of a, each vector's norm is the field norm of
+    the corresponding element x, one evaluation per orbit under
+    x -> +-zeta^j x, exact because N(x)^2 <= (bound * den(a) / d)^d: AM-GM
+    over the d positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
 
     Fincke-Pohst over the LDL factors of the LLL-reduced form, in integers
     only.  Level l adds pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j;
@@ -316,7 +335,10 @@ def enumerate_below(
     recurse(n - 1, top, 0, 0, 0, math.isqrt(top // ks[-1]) // dens[-1])
     found.sort()
 
-    norms = None if form.element is None else _OrbitNorms(form.element.ctx)
+    norms, a = None, form.element
+    if a is not None:
+        d = a.ctx.degree
+        norms = _OrbitNorms(a.ctx, (bound * _integer_scale([a.coeffs])[0] / d) ** d)
     vectors, last = [], None
     for val, coords in found:
         if val != last:  # sorted, so each distinct value is built once

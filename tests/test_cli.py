@@ -313,6 +313,21 @@ def test_an_option_the_command_does_not_read_is_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["witness", "16", "--budget", "1"], ["real", "witness", "64", "--budget", "1", "--json"]]
+)
+def test_budget_without_verify_is_a_usage_error(argv, capsys):
+    # the witness commands enumerate only under --verify, so a budget alone
+    # would be ignored; with --verify the same budget stops the scan
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "--budget needs --verify" in capsys.readouterr().err
+    res = run([*argv, "--verify"])
+    assert res.exit_code == 3
+    assert res.payload["status"] == "budget_exceeded"
+
+
 def _readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)

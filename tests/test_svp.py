@@ -7,7 +7,7 @@ import pytest
 
 import unitred.svp as svp
 from unitred.errors import BudgetError, VerificationError
-from unitred.field import make_field
+from unitred.field import CycloElement, make_field
 from unitred.linalg import det_exact
 from unitred.numtheory import euler_phi
 from unitred.realfield import (
@@ -477,8 +477,13 @@ def test_budget_stops_inside_a_leaf_run_match_the_oracle(name):
             assert stop[0] == "budget" and stop[2] > run[-1], (strict, caps)
 
 
+def _t2(x):
+    """Tr(x conj(x)), the sum of |conjugates|^2; conj is the identity on K_N+."""
+    return (x * (x.conj() if isinstance(x, CycloElement) else x)).trace()
+
+
 def test_orbit_norms_match_direct_resultants():
-    # one resultant per orbit of x -> +-z^j x over K_N, none shared over K_N+
+    # one evaluation per orbit of x -> +-z^j x over K_N, none shared over K_N+
     x = make_field(33).element([1, 1, 0, 0, 0, 1])
     sets = {
         "witness 25": verify_witness(25).reduced_evidence,
@@ -500,13 +505,14 @@ def test_orbit_norms_fold_signs_only_in_even_degree():
     rings = (make_field(1), make_real_field(7), make_real_field(9), make_real_field(16),
              make_field(5), make_field(12))
     for ring in rings:
-        norms = svp._OrbitNorms(ring)
-        for _ in range(6):
-            x = [rng.randint(-3, 3) for _ in range(ring.degree)]
-            if not any(x):
-                continue
+        xs = [[rng.randint(-3, 3) for _ in range(ring.degree)] for _ in range(6)]
+        xs = [tuple(x) for x in xs if any(x)]
+        # by AM-GM, N(x)^2 <= (T2(x) / d)^d
+        t2 = max(_t2(ring.element(x)) for x in xs)
+        norms = svp._OrbitNorms(ring, (t2 / ring.degree) ** ring.degree)
+        for x in xs:
             neg = tuple(-c for c in x)
-            for y in (neg, tuple(x), neg):
+            for y in (neg, x, neg):
                 assert norms[y] == ring.element(y).norm(), (ring, y)
 
 

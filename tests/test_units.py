@@ -173,15 +173,21 @@ def test_report_json_shapes():
 
 
 def _count_norms(monkeypatch):
-    """Elements whose norm is computed from here on, in call order."""
+    """Keys whose norm an enumeration evaluates from here on, in call order;
+    the scans never call the resultant behind .norm(), which is checked."""
     calls = []
     for cls in (CycloElement, RealElement):
 
-        def counting(self, _orig=cls.norm):
-            calls.append(self)
-            return _orig(self)
+        def resultant(self):
+            raise AssertionError(f"an enumeration called .norm() on {self!r}")
 
-        monkeypatch.setattr(cls, "norm", counting)
+        monkeypatch.setattr(cls, "norm", resultant)
+
+    def evaluate(self, coeffs, _orig=svp._OrbitNorms.__missing__):
+        calls.append(coeffs)
+        return _orig(self, coeffs)
+
+    monkeypatch.setattr(svp._OrbitNorms, "__missing__", evaluate)
     return calls
 
 
@@ -189,9 +195,9 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     calls = _count_norms(monkeypatch)
 
     # the witness checks read the norms of the vectors below Tr(a) only, one
-    # resultant per orbit under x -> +-z^j x: the 575 vectors at conductor 25
-    # fall into 23 orbits of 25, and the JSON matches the inclusive scan's
-    # but for nodes_visited
+    # evaluation per orbit under x -> +-z^j x: the 575 vectors at conductor
+    # 25 fall into 23 orbits of 25, and the JSON matches the inclusive
+    # scan's but for nodes_visited
     cert = verify_witness(25)
     assert len(cert.reduced_evidence) == 575
     assert len(calls) == 575 // 25 == 23
@@ -204,7 +210,7 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     real = verify_real_witness(32)
     assert len(calls) == len(real.reduced_evidence) > 0
 
-    # shortest computes none itself, and its JSON one for its 15 minima,
+    # shortest evaluates none itself, and its JSON one for its 15 minima,
     # the orbit of x over K_15 (but for real witnesses, K_N+ has only +-1)
     x = make_field(15).element([3, 1, 0, 0, 0, 0, 0, 1])
     del calls[:]
@@ -215,7 +221,7 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     assert len(calls) == 1
 
     # mu_star reads norms up to its unit level and none above it: the five
-    # vectors at that level are one orbit, so it computes the first alone
+    # vectors at that level are one orbit, so it evaluates the first alone
     ctx = make_field(5)
     e = 1 + ctx.zeta()  # a unit, so u = e^-1 beats u = 1 for a = (e e^-)^2
     a = (e * e.conj()) ** 2
@@ -225,7 +231,7 @@ def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
     assert ms.mu_star < a.trace()
     at_or_below = [fv.coeffs for fv in scan if fv.value <= ms.mu_star]
     assert len(at_or_below) == 5 < len(scan)
-    assert [tuple(int(c) for c in y.coeffs) for y in calls] == at_or_below[:1]
+    assert calls == at_or_below[:1]
     assert sorted(set(ctx.norm_orbit(at_or_below[0]))) == at_or_below
 
 
