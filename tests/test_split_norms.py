@@ -8,6 +8,7 @@ prime that does not split the polynomial and a modulus below the bound are
 each refused with VerificationError rather than giving a wrong norm.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -56,6 +57,12 @@ def test_split_norms_match_resultants_on_the_strict_scans(certificates):
         for fv in cert.reduced_evidence:
             assert fv.norm == fv.norms.ring.element(fv.coeffs).norm(), (name, fv.coeffs)
         kept += len(cert.reduced_evidence)
+        if cert.reduced_evidence:
+            # the bound is (Tr(a) * den(a) / d)^d, and every norm keeps to it
+            a, sq_bound = cert.witness, cert.reduced_evidence[0].norms.sq_bound
+            den, d = math.lcm(*(c.denominator for c in a.coeffs)), a.ctx.degree
+            assert den > 1 and sq_bound == (cert.trace_a * den / d) ** d, name
+            assert all(fv.norm**2 <= sq_bound for fv in cert.reduced_evidence), name
     assert kept > 6000
 
 
