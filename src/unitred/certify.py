@@ -59,17 +59,6 @@ class CriterionResult:
     rhs: Fraction  # n^n * eta^2
     relation: str  # "Strict" | "Equal" | "Fail"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "degree": self.degree,
-            "eta": str(self.eta),
-            "disc_abs": str(self.discriminant_abs),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "relation": self.relation,
-        }
-
 
 def strong_criterion(n: int) -> CriterionResult:
     """Sufficient condition for StronglyUR, as an exact comparison.

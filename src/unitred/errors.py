@@ -19,7 +19,9 @@ class NotTotallyPositiveError(UnitRedError, ValueError):
 
 
 class DegreeError(UnitRedError, ValueError):
-    """No exact Hermite constant is known for the requested degree."""
+    """The degree is out of reach: no exact Hermite constant is stored for
+    it, or a witness check's enumeration dimension exceeds VERIFY_DEGREE_CAP
+    and force=True was not passed.  The CLI exits 3 on it."""
 
 
 class LinearAlgebraError(UnitRedError, ValueError):

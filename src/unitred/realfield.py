@@ -28,7 +28,7 @@ from .field import CycloElement, _Element, _poly_str, _Ring, _times_x, make_fiel
 from .linalg import _integer_scale
 from .numtheory import is_prime, listed_divisor, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, enumerate_below
-from .traceform import gram, is_totally_positive
+from .traceform import gram
 from .units import mu_star
 from .witness import _certify, _prime_power, _WitnessCertificate, witness_for_conductor
 
@@ -180,11 +180,6 @@ def real_element_from_json_dict(payload: dict) -> RealElement:
     return ctx.element([Fraction(c) for c in payload["coeffs"]])
 
 
-# the half-dimension trace form decides total positivity exactly as the full
-# one does for embed(a)
-is_totally_positive_real = is_totally_positive
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -213,6 +208,8 @@ def _real_witness_data(big_n: int):
     N = p^n."""
     p, n = _prime_power(big_n, "real witnesses")
     if p == 2:
+        if n < 4:
+            raise ValueError(f"2-power real witness needs 2^n with n >= 4, got {big_n}")
         a = real_witness_2power(n)
         return a, Fraction(2 ** (2 * n - 5)), Fraction(2 ** (n - 1)), Fraction(2 ** (n - 4))
     a = real_witness_ppower(p, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotTotallyPositiveError
-from .linalg import _integer_scale, det_exact
+from .linalg import _integer_scale
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -36,20 +36,9 @@ class GramMatrix:
     def __repr__(self):
         return f"GramMatrix(conductor={self.conductor}, dim={self.dim})"
 
-    def det(self) -> Fraction:
-        return det_exact(self.entries)
-
     def integer_scale(self) -> tuple[int, list[list[int]]]:
         """Smallest positive s with s*G integral, and s*G as int rows."""
         return _integer_scale(self.entries)
-
-    def to_json_dict(self) -> dict:
-        s, rows = self.integer_scale()
-        return {
-            "conductor": self.conductor,
-            "scale": str(s),
-            "matrix": [[str(v) for v in row] for row in rows],
-        }
 
 
 def gram(a) -> GramMatrix:
@@ -152,8 +141,4 @@ def _require_positive(res: LDLResult, what: str, scale=1) -> LDLResult:
             f"(pivot {res.pivots[-1] / scale} at index {res.failure_index})"
         )
     return res
-
-
-def require_totally_positive(g: GramMatrix) -> LDLResult:
-    return _require_positive(ldl(g), f"trace form of {g.element!r}")
 

@@ -90,10 +90,6 @@ def witness_for_conductor(big_n: int) -> CycloElement:
     return _witness_data(big_n)[0]
 
 
-def witness_closed_ratio(big_n: int) -> Fraction:
-    return _witness_data(big_n)[3]
-
-
 @dataclass(frozen=True, kw_only=True)
 class _WitnessCertificate:
     """What every witness certificate carries.

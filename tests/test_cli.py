@@ -88,6 +88,16 @@ def test_mustar_and_reduced_roundtrip():
     assert "NOT reduced" in res2.text
 
 
+def test_reduced_text_when_a_is_reduced():
+    # the witness at 16: eight non-units, and no unit, lie below Tr(a) = 16
+    res = run(["reduced", "16", "-a", "2,-3/2,1,-1/2,0,1/2,-1,3/2"])
+    assert res.exit_code == 0
+    assert res.payload["value"] is True
+    assert res.text == (
+        "a is reduced over K_16: no unit goes below Tr(a) = 16 (8 non-unit vectors do)"
+    )
+
+
 def test_bad_element_text_is_exit_2():
     res = run(["mustar", "5", "-a", "1,zebra"])
     assert res.exit_code == 2
@@ -125,6 +135,14 @@ def test_real_witness_quoted_form_disagreement_is_reported():
     res2 = run(["real", "witness", "25", "--verify"])
     assert res2.exit_code == 0
     assert "DISAGREES with" in res2.text
+
+
+@pytest.mark.parametrize("argv", [["real", "witness", "4", "--verify"], ["real", "witness", "8"]])
+def test_real_witness_error_names_the_conductor(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"2-power real witness needs 2^n with n >= 4, got {argv[2]}\n"
 
 
 def test_real_classify():

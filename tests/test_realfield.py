@@ -12,7 +12,6 @@ from unitred.field import make_field
 from unitred.realfield import (
     classify_real,
     embed,
-    is_totally_positive_real,
     make_real_field,
     project,
     real_element_from_json_dict,
@@ -174,10 +173,10 @@ def test_totally_positive_transfers():
             x = _rand_real(rng, ctx)
             if x.is_zero():
                 continue
-            assert is_totally_positive_real(x * x) is True
+            assert is_totally_positive(x * x) is True
             assert is_totally_positive(embed(x * x))
             # signs transfer both ways
-            assert is_totally_positive_real(x) == is_totally_positive(embed(x))
+            assert is_totally_positive(x) == is_totally_positive(embed(x))
 
 
 def test_real_element_json_round_trip():
@@ -322,7 +321,7 @@ def test_unit_square_two_branches_at_12():
     u = k12.one() - k12.zeta()
     assert is_unit(u)
     assert project(u * u.conj()) == 2 - t
-    assert is_totally_positive_real(2 - t)
+    assert is_totally_positive(2 - t)
     assert real_sqrt_of_unit(2 - t) is None
 
 
@@ -364,7 +363,7 @@ def test_half_bound_can_be_strict():
     ctx = make_real_field(16)
     t = ctx.theta()
     a = ctx.one() + 2 * t**2 - t**3
-    assert is_totally_positive_real(a)
+    assert is_totally_positive(a)
     rel = real_mu_relations_check(a)
     assert rel.mu_real == 20
     assert rel.mu_lift == 32

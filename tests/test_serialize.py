@@ -1,4 +1,6 @@
-"""serialize.jsonable against the isinstance chain it runs by default."""
+"""serialize.dumps_canonical against the Fraction-to-string tree walk it
+replaced: json.dumps of the payload with every Fraction (subclasses
+included) turned into its string first, found by isinstance."""
 
 import json
 import sys
@@ -6,21 +8,24 @@ from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import unitred.cli  # noqa: F401  (the sweep workload runs through the CLI)
 import unitred.serialize as serialize
-from unitred.serialize import dumps_canonical, frac_str, jsonable
+from unitred.field import make_field
+from unitred.realfield import make_real_field
+from unitred.serialize import dumps_canonical
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
 def _isinstance_jsonable(obj):
-    """jsonable as it ran before the exact-type dispatch."""
+    """The payload with every Fraction replaced by its exact string."""
     if isinstance(obj, Fraction):
-        return frac_str(obj)
+        return str(Fraction(obj))
     if isinstance(obj, dict):
         return {k: _isinstance_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,28 +75,30 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("obj", EDGE_CASES, ids=repr)
 def test_jsonable_matches_isinstance_oracle_on_edge_cases(obj):
-    got, want = jsonable(obj), _isinstance_jsonable(obj)
-    assert got == want and type(got) is type(want)
     assert dumps_canonical(obj) == _dumps_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1, 2}, make_field(5).one(), [make_real_field(16).theta()], {"x": object()}],
+    ids=["set", "element", "real element in a list", "object in a dict"],
+)
+def test_dumps_canonical_rejects_what_json_cannot_encode(obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps_canonical(obj)
 
 
 @pytest.mark.parametrize("name", ["witness", "forms", "sweep", "identities"])
 def test_dumps_canonical_is_byte_identical_on_every_workload_payload(name, monkeypatch):
     # every payload a benchmark pass hands to dumps_canonical, recorded at
-    # the top call of jsonable
-    payloads, depth = [], [0]
-    inner = serialize.jsonable
+    # its one json.dumps call
+    payloads = []
 
-    def recording(obj):
-        if not depth[0]:
-            payloads.append(obj)
-        depth[0] += 1
-        try:
-            return inner(obj)
-        finally:
-            depth[0] -= 1
+    def recording(obj, **kwargs):
+        payloads.append(obj)
+        return json.dumps(obj, **kwargs)
 
-    monkeypatch.setattr(serialize, "jsonable", recording)
+    monkeypatch.setattr(serialize, "json", SimpleNamespace(dumps=recording))
     for item in workloads.build(name, "full", 1):
         item.run()
     monkeypatch.undo()

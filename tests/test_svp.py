@@ -95,6 +95,19 @@ def test_enumeration_inclusive_bound_and_order():
     ]
 
 
+@pytest.mark.parametrize(
+    "bound, strict", [(0, True), (-1, False), (Fraction(-1, 3), True), (Fraction(-1, 3), False)]
+)
+def test_enumeration_below_nothing_visits_no_node(bound, strict):
+    # no nonzero vector of a positive-definite form has a value below 0 (or
+    # at a negative bound), so the scan returns before its first node
+    for g in ([[2, 1], [1, 3]], gram(make_field(5).one())):
+        res = enumerate_below(g, bound, strict=strict)
+        assert res.vectors == ()
+        assert res.nodes == 0
+        assert res.bound == bound
+
+
 def test_sign_canonical_first_nonzero_positive():
     rng = random.Random(503)
     g = _rand_pd_gram(rng, 3)

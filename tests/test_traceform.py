@@ -6,15 +6,10 @@ import pytest
 
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
+from unitred.linalg import det_exact
 from unitred.realfield import make_real_field
 from unitred.svp import lll_reduce, shortest
-from unitred.traceform import (
-    LDLResult,
-    gram,
-    is_totally_positive,
-    ldl,
-    require_totally_positive,
-)
+from unitred.traceform import LDLResult, gram, is_totally_positive, ldl
 from unitred.units import is_reduced, mu_star
 
 from linalg_helpers import mat_mul, transpose
@@ -86,7 +81,7 @@ def test_gram_det_is_disc_times_norm():
         ctx = make_field(n)
         for _ in range(50):
             a = _rand_totally_positive(rng, ctx)
-            assert gram(a).det() == ctx.discriminant_abs * a.norm()
+            assert det_exact(gram(a).entries) == ctx.discriminant_abs * a.norm()
 
 
 def test_integer_scale():
@@ -140,7 +135,7 @@ def test_totally_positive_decision():
         assert is_totally_positive(pos)
         assert not is_totally_positive(-pos)
     with pytest.raises(NotTotallyPositiveError):
-        require_totally_positive(gram(-ctx.one()))
+        lll_reduce(gram(-ctx.one()))
 
 
 def test_positive_definite_iff_embeddings_positive():
@@ -281,10 +276,13 @@ def test_forms_that_are_not_positive_raise_typed_errors():
     for a in _not_totally_positive_elements():
         res = ldl(gram(a))
         assert res.status != "positive_definite", a
-        with pytest.raises(NotTotallyPositiveError) as want:
-            require_totally_positive(gram(a))
-        for decide in (mu_star, is_reduced, lambda a: shortest(gram(a))):
+        want = (
+            f"trace form of {a!r} is {res.status} "
+            f"(pivot {res.pivots[-1]} at index {res.failure_index})"
+        )
+        deciders = (mu_star, is_reduced, lambda a: shortest(gram(a)), lambda a: lll_reduce(gram(a)))
+        for decide in deciders:
             with pytest.raises(NotTotallyPositiveError) as got:
                 decide(a)
-            assert str(got.value) == str(want.value), a
+            assert str(got.value) == want, a
     assert [ldl(gram(a)).failure_index for a in _not_totally_positive_elements()] == [0, 1, 2, 0]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -25,7 +26,6 @@ from unitred.witness import (
     rho_closed,
     verify_witness,
     witness_2power,
-    witness_closed_ratio,
     witness_for_conductor,
     witness_ppower,
 )
@@ -84,8 +84,10 @@ def test_witness_traces_match_closed_forms():
 
 
 def test_witness_closed_ratios():
+    # at a prime power the delta bound is the witness's floored closed ratio
     for n, r in WITNESS_RATIO.items():
-        assert witness_closed_ratio(n) == r
+        d = delta_lower_bound(n)
+        assert (d.bound, d.source_divisor) == (r, n)
 
 
 def test_witness_needs_prime_power():
@@ -179,6 +181,72 @@ def test_witness_checks_reject_a_unit_below_the_trace(monkeypatch):
     assert str(exc.value) == (
         "unit (1, 0, 0, 0) has form value 7 < Tr(a) = 8; the real witness at 16 is not reduced"
     )
+
+
+def _perturbed(monkeypatch, module, name, change):
+    """Replace module.name by a wrapper that passes its result through change."""
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: change(inner(*args, **kw)))
+
+
+# each check below holds at 16 unless a closed form or the scan result is
+# perturbed; a failed check is a VerificationError, also under python -O
+
+
+def test_witness_check_rejects_a_trace_off_its_closed_form(monkeypatch):
+    _perturbed(monkeypatch, witness_module, "_witness_data", lambda d: (d[0], d[1], d[2] + 1, d[3]))
+    with pytest.raises(VerificationError) as exc:
+        verify_witness(16)
+    assert str(exc.value) == "trace 16 differs from closed form 17"
+
+
+def test_witness_check_rejects_a_ratio_off_its_closed_form(monkeypatch):
+    _perturbed(monkeypatch, witness_module, "_witness_data", lambda d: (*d[:3], d[3] + 1))
+    with pytest.raises(VerificationError) as exc:
+        verify_witness(16)
+    assert str(exc.value) == "ratio 2 differs from closed form 3 at conductor 16"
+
+
+def test_witness_check_rejects_x_off_its_form_value(monkeypatch):
+    _perturbed(monkeypatch, witness_module, "euler_phi", lambda phi: phi + 1)
+    with pytest.raises(VerificationError) as exc:
+        verify_witness(16)
+    assert str(exc.value) == "x has form value 8, expected 9"
+
+
+def test_witness_check_rejects_x_missing_from_the_minimum_shell(monkeypatch):
+    x = (1, 1) + (0,) * 6  # 1 + z over K_16, one of eight vectors at mu = 8
+
+    def without_x(cert):
+        below = tuple(fv for fv in cert.below_trace if fv.coeffs != x)
+        assert len(below) == len(cert.below_trace) - 1
+        return dataclasses.replace(cert, below_trace=below)
+
+    _perturbed(monkeypatch, witness_module, "is_reduced", without_x)
+    with pytest.raises(VerificationError) as exc:
+        verify_witness(16)
+    assert str(exc.value) == "x does not attain the minimum at conductor 16"
+
+
+def test_real_witness_check_rejects_a_wrong_embedding(monkeypatch):
+    _perturbed(monkeypatch, realfield, "witness_for_conductor", lambda a: 2 * a)
+    with pytest.raises(VerificationError) as exc:
+        realfield.verify_real_witness(16)
+    assert str(exc.value) == "real witness at 16 does not embed to the cyclotomic one"
+
+
+def test_real_witness_check_rejects_a_trace_inverse_off_its_closed_form(monkeypatch):
+    _perturbed(monkeypatch, realfield, "_real_witness_data", lambda d: (*d[:2], d[2] + 1, d[3]))
+    with pytest.raises(VerificationError) as exc:
+        realfield.verify_real_witness(16)
+    assert str(exc.value) == "Tr(a^-1) is 8, expected 9 at conductor 16"
+
+
+def test_real_witness_check_rejects_a_minimum_above_the_trace_inverse(monkeypatch):
+    _perturbed(monkeypatch, realfield, "_certify", lambda r: (Fraction(9), r[1]))
+    with pytest.raises(VerificationError) as exc:
+        realfield.verify_real_witness(16)
+    assert str(exc.value) == "enumerated minimum 9 exceeds the Tr(a^-1) bound 8"
 
 
 def test_rho_identity():
