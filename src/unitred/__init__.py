@@ -48,8 +48,6 @@ from .realfield import (
     project,
     real_mu_relations_check,
     real_sqrt_of_unit,
-    real_witness_2power,
-    real_witness_ppower,
     verify_real_witness,
 )
 from .serialize import dumps_canonical
@@ -90,9 +88,7 @@ from .witness import (
     rho,
     rho_closed,
     verify_witness,
-    witness_2power,
     witness_for_conductor,
-    witness_ppower,
 )
 
 __version__ = "0.1.0"
@@ -155,8 +151,6 @@ __all__ = [
     "q_matrix",
     "real_mu_relations_check",
     "real_sqrt_of_unit",
-    "real_witness_2power",
-    "real_witness_ppower",
     "rho",
     "rho_closed",
     "shortest",
@@ -164,7 +158,5 @@ __all__ = [
     "table1",
     "verify_real_witness",
     "verify_witness",
-    "witness_2power",
     "witness_for_conductor",
-    "witness_ppower",
 ]

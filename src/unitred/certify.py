@@ -212,83 +212,52 @@ class Certificate:
 
 
 def classify(n: int) -> Certificate:
-    """Unit-reducibility verdict for the field of conductor n."""
+    """Unit-reducibility verdict for the field of conductor n.
+
+    The criterion exists only at the twelve conductors of degree <= 8, and
+    it is an equality only at 8 and 9, the conductors of BOUNDARY_X;
+    boundary_analysis raises for any other, so no equality goes unsettled.
+    """
     require_canonical_conductor(n)
+    try:
+        crit = strong_criterion(n)
+    except DegreeError:
+        crit = None
 
     div = not_ur_by_divisor(n)
     if div is not None:
         p, k = div
-        return Certificate(
-            conductor=n,
-            verdict="NotUR",
-            reason=(
-                f"{p}^{k} divides {n}; the field of conductor {p**k} is not "
-                "unit reducible and non-reducibility lifts to multiples"
-            ),
-            criterion=_criterion_or_none(n),
-            divisor=div,
+        reason = (
+            f"{p}^{k} divides {n}; the field of conductor {p**k} is not "
+            "unit reducible and non-reducibility lifts to multiples"
         )
-
+        return Certificate(conductor=n, verdict="NotUR", reason=reason, criterion=crit, divisor=div)
     if euler_phi(n) <= 2:
-        return Certificate(
-            conductor=n,
-            verdict="StronglyUR",
-            reason="degree <= 2: trivially unit reducible (degenerate certificate)",
-            criterion=_criterion_or_none(n),
-        )
+        reason = "degree <= 2: trivially unit reducible (degenerate certificate)"
+        return Certificate(conductor=n, verdict="StronglyUR", reason=reason, criterion=crit)
+    if crit is None:
+        reason = f"degree {euler_phi(n)} > 8: no exact Hermite constant available"
+        return Certificate(conductor=n, verdict="Unknown", reason=reason)
 
-    try:
-        crit = strong_criterion(n)
-    except DegreeError:
-        return Certificate(
-            conductor=n,
-            verdict="Unknown",
-            reason=f"degree {euler_phi(n)} > 8: no exact Hermite constant available",
-        )
-    e = eta(n)
+    boundary = None
     if crit.relation == "Strict":
-        return Certificate(
-            conductor=n,
-            verdict="StronglyUR",
-            reason=f"criterion strict: {crit.lhs} < {crit.rhs}",
-            criterion=crit,
-            eta_cert=e,
+        verdict, reason = "StronglyUR", f"criterion strict: {crit.lhs} < {crit.rhs}"
+    elif crit.relation == "Equal":
+        boundary = boundary_analysis(n)
+        verdict, reason = "WeaklyUR", (
+            f"criterion equality {crit.lhs} = {crit.rhs}; boundary form "
+            "minima contain a non-unit alongside units"
         )
-    if crit.relation == "Equal":
-        if n in BOUNDARY_X:
-            rep = boundary_analysis(n)
-            return Certificate(
-                conductor=n,
-                verdict="WeaklyUR",
-                reason=(
-                    f"criterion equality {crit.lhs} = {crit.rhs}; boundary form "
-                    "minima contain a non-unit alongside units"
-                ),
-                criterion=crit,
-                eta_cert=e,
-                boundary=rep,
-            )
-        return Certificate(
-            conductor=n,
-            verdict="Unknown",
-            reason="criterion equality without a settled boundary form",
-            criterion=crit,
-            eta_cert=e,
-        )
+    else:
+        verdict, reason = "Unknown", f"criterion fails: {crit.lhs} > {crit.rhs}"
     return Certificate(
         conductor=n,
-        verdict="Unknown",
-        reason=f"criterion fails: {crit.lhs} > {crit.rhs}",
+        verdict=verdict,
+        reason=reason,
         criterion=crit,
-        eta_cert=e,
+        eta_cert=eta(n),
+        boundary=boundary,
     )
-
-
-def _criterion_or_none(n: int) -> CriterionResult | None:
-    try:
-        return strong_criterion(n)
-    except DegreeError:
-        return None
 
 
 TABLE1_CONDUCTORS = (5, 7, 8, 9, 12, 15)

@@ -241,7 +241,7 @@ def _real_witness_lines(cert) -> list[str]:
 def cmd_witness(args) -> CommandResult:
     if args.verify:
         return _certified(args, verify_witness, f"K_{args.N}", _witness_lines)
-    a, p, _, ratio = _witness_data(args.N)
+    a, _, _, ratio = _witness_data(args.N)
     trace = a.trace()
     payload = {
         "kind": "witness_element",
@@ -250,7 +250,7 @@ def cmd_witness(args) -> CommandResult:
         "trace": str(trace),
         "closed_ratio": str(ratio),
     }
-    shape = "((1+z)(1+1/z))^-1" if p == 2 else "((1-z)(1-1/z))^-1"
+    shape = "((1+z)(1+1/z))^-1" if args.N % 2 == 0 else "((1-z)(1-1/z))^-1"
     lines = [
         f"witness over K_{args.N}: a = {shape}, trace {trace}",
         f"  coeffs: {_coeff_line(a.coeffs)}",
@@ -291,6 +291,14 @@ def cmd_check_eq4(args) -> CommandResult:
     if big % small != 0:
         raise ConductorError(f"{small} does not divide {big}")
     rng = random.Random(args.seed)
+    payload = {
+        "kind": "eq4_trials",
+        "conductor_small": small,
+        "conductor_big": big,
+        "trials": args.trials,
+        "seed": args.seed,
+        "passed": True,
+    }
     for trial in range(args.trials):
         a = ctx_small.element(
             [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(ctx_small.degree)]
@@ -300,16 +308,7 @@ def cmd_check_eq4(args) -> CommandResult:
         )
         rep = eq4_check(a, y)
         if not rep.passed:
-            payload = {
-                "kind": "eq4_trials",
-                "conductor_small": small,
-                "conductor_big": big,
-                "trials": args.trials,
-                "failed_at": trial,
-                "seed": args.seed,
-                "passed": False,
-                "counterexample": rep.to_json_dict(),
-            }
+            payload.update(passed=False, failed_at=trial, counterexample=rep.to_json_dict())
             return CommandResult(
                 1,
                 payload=payload,
@@ -319,14 +318,6 @@ def cmd_check_eq4(args) -> CommandResult:
                 ),
                 json_out=True,
             )
-    payload = {
-        "kind": "eq4_trials",
-        "conductor_small": small,
-        "conductor_big": big,
-        "trials": args.trials,
-        "seed": args.seed,
-        "passed": True,
-    }
     text = (
         f"trace-lift identity: {args.trials}/{args.trials} random trials passed "
         f"(K_{small} -> K_{big}, seed {args.seed})"

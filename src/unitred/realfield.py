@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import ConductorError, VerificationError
 from .field import CycloElement, _Element, _poly_str, _Ring, _times_x, make_field
 from .linalg import _integer_scale
-from .numtheory import is_prime, listed_divisor, require_canonical_conductor
+from .numtheory import listed_divisor, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, enumerate_below
 from .traceform import gram
 from .units import mu_star
@@ -184,35 +184,17 @@ def real_element_from_json_dict(payload: dict) -> RealElement:
 # witnesses
 
 
-def real_witness_2power(n: int) -> RealElement:
-    """a = (2+t)^-1 at conductor 2^n, n >= 4; embeds to ((1+z)(1+1/z))^-1."""
-    if n < 4:
-        raise ValueError(f"2-power real witness needs n >= 4, got {n}")
-    ctx = make_real_field(2**n)
-    return (2 + ctx.theta()).inverse()
-
-
-def real_witness_ppower(p: int, n: int) -> RealElement:
-    """a = (2-t)^-1 at conductor p^n, p an odd prime; embeds to
-    ((1-z)(1-1/z))^-1."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
-    ctx = make_real_field(p**n)
-    return (2 - ctx.theta()).inverse()
-
-
 def _real_witness_data(big_n: int):
-    """(element, trace closed form, Tr(a^-1) closed form, quoted ratio) for
-    N = p^n."""
+    """(a, trace closed form, Tr(a^-1) closed form, quoted ratio) for N = p^n,
+    where a = (2+t)^-1 for p = 2 (n >= 4) and a = (2-t)^-1 for odd p."""
     p, n = _prime_power(big_n, "real witnesses")
+    if p == 2 and n < 4:
+        raise ValueError(f"2-power real witness needs 2^n with n >= 4, got {big_n}")
+    t = make_real_field(big_n).theta()
     if p == 2:
-        if n < 4:
-            raise ValueError(f"2-power real witness needs 2^n with n >= 4, got {big_n}")
-        a = real_witness_2power(n)
+        a = (2 + t).inverse()
         return a, Fraction(2 ** (2 * n - 5)), Fraction(2 ** (n - 1)), Fraction(2 ** (n - 4))
-    a = real_witness_ppower(p, n)
+    a = (2 - t).inverse()
     trace_cf = Fraction(p ** (2 * (n - 1)) * (p * p - 1), 24)
     upper_cf = Fraction(p ** (n - 1) * (p - 1)) if n >= 2 else Fraction(p)
     return a, trace_cf, upper_cf, Fraction(p ** (n - 1) * (p * p - 1), 24 * (p - 2))
@@ -447,32 +429,17 @@ def classify_real(n: int) -> RealCertificate:
     README); that entry is carried as published.
     """
     require_canonical_conductor(n)
-    if n == 1:
-        return RealCertificate(
-            conductor=1, verdict="UR", reason="degenerate: the field is Q"
-        )
-    div = real_not_ur_by_divisor(n)
-    if div is not None:
+    div = real_not_ur_by_divisor(n)  # None at 1, 3 and 4
+    if n in (1, 3, 4):
+        verdict, reason = "UR", f"degenerate: the {'field' if n == 1 else 'subfield'} is Q"
+    elif div is not None:
         p, k = div
-        return RealCertificate(
-            conductor=n,
-            verdict="NotUR",
-            reason=f"divisible by {p}^{k}, a listed non-reducible divisor; the "
-            "obstruction propagates along divisibility",
-            divisor=div,
+        verdict, reason = "NotUR", (
+            f"divisible by {p}^{k}, a listed non-reducible divisor; the "
+            "obstruction propagates along divisibility"
         )
-    if n in REAL_UR:
-        if n in (3, 4):
-            return RealCertificate(
-                conductor=n, verdict="UR", reason="degenerate: the subfield is Q"
-            )
-        return RealCertificate(
-            conductor=n,
-            verdict="UR",
-            reason="inherited: the full cyclotomic field is unit reducible",
-        )
-    return RealCertificate(
-        conductor=n,
-        verdict="Unknown",
-        reason="no applicable criterion at this conductor",
-    )
+    elif n in REAL_UR:
+        verdict, reason = "UR", "inherited: the full cyclotomic field is unit reducible"
+    else:
+        verdict, reason = "Unknown", "no applicable criterion at this conductor"
+    return RealCertificate(conductor=n, verdict=verdict, reason=reason, divisor=div)

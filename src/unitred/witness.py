@@ -31,31 +31,11 @@ from .errors import (
     VerificationError,
 )
 from .field import CycloElement, make_field
-from .numtheory import euler_phi, factorize, is_prime, require_canonical_conductor
+from .numtheory import euler_phi, factorize, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector
 from .units import is_reduced
 
 VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
-
-
-def witness_2power(n: int) -> CycloElement:
-    """a = ((1+z)(1+z^-1))^-1 over the field of conductor 2^n, n >= 3."""
-    if n < 3:
-        raise ValueError(f"2-power witness needs n >= 3, got {n}")
-    ctx = make_field(2**n)
-    z = ctx.zeta()
-    return ((1 + z) * (1 + z.conj())).inverse()
-
-
-def witness_ppower(p: int, n: int) -> CycloElement:
-    """a = ((1-z)(1-z^-1))^-1 over the field of conductor p^n, p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
-    ctx = make_field(p**n)
-    z = ctx.zeta()
-    return ((1 - z) * (1 - z.conj())).inverse()
 
 
 def _prime_power(big_n: int, what: str) -> tuple[int, int]:
@@ -73,20 +53,21 @@ def _closed_ratio(p: int, k: int) -> Fraction:
 
 
 def _witness_data(big_n: int):
-    """(element, p, trace closed form, floored ratio closed form) for N = p^n."""
+    """(a, x, trace closed form, floored ratio closed form) for N = p^n, where
+    a = (x conj(x))^-1 with x = 1+z for p = 2 (n >= 3) and x = 1-z for odd p."""
     p, n = _prime_power(big_n, "witnesses")
+    if p == 2 and n < 3:
+        raise ValueError(f"2-power witness needs 2^n with n >= 3, got {big_n}")
+    z = make_field(big_n).zeta()
     if p == 2:
-        if n < 3:
-            raise ValueError(f"2-power witness needs 2^n with n >= 3, got {big_n}")
-        a = witness_2power(n)
-        trace_cf = Fraction(2 ** (2 * n - 4))
+        x, trace_cf = 1 + z, Fraction(2 ** (2 * n - 4))
     else:
-        a = witness_ppower(p, n)
-        trace_cf = Fraction(p ** (2 * (n - 1)) * (p * p - 1), 12)
-    return a, p, trace_cf, max(Fraction(1), _closed_ratio(p, n))
+        x, trace_cf = 1 - z, Fraction(p ** (2 * (n - 1)) * (p * p - 1), 12)
+    return (x * x.conj()).inverse(), x, trace_cf, max(Fraction(1), _closed_ratio(p, n))
 
 
 def witness_for_conductor(big_n: int) -> CycloElement:
+    """The witness a = (x conj(x))^-1 at N = p^n; see _witness_data."""
     return _witness_data(big_n)[0]
 
 
@@ -140,8 +121,8 @@ def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what
     deg = a.ctx.degree
     if deg > VERIFY_DEGREE_CAP and not force:
         raise DegreeError(
-            f"enumeration dimension {deg} exceeds the default cap "
-            f"{VERIFY_DEGREE_CAP}; pass force=True to attempt it"
+            f"enumeration dimension {deg} exceeds the cap {VERIFY_DEGREE_CAP} "
+            "for exhaustive witness checks"
         )
     t = a.trace()
     if t != trace_cf:
@@ -216,7 +197,7 @@ def verify_witness(
     Dimensions above VERIFY_DEGREE_CAP are refused unless force=True
     (budget caps still apply and a cap hit yields a partial certificate).
     """
-    a, p, trace_cf, ratio_cf = _witness_data(big_n)
+    a, x, trace_cf, ratio_cf = _witness_data(big_n)
     mu_a, fields = _certify(a, big_n, trace_cf, node_cap, force, "witness")
     if mu_a is None:
         return DiscrepancyCertificate(witness=a, closed_form=ratio_cf, **fields)
@@ -230,7 +211,6 @@ def verify_witness(
     # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
     # unless the ratio is floored; its first coefficient is 1, so the scan,
     # exhaustive below Tr(a), lists x as it is whenever x attains a mu_a < Tr(a)
-    x = 1 + a.ctx.zeta() if p == 2 else 1 - a.ctx.zeta()
     x_val = (a * x * x.conj()).trace()
     if x_val != euler_phi(big_n):
         raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from unitred.certify import (
+    BOUNDARY_X,
     NOT_UR_PRIME_FLOOR,
     NOT_UR_PRIME_POWERS,
     boundary_analysis,
@@ -62,6 +63,17 @@ def test_criterion_relations():
         assert strong_criterion(n).relation == "Strict"
     for n in (16, 20, 24):
         assert strong_criterion(n).relation == "Fail"
+    # phi(n) <= 8 forces n <= 30, so this scan finds every conductor with a
+    # criterion; equality only at the boundary-form conductors is why
+    # classify has no branch for an equality left unsettled
+    relations = {}
+    for n in filter(is_canonical_conductor, range(1, 31)):
+        try:
+            relations[n] = strong_criterion(n).relation
+        except DegreeError:
+            pass
+    assert sorted(relations) == [1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]
+    assert sorted(n for n, rel in relations.items() if rel == "Equal") == sorted(BOUNDARY_X)
     # beyond dimension 8 there is no exact Hermite constant to compare with,
     # and that is decided before any field context is built
     built = make_field.cache_info().misses

@@ -5,12 +5,15 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import unitred.cli as cli
 from unitred.cli import build_parser, main, run
 from unitred.serialize import dumps_canonical
+from unitred.witness import Eq4Report
 
 
 def test_classify_text_and_payload():
@@ -174,6 +177,39 @@ def test_check_eq4_needs_divisible_pair():
     assert res2.exit_code == 0
     assert res2.payload["trials"] == 5
     assert res2.payload["passed"] is True
+
+
+def test_check_eq4_failure_reports_the_counterexample(monkeypatch):
+    trials = []
+
+    def fails_third(a, y):  # lhs != rhs from the third trial on
+        trials.append(None)
+        rhs = Fraction(1 if len(trials) < 3 else 2)
+        return Eq4Report(a.ctx.conductor, y.ctx.conductor, Fraction(1), rhs, 3)
+
+    monkeypatch.setattr(cli, "eq4_check", fails_third)
+    res = run(["check-eq4", "3", "9", "--seed", "5"])
+    assert res.exit_code == 1
+    assert res.json_out is True  # forced on without --json
+    assert res.error == "trace-lift identity FAILED at trial 2 (K_3 -> K_9, seed 5)"
+    assert res.payload == {
+        "kind": "eq4_trials",
+        "conductor_small": 3,
+        "conductor_big": 9,
+        "trials": 25,
+        "seed": 5,
+        "passed": False,
+        "failed_at": 2,
+        "counterexample": {
+            "kind": "trace_lift_identity",
+            "conductor_low": 3,
+            "conductor_high": 9,
+            "lhs": "1",
+            "rhs": "2",
+            "components": 3,
+            "passed": False,
+        },
+    }
 
 
 def test_delta_bound_value():

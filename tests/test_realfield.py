@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 import unitred.svp as svp
 from unitred.errors import ConductorError, DegreeError
 from unitred.field import make_field
+from unitred.numtheory import is_canonical_conductor
 from unitred.realfield import (
+    _real_witness_data,
     classify_real,
     embed,
     make_real_field,
@@ -17,10 +20,9 @@ from unitred.realfield import (
     real_element_from_json_dict,
     real_mu_relations_check,
     real_sqrt_of_unit,
-    real_witness_2power,
-    real_witness_ppower,
     verify_real_witness,
 )
+from unitred.serialize import dumps_canonical
 from unitred.svp import enumerate_below, shortest
 from unitred.traceform import gram, is_totally_positive
 from unitred.units import is_unit
@@ -188,12 +190,12 @@ def test_real_element_json_round_trip():
 
 
 def test_real_witness_shapes():
-    a = real_witness_2power(4)  # over K_16+
+    a = _real_witness_data(16)[0]  # over K_16+
     ctx = a.ctx
     assert (2 + ctx.theta()) * a == ctx.one()
     with pytest.raises(ValueError):
-        real_witness_2power(3)
-    b = real_witness_ppower(5, 2)
+        _real_witness_data(8)
+    b = _real_witness_data(25)[0]
     assert (2 - b.ctx.theta()) * b == b.ctx.one()
 
 
@@ -430,6 +432,19 @@ def test_classify_real_propagates():
     d = classify_real(75).to_json_dict()
     assert d["kind"] == "real_classification"
     assert d["divisor"] == {"p": 5, "k": 2, "value": 25}
+
+
+def test_classify_real_json_is_pinned():
+    # the canonical JSON lines of every canonical n <= 600, verdicts,
+    # reasons and divisors alike, as recorded at 9f1adb4
+    lines = [
+        dumps_canonical(classify_real(n).to_json_dict())
+        for n in range(1, 601)
+        if is_canonical_conductor(n)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "88d68d3e0d8dc4d10b7a5c6c1715a48ceeafc930e8eb3c3f635a87f953c75456"
+    )
 
 
 def test_classify_real_degenerate():

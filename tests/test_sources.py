@@ -107,7 +107,6 @@ def test_parameters_are_the_ones_callers_set():
         units.is_reduced: ["a", "node_cap"],
         witness._certify: ["a", "big_n", "trace_cf", "node_cap", "force", "what"],
         witness.verify_witness: ["big_n", "node_cap", "force"],
-        realfield.real_witness_ppower: ["p", "n"],
         realfield.verify_real_witness: ["big_n", "node_cap", "force"],
         realfield.real_mu_relations_check: ["a"],
     }

@@ -10,12 +10,7 @@ from unitred.errors import BudgetError, VerificationError
 from unitred.field import CycloElement, make_field
 from unitred.linalg import det_exact
 from unitred.numtheory import euler_phi
-from unitred.realfield import (
-    make_real_field,
-    real_witness_2power,
-    real_witness_ppower,
-    verify_real_witness,
-)
+from unitred.realfield import _real_witness_data, make_real_field, verify_real_witness
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
 from unitred.traceform import _require_positive, gram, ldl
 from unitred.witness import verify_witness, witness_for_conductor
@@ -412,8 +407,8 @@ WITNESS_FORMS = {
     "witness 25": lambda: witness_for_conductor(25),
     "witness 27": lambda: witness_for_conductor(27),
     "witness 32": lambda: witness_for_conductor(32),
-    "real witness 32": lambda: real_witness_2power(5),
-    "real witness 49": lambda: real_witness_ppower(7, 2),
+    "real witness 32": lambda: _real_witness_data(32)[0],
+    "real witness 49": lambda: _real_witness_data(49)[0],
 }
 
 
@@ -604,7 +599,7 @@ def test_integral_lll_matches_fraction_oracle():
     grams += [[[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[2, 1, -1], [1, 2, 0], [-1, 0, 2]]]
     grams += list(_forms_basket())
     grams += [gram(witness_for_conductor(25)), gram(witness_for_conductor(32))]
-    grams += [gram(real_witness_ppower(7, 2))]
+    grams += [gram(_real_witness_data(49)[0])]
     swaps = 0
     for g in grams:
         res = lll_reduce(g)
