@@ -90,29 +90,19 @@ def _prem(a, b):
 
 
 def _resultant_int(a, b):
-    """Resultant of integer polynomials via the subresultant PRS.
+    """Resultant of integer polynomials a and b, trimmed, with
+    0 < deg b < deg a, via the subresultant PRS: the case .norm() passes,
+    a being the monic modulus.  Each pseudo-remainder lowers the degree, so
+    every step's delta is at least 1.
 
     Divisions in the chain are exact over Z; _exact_div raises
     VerificationError if the bookkeeping ever breaks that.  Tested against
     products of conjugates; the oracle for split_table's norms.
     """
-    a = _trim(list(a))
-    b = _trim(list(b))
-    if not a or not b:
-        return 0
     da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        return 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    s = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if (da * db) % 2:
-            s = -s
-    g = h = 1
+    if not 0 < db < da:
+        raise ValueError(f"resultant needs 0 < deg b < deg a, got deg a {da}, deg b {db}")
+    s = g = h = 1
     while True:
         delta = da - db
         if (da % 2) and (db % 2):
@@ -125,11 +115,9 @@ def _resultant_int(a, b):
         b = [_exact_div(c, den) for c in r]
         db = len(b) - 1
         g = a[-1]
-        if delta > 0:
-            h = _exact_div(g**delta, h ** (delta - 1))
+        h = _exact_div(g**delta, h ** (delta - 1))
         if db == 0:
-            h = _exact_div(b[0] ** da, h ** (da - 1)) if da > 0 else h
-            return s * h
+            return s * _exact_div(b[0] ** da, h ** (da - 1))
 
 
 def _times_x(p, f):
@@ -163,6 +151,9 @@ class _Ring:
     A context provides `degree`, `conductor` and the class attribute
     `_element_type`.
     """
+
+    def __repr__(self):
+        return f"{type(self).__name__}(conductor={self.conductor}, degree={self.degree})"
 
     def element(self, coeffs):
         """Element from a coefficient sequence on the power basis.
@@ -494,9 +485,6 @@ class FieldContext(_Ring):
     _mono_trace: tuple[Fraction, ...]
 
     _element_type = CycloElement
-
-    def __repr__(self):
-        return f"FieldContext(conductor={self.conductor}, degree={self.degree})"
 
     def zeta(self, k: int = 1) -> CycloElement:
         """z^k for any integer k (reduced mod the conductor)."""

@@ -82,9 +82,6 @@ class RealFieldContext(_Ring):
 
     _element_type = RealElement
 
-    def __repr__(self):
-        return f"RealFieldContext(conductor={self.conductor}, degree={self.degree})"
-
     def _conjugates_mod(self, w, ell):  # the polynomial of t and w^k + w^-k, k < N/2
         n = self.conductor
         units = (k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetError, VerificationError
+from .errors import BudgetError, NotTotallyPositiveError, VerificationError
 from .field import split_table
 from .linalg import _integer_scale
-from .traceform import GramMatrix, LDLResult, _fraction_free, _ldl_result, _require_positive, ldl
+from .traceform import GramMatrix, LDLResult, _fraction_free, ldl
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
@@ -82,7 +82,9 @@ def lll_reduce(g) -> LLLResult:
     status, stop, d, lam = _fraction_free(w)
     if status != "positive_definite":
         what = "Gram matrix" if element is None else f"trace form of {element!r}"
-        _require_positive(_ldl_result(1, status, stop, d, lam), what, scale)
+        raise NotTotallyPositiveError(
+            f"{what} is {status} (pivot {Fraction(d[stop + 1], d[stop] * scale)} at index {stop})"
+        )
     det_g = d[n]
     num, den, swaps = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator, 0
 
@@ -122,11 +124,11 @@ def lll_reduce(g) -> LLLResult:
         k = max(k - 1, 1)
 
     dec = ldl(w)
-    _verify_lll(rows, det_g, u, w, dec, DEFAULT_DELTA)
+    _verify_lll(rows, det_g, u, w, dec)
     return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), swaps, scale, element, dec)
 
 
-def _verify_lll(g, det_g, u, w, dec, delta):
+def _verify_lll(g, det_g, u, w, dec):
     """Check the reduction against g, whose determinant det_g was read before
     the loop, and against dec, a fresh ldl of w that shares nothing with the
     loop's bookkeeping.  Once u * g * u^T == w, det w = det(u)^2 * det_g, so
@@ -148,7 +150,7 @@ def _verify_lll(g, det_g, u, w, dec, delta):
         for j in range(i):
             if abs(mu[i][j]) > Fraction(1, 2):
                 raise VerificationError(f"basis not size-reduced at ({i},{j})")
-        if i and b[i] < (delta - mu[i][i - 1] ** 2) * b[i - 1]:
+        if i and b[i] < (DEFAULT_DELTA - mu[i][i - 1] ** 2) * b[i - 1]:
             raise VerificationError(f"Lovasz condition fails at {i}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotTotallyPositiveError
 from .linalg import _integer_scale
 
 
@@ -29,12 +28,8 @@ class GramMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
-    def conductor(self) -> int:
-        return self.element.ctx.conductor
-
     def __repr__(self):
-        return f"GramMatrix(conductor={self.conductor}, dim={self.dim})"
+        return f"GramMatrix(conductor={self.element.ctx.conductor}, dim={self.dim})"
 
     def integer_scale(self) -> tuple[int, list[list[int]]]:
         """Smallest positive s with s*G integral, and s*G as int rows."""
@@ -130,15 +125,4 @@ def is_totally_positive(a) -> bool:
     """A totally real element is totally positive iff its trace form is
     positive definite."""
     return ldl(gram(a)).status == "positive_definite"
-
-
-def _require_positive(res: LDLResult, what: str, scale=1) -> LDLResult:
-    """res, if it says positive definite; else NotTotallyPositiveError naming
-    the form.  The pivot is reported for the form divided by scale."""
-    if res.status != "positive_definite":
-        raise NotTotallyPositiveError(
-            f"{what} is {res.status} "
-            f"(pivot {res.pivots[-1] / scale} at index {res.failure_index})"
-        )
-    return res
 

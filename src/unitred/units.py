@@ -47,14 +47,10 @@ class MuStarReport:
     attaining_truncated: bool
     nodes: int
 
-    @property
-    def conductor(self) -> int:
-        return self.element.ctx.conductor
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "mu_star",
-            "conductor": self.conductor,
+            "conductor": self.element.ctx.conductor,
             "value": str(self.mu_star),
             "evidence": {
                 "trace": str(self.trace),
@@ -115,10 +111,6 @@ class ReducednessCertificate:
     below_trace: tuple[FoundVector, ...]
     nodes: int
 
-    @property
-    def conductor(self) -> int:
-        return self.element.ctx.conductor
-
     def to_json_dict(self) -> dict:
         ev = {
             "trace": str(self.trace),
@@ -130,7 +122,7 @@ class ReducednessCertificate:
             ev["witness_unit"] = self.witness_unit.to_json_dict()
         return {
             "kind": "reduced",
-            "conductor": self.conductor,
+            "conductor": self.element.ctx.conductor,
             "value": self.reduced,
             "evidence": ev,
         }

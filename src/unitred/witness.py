@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -297,18 +297,7 @@ class L75Report:
     boundary_min_margin: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "l75_scan",
-            "p": self.p,
-            "box_radius": self.box_radius,
-            "permutations": self.permutations,
-            "grid_points": self.grid_points,
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "zero_margin_count": self.zero_margin_count,
-            "zero_at_m_zero": self.zero_at_m_zero,
-            "boundary_min_margin": self.boundary_min_margin,
-        }
+        return {"kind": "l75_scan", **asdict(self)}  # every field is an int, bool or None
 
 
 def l75_scan(p: int, box_radius: int) -> L75Report:

@@ -12,6 +12,15 @@ import pytest
 
 import unitred.cli as cli
 from unitred.cli import build_parser, main, run
+from unitred.errors import (
+    BudgetError,
+    ConductorError,
+    DegreeError,
+    FieldMismatchError,
+    LinearAlgebraError,
+    NotTotallyPositiveError,
+    VerificationError,
+)
 from unitred.serialize import dumps_canonical
 from unitred.witness import Eq4Report
 
@@ -210,6 +219,36 @@ def test_check_eq4_failure_reports_the_counterexample(monkeypatch):
             "passed": False,
         },
     }
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (ConductorError("bad conductor"), 2, "bad conductor"),
+        (FieldMismatchError("fields differ"), 2, "fields differ"),
+        (NotTotallyPositiveError("not positive"), 2, "not positive"),
+        (LinearAlgebraError("singular system"), 2, "singular system"),
+        (ValueError("bad value"), 2, "bad value"),
+        (ZeroDivisionError("inverse of zero"), 2, "inverse of zero"),
+        (DegreeError("degree out of reach"), 3, "degree out of reach"),
+        (
+            BudgetError("enumeration exceeded node cap 7", nodes=8, results=2),
+            3,
+            "budget exceeded: enumeration exceeded node cap 7 (nodes 8, results 2); "
+            "raise --budget to retry",
+        ),
+        (VerificationError("chain broke"), 1, "verification failed: chain broke"),
+    ],
+)
+def test_library_errors_map_to_exit_codes(monkeypatch, capsys, exc, code, err):
+    def raises(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_eta", raises)
+    assert main(["eta", "5"]) == code
+    out, got = capsys.readouterr()
+    assert out == ""
+    assert got == err + "\n"
 
 
 def test_delta_bound_value():

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import unitred.field as field
 from unitred.errors import ConductorError, FieldMismatchError
 from unitred.field import (
     CycloElement,
+    _resultant_int,
     _trim,
     cyclotomic_poly,
     element_from_json_dict,
@@ -131,6 +133,40 @@ def test_trace_galois_orbit_sum():
                     orbit = orbit + z.galois(k)
             assert orbit.is_rational()
             assert z.trace() == orbit.as_rational()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1, 0, 1], [5]),  # deg b = 0
+        ([1, 0, 1], [1, 2, 3]),  # deg b = deg a
+        ([1, 1], [0, 1, 1]),  # deg b > deg a
+    ],
+)
+def test_resultant_needs_0_lt_deg_b_lt_deg_a(a, b):
+    deg = f"deg a {len(a) - 1}, deg b {len(b) - 1}"
+    with pytest.raises(ValueError, match=deg):
+        _resultant_int(a, b)
+
+
+def test_norm_of_zero_and_of_rationals_needs_no_resultant(monkeypatch):
+    # .norm() returns early for zero, for constants and in degree 1, so the
+    # resultant only ever sees 0 < deg b < deg a
+    def refuse(a, b):
+        raise AssertionError("resultant called")
+
+    monkeypatch.setattr(field, "_resultant_int", refuse)
+    q = Fraction(-3, 2)
+    for ctx in (make_field(16), make_real_field(16)):
+        assert ctx.zero().norm() == 0
+        assert ctx.from_rational(q).norm() == q**ctx.degree
+    for ctx in (make_field(1), make_real_field(3), make_real_field(4)):
+        assert ctx.degree == 1
+        assert ctx.zero().norm() == 0
+        for c in (q, Fraction(7), Fraction(-1, 5)):
+            assert ctx.element([c]).norm() == c
+    with pytest.raises(AssertionError, match="resultant called"):
+        make_field(16).zeta().norm()
 
 
 def test_trace_additive_norm_multiplicative():

@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import json
 import re
@@ -112,3 +114,22 @@ def test_parameters_are_the_ones_callers_set():
     }
     got = {f: list(inspect.signature(f).parameters) for f in expected}
     assert got == expected
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps each LAYERS entry by reading it from its
+    # module's own __dict__, or from its class's: a rename, a move, or a
+    # method a class only inherits breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.LAYERS) == 25
+    missing = []
+    for mod_name, owner, attr in tracer.LAYERS:
+        holder = vars(importlib.import_module(mod_name))
+        if owner is not None:
+            holder = vars(holder.get(owner, object))
+        if not callable(holder.get(attr)):
+            missing.append(f"{mod_name}:{owner}.{attr}")
+    assert missing == []

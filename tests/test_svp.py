@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 
 import unitred.svp as svp
-from unitred.errors import BudgetError, VerificationError
+from unitred.errors import BudgetError, NotTotallyPositiveError, VerificationError
 from unitred.field import CycloElement, make_field
 from unitred.linalg import det_exact
 from unitred.numtheory import euler_phi
 from unitred.realfield import _real_witness_data, make_real_field, verify_real_witness
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
-from unitred.traceform import _require_positive, gram, ldl
+from unitred.traceform import gram, ldl
 from unitred.witness import verify_witness, witness_for_conductor
 
 from linalg_helpers import invert_exact, mat_mul, transpose
@@ -66,8 +66,8 @@ def test_verify_lll_rejects_a_consistent_transform_of_determinant_2():
     # = 2: only comparing det w with det g can catch it
     g, u, w = [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 4]]
     with pytest.raises(VerificationError, match=r"not unimodular \(det\^2 4\)"):
-        svp._verify_lll(g, 1, u, w, ldl(w), svp.DEFAULT_DELTA)
-    svp._verify_lll(g, 1, g, g, ldl(g), svp.DEFAULT_DELTA)  # u = 1 passes
+        svp._verify_lll(g, 1, u, w, ldl(w))
+    svp._verify_lll(g, 1, g, g, ldl(g))  # u = 1 passes
 
 
 def test_enumeration_matches_brute_force():
@@ -541,7 +541,12 @@ def _fraction_lll(g, delta=svp.DEFAULT_DELTA):
 
     def gso():
         # Gram-Schmidt data (mu, B) of the current basis: the LDL factors of w
-        dec = _require_positive(ldl(w), what, scale)
+        dec = ldl(w)
+        if dec.status != "positive_definite":
+            raise NotTotallyPositiveError(
+                f"{what} is {dec.status} "
+                f"(pivot {dec.pivots[-1] / scale} at index {dec.failure_index})"
+            )
         return [list(r) for r in dec.lower], list(dec.pivots)
 
     mu, b = gso()
