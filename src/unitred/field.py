@@ -17,6 +17,7 @@ solve against the matrix of multiplication by the element.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -345,10 +346,14 @@ class _Element:
     # -- invariants --------------------------------------------------------------
 
     def trace(self) -> Fraction:
-        return sum(
-            (c * self.ctx._mono_trace[i] for i, c in enumerate(self.coeffs) if c),
-            Fraction(0),
-        )
+        return self._traces(self.ctx._mono_trace, 1)[0]
+
+    def _traces(self, mono, count) -> list[Fraction]:
+        """Tr(self * x^k) for k < count, from the integer monomial traces
+        mono[j] = Tr(x^j): the coefficients over one denominator, so each is
+        one integer sum and one Fraction."""
+        s, (c,) = _integer_scale([self.coeffs])
+        return [Fraction(sum(map(operator.mul, c, mono[k:])), s) for k in range(count)]
 
     def _norm(self, modulus) -> Fraction:
         """Resultant of the monic modulus and the coefficient polynomial,
@@ -482,7 +487,7 @@ class FieldContext(_Ring):
     cyclo_poly: tuple[int, ...]
     discriminant_abs: int
     galois_units: tuple[int, ...]
-    _mono_trace: tuple[Fraction, ...]
+    _mono_trace: tuple[int, ...]
 
     _element_type = CycloElement
 
@@ -515,15 +520,10 @@ class FieldContext(_Ring):
     # -- trace form -----------------------------------------------------------
 
     def trace_form_entries(self, a: CycloElement):
-        """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power basis."""
+        """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power
+        basis; entry (i, j) is Tr(a * z^k), k = i - j mod N."""
         n, big_n = self.degree, self.conductor
-        t = []
-        for k in range(big_n):
-            acc = Fraction(0)
-            for m, c in enumerate(a.coeffs):
-                if c:
-                    acc += c * self._mono_trace[(m + k) % big_n]
-            t.append(acc)
+        t = a._traces(self._mono_trace * 2, big_n)
         return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
 
 
@@ -546,11 +546,12 @@ def make_field(n: int) -> FieldContext:
     if _poly_divmod_monic([0] * n + [1], cyclo)[1] != [1] + [0] * (phi - 1):
         raise VerificationError(f"z^{n} does not reduce to 1")
 
-    # Tr(z^j) = phi(n) * moebius(d) / phi(d) with d = n / gcd(j, n)
+    # Tr(z^j) = phi(n) * moebius(d) / phi(d) with d = n / gcd(j, n), an
+    # integer since phi(d) divides phi(n)
     mono = []
     for j in range(n):
         d = n // math.gcd(j, n)
-        mono.append(Fraction(phi * moebius(d), euler_phi(d)))
+        mono.append(phi * moebius(d) // euler_phi(d))
 
     units = tuple(k for k in range(n) if math.gcd(k, n) == 1)
     return FieldContext(

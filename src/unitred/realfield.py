@@ -96,13 +96,7 @@ class RealFieldContext(_Ring):
     def trace_form_entries(self, a: RealElement):
         """Rows of the Gram matrix Tr(a * t^i * t^j); entry depends on i+j only."""
         d = self.degree
-        t = []
-        for k in range(2 * d - 1):
-            acc = Fraction(0)
-            for m, c in enumerate(a.coeffs):
-                if c:
-                    acc += c * self._mono_trace[m + k]
-            t.append(acc)
+        t = a._traces(self._mono_trace, 2 * d - 1)
         return [[t[i + j] for j in range(d)] for i in range(d)]
 
 

@@ -1,11 +1,11 @@
 """Exact lattice tools: LLL reduction and bounded enumeration.
 
-Everything here is rational: LLL runs on an integer Gram matrix with the
-transform, the Gram and the Gram-Schmidt data (leading minors and scaled
-mu) kept in integers, and enumeration runs in integers over one common
-denominator, with exact integer square roots for the interval ends.  A
-successful run is therefore a proof, not an approximation; post-conditions
-are re-verified and raise VerificationError on any internal inconsistency.
+Everything here is integral: LLL keeps the transform, the Gram and the
+Gram-Schmidt data (leading minors and scaled mu) in integers, a fresh
+fraction-free elimination of the reduced Gram checks it, and enumeration
+reads that elimination and runs over one common denominator, with exact
+integer square roots for the interval ends.  A successful run is therefore
+a proof; post-conditions raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
@@ -23,7 +23,7 @@ from functools import cached_property
 from .errors import BudgetError, NotTotallyPositiveError, VerificationError
 from .field import split_table
 from .linalg import _integer_scale
-from .traceform import GramMatrix, LDLResult, _fraction_free, ldl
+from .traceform import GramMatrix, _fraction_free
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
@@ -50,15 +50,16 @@ def _coerce_gram(g):
 @dataclass(frozen=True)
 class LLLResult:
     """transform is unimodular with transform * G * transform^T == gram for
-    G = scale * g, and ldl factors gram, checking the reduction.  This is
-    the form enumeration reads; element is a trace form's, else None."""
+    G = scale * g; dets and lam, from _fraction_free(gram), checked the
+    reduction.  Enumeration reads this; element is a trace form's, else None."""
 
     transform: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     swaps: int
     scale: int
     element: object = field(repr=False, compare=False)
-    ldl: LDLResult = field(repr=False, compare=False)
+    dets: tuple[int, ...] = field(repr=False, compare=False)
+    lam: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
 
 def lll_reduce(g) -> LLLResult:
@@ -123,35 +124,38 @@ def lll_reduce(g) -> LLLResult:
         d[k] = b
         k = max(k - 1, 1)
 
-    dec = ldl(w)
-    _verify_lll(rows, det_g, u, w, dec)
-    return LLLResult(*(tuple(map(tuple, m)) for m in (u, w)), swaps, scale, element, dec)
+    dets, lam = _verify_lll(rows, det_g, u, w)
+    u, w, lam = (tuple(map(tuple, m)) for m in (u, w, lam))
+    return LLLResult(u, w, swaps, scale, element, tuple(dets), lam)
 
 
-def _verify_lll(g, det_g, u, w, dec):
+def _verify_lll(g, det_g, u, w):
     """Check the reduction against g, whose determinant det_g was read before
-    the loop, and against dec, a fresh ldl of w that shares nothing with the
-    loop's bookkeeping.  Once u * g * u^T == w, det w = det(u)^2 * det_g, so
+    the loop, and against a fresh _fraction_free(w) that shares nothing with
+    the loop's bookkeeping; return its (dets, lam).  With mu[i][j] =
+    lam[i][j] / dets[j + 1] and B_i = dets[i + 1] / dets[i], every test is in
+    integers.  Once u * g * u^T == w, det w = det(u)^2 * det_g, so
     det w == det_g shows that the integral u is unimodular."""
     n = len(g)
-    if dec.status != "positive_definite":
+    status, _, dets, lam = _fraction_free(w)
+    if status != "positive_definite":
         raise VerificationError(
-            f"LLL-reduced Gram matrix is {dec.status} after LLL found the form "
+            f"LLL-reduced Gram matrix is {status} after LLL found the form "
             "positive definite"
         )
-    ug = [[sum(x * y for x, y in zip(ui, col)) for col in zip(*g)] for ui in u]
-    if [[sum(x * y for x, y in zip(r, uj)) for uj in u] for r in ug] != w:
+    ug = [[sum(map(operator.mul, ui, col)) for col in zip(*g)] for ui in u]
+    if [[sum(map(operator.mul, r, uj)) for uj in u] for r in ug] != w:
         raise VerificationError("LLL Gram bookkeeping mismatch")
-    det_w = math.prod(dec.pivots)
-    if det_w != det_g:
-        raise VerificationError(f"LLL transform is not unimodular (det^2 {det_w / det_g})")
-    mu, b = dec.lower, dec.pivots
+    if dets[n] != det_g:
+        raise VerificationError(f"LLL transform is not unimodular (det^2 {Fraction(dets[n], det_g)})")
+    num, den = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
+            if 2 * abs(lam[i][j]) > dets[j + 1]:  # |mu| > 1/2
                 raise VerificationError(f"basis not size-reduced at ({i},{j})")
-        if i and b[i] < (DEFAULT_DELTA - mu[i][i - 1] ** 2) * b[i - 1]:
+        if i and den * (dets[i + 1] * dets[i - 1] + lam[i][i - 1] ** 2) < num * dets[i] ** 2:
             raise VerificationError(f"Lovasz condition fails at {i}")
+    return dets, lam
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +239,10 @@ def enumerate_below(
     x -> +-zeta^j x, exact because N(x)^2 <= (bound * den(a) / d)^d: AM-GM
     over the d positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
 
-    Fincke-Pohst over the LDL factors of the LLL-reduced form, in integers
-    only.  Level l adds pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j;
-    with den_l the common denominator of column l of L and s that of every
+    Fincke-Pohst over the LDL factors of the LLL-reduced form, read off its
+    integer dets and lam, in integers only.  Level l adds
+    pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j; with den_l the
+    common denominator of column l of L and s that of every
     pivot_l / den_l^2, s times that step is k_l * (t * den_l + C_l)^2 for
     integers k_l and C_l, so each interval end is an exact isqrt, and the
     steps sum to at most floor(s * scale * bound), or ceil(...) - 1 when
@@ -254,19 +259,20 @@ def enumerate_below(
     """
     bound = Fraction(bound)
     form = _prepare(g)
-    u, piv, low = form.transform, form.ldl.pivots, form.ldl.lower
-    n = len(piv)
-    dens = [
-        math.lcm(*(low[j][l].denominator for j in range(l + 1, n))) for l in range(n)
-    ]
-    weights = [piv[l] / (dens[l] * dens[l]) for l in range(n)]
+    u, dets, lam = form.transform, form.dets, form.lam
+    n = len(u)
+    # L[j][l] = lam[j][l] / dets[l + 1] and pivot_l = dets[l + 1] / dets[l]; with
+    # g_l = gcd(dets[l + 1], lam[l + 1:][l]), den_l = dets[l + 1] / g_l
+    gs = [math.gcd(dets[l + 1], *(lam[j][l] for j in range(l + 1, n))) for l in range(n)]
+    dens = [dets[l + 1] // g for l, g in enumerate(gs)]
+    weights = [Fraction(dets[l + 1], dets[l] * dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
-    ks = [int(w * s) for w in weights]
+    ks = [w.numerator * (s // w.denominator) for w in weights]
     # C_l = near[l] * v_(l+1) + the sum over far[l] of L[j][l] * den_l * v_j;
     # the frame at level l + 1 sums far[l] once and hands each child its C_l
-    near = [int(low[l + 1][l] * dens[l]) for l in range(n - 1)]
+    near = [lam[l + 1][l] // gs[l] for l in range(n - 1)]
     far = [
-        [(j, int(low[j][l] * dens[l])) for j in range(l + 2, n) if low[j][l]]
+        [(j, lam[j][l] // gs[l]) for j in range(l + 2, n) if lam[j][l]]
         for l in range(n - 1)
     ]
 

@@ -66,18 +66,27 @@ class LDLResult:
 
 def ldl(matrix) -> LDLResult:
     """LDL^T over the rationals without pivoting, as a definiteness test.
-    Only the lower triangle is read."""
+    Only the lower triangle is read.  The factors of the rows a / s come
+    from _fraction_free(a) stopped at index k (k == n on success): pivots
+    up to k, L left of k."""
     rows = matrix.entries if isinstance(matrix, GramMatrix) else matrix
     s, a = _integer_scale(rows)
-    return _ldl_result(s, *_fraction_free(a))
+    status, k, dets, lam = _fraction_free(a)
+    n = len(a)
+    pivots = tuple(Fraction(dets[i + 1], dets[i] * s) for i in range(min(k + 1, n)))
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(min(i, k)):
+            low[i][j] = Fraction(lam[i][j], dets[j + 1])
+    return LDLResult(status, pivots, k if k < n else -1, tuple(map(tuple, low)))
 
 
 def _fraction_free(a) -> tuple[str, int, list[int], list[list[int]]]:
-    """ldl's integer core on the int rows a: (status, stop, dets, lam), stop
-    being the index where it stopped (n on success).  Row by row and
-    fraction-free (Cohen, Alg. 2.6.7): dets[k] is the k-th leading principal
-    minor of a and lam[i][j] = L[i][j] * dets[j + 1], so every division is
-    exact and no Fraction is formed.
+    """The integer core of ldl, and of LLL's start and check, on the int rows
+    a: (status, stop, dets, lam), stop being the index where it stopped (n on
+    success).  Row by row and fraction-free (Cohen, Alg. 2.6.7): dets[k] is
+    the k-th leading principal minor of a and lam[i][j] = L[i][j] *
+    dets[j + 1], so every division is exact and no Fraction is formed.
     """
     n = len(a)
     dets = [1] * (n + 1)
@@ -107,18 +116,6 @@ def _fraction_free(a) -> tuple[str, int, list[int], list[list[int]]]:
             )
             return ("singular" if block_zero else "indefinite_or_singular"), i, dets, lam
     return "positive_definite", n, dets, lam
-
-
-def _ldl_result(s, status, k, dets, lam) -> LDLResult:
-    """The LDLResult of the rows a / s, from _fraction_free(a) stopped at
-    index k (k == n on success): pivots up to k, L left of k."""
-    n = len(lam)
-    pivots = tuple(Fraction(dets[i + 1], dets[i] * s) for i in range(min(k + 1, n)))
-    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(min(i, k)):
-            low[i][j] = Fraction(lam[i][j], dets[j + 1])
-    return LDLResult(status, pivots, k if k < n else -1, tuple(map(tuple, low)))
 
 
 def is_totally_positive(a) -> bool:

@@ -1,18 +1,21 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import unitred.svp as svp
+import unitred.traceform as traceform
 from unitred.errors import BudgetError, NotTotallyPositiveError, VerificationError
 from unitred.field import CycloElement, make_field
 from unitred.linalg import det_exact
 from unitred.numtheory import euler_phi
 from unitred.realfield import _real_witness_data, make_real_field, verify_real_witness
+from unitred.serialize import dumps_canonical
 from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
-from unitred.traceform import gram, ldl
+from unitred.traceform import gram, is_totally_positive, ldl
 from unitred.witness import verify_witness, witness_for_conductor
 
 from linalg_helpers import invert_exact, mat_mul, transpose
@@ -66,8 +69,57 @@ def test_verify_lll_rejects_a_consistent_transform_of_determinant_2():
     # = 2: only comparing det w with det g can catch it
     g, u, w = [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 4]]
     with pytest.raises(VerificationError, match=r"not unimodular \(det\^2 4\)"):
-        svp._verify_lll(g, 1, u, w, ldl(w))
-    svp._verify_lll(g, 1, g, g, ldl(g))  # u = 1 passes
+        svp._verify_lll(g, 1, u, w)
+    svp._verify_lll(g, 1, g, g)  # u = 1 passes
+
+
+I2, I3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "g, u, w, message",
+    [
+        # w itself is not positive definite
+        pytest.param(I2, I2, [[1, 2], [2, 1]], "Gram matrix is indefinite after LLL found",
+                     id="indefinite-2x2"),
+        pytest.param(I3, I3, [[1, 0, 0], [0, 1, 1], [0, 1, 1]],
+                     "Gram matrix is singular after LLL found", id="singular-3x3"),
+        # u * g * u^T != w
+        pytest.param(I2, I2, [[2, 0], [0, 2]], "bookkeeping mismatch", id="mismatch-2x2"),
+        pytest.param(I3, I3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "bookkeeping mismatch",
+                     id="mismatch-3x3"),
+        # mu = 1 at (1, 0), and mu = -1 at (2, 0)
+        pytest.param(I2, [[1, 0], [1, 1]], [[1, 1], [1, 2]], r"not size-reduced at \(1,0\)",
+                     id="size-2x2"),
+        pytest.param(I3, [[1, 0, 0], [0, 1, 0], [-1, 0, 1]], [[1, 0, -1], [0, 1, 0], [-1, 0, 2]],
+                     r"not size-reduced at \(2,0\)", id="size-3x3"),
+        # B_i < (99/100 - mu^2) * B_(i-1): B = (4, 1); B = (4, 2) with mu = 1/2,
+        # just under (99/100 - 1/4) * 4; B = (100, 98), just under 99
+        pytest.param([[4, 0], [0, 1]], I2, [[4, 0], [0, 1]], "Lovasz condition fails at 1",
+                     id="lovasz-2x2"),
+        pytest.param([[4, 2], [2, 3]], I2, [[4, 2], [2, 3]], "Lovasz condition fails at 1",
+                     id="lovasz-mu-2x2"),
+        pytest.param([[100, 0], [0, 98]], I2, [[100, 0], [0, 98]], "Lovasz condition fails at 1",
+                     id="lovasz-edge-2x2"),
+        pytest.param([[1, 0, 0], [0, 4, 0], [0, 0, 1]], I3, [[1, 0, 0], [0, 4, 0], [0, 0, 1]],
+                     "Lovasz condition fails at 2", id="lovasz-3x3"),
+    ],
+)
+def test_verify_lll_refuses_each_broken_reduction(g, u, w, message):
+    det_g = det_exact([[Fraction(x) for x in row] for row in g])
+    with pytest.raises(VerificationError, match=message):
+        svp._verify_lll(g, det_g, u, w)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[4, 2], [2, 4]], [[100, 0], [0, 99]]],
+    ids=["mu-half", "mu-minus-half", "lovasz-mu-edge", "lovasz-edge"],
+)
+def test_verify_lll_accepts_the_boundaries(w):
+    # |mu| = 1/2 is size-reduced, and B_1 = (99/100 - mu^2) * B_0 is Lovasz-reduced
+    det_w = w[0][0] * w[1][1] - w[0][1] ** 2
+    assert svp._verify_lll(w, det_w, I2, w) == ([1, w[0][0], det_w], [[0, 0], [w[1][0], 0]])
 
 
 def test_enumeration_matches_brute_force():
@@ -261,7 +313,8 @@ def _fraction_enumerate(
     below the bound."""
     bound = Fraction(bound)
     form = svp._prepare(g)
-    u, dvec, low = form.transform, form.ldl.pivots, form.ldl.lower
+    dec = ldl(form.gram)
+    u, dvec, low = form.transform, dec.pivots, dec.lower
     n = len(dvec)
     target = bound * form.scale
     if bound < 0:
@@ -614,3 +667,44 @@ def test_integral_lll_matches_fraction_oracle():
     # floor(mu + 1/2) takes mu = 1/2 to -1/2 and leaves mu = -1/2
     assert lll_reduce([[2, 1], [1, 2]]).transform == ((1, 0), (-1, 1))
     assert lll_reduce([[2, -1], [-1, 2]]).transform == ((1, 0), (0, 1))
+
+
+def test_prepared_minors_give_the_ldl_factors():
+    # enumeration reads pivot_i = dets[i + 1] / dets[i] and
+    # L[i][j] = lam[i][j] / dets[j + 1] off the prepared form; ldl of the
+    # reduced Gram forms them as Fractions
+    rng = random.Random(510)
+    grams = [_rand_pd_gram(rng, 2 + i % 7) for i in range(20)]
+    grams += [_rand_rational_pd_gram(rng, 2 + i % 7) for i in range(20)]
+    grams += [gram(make()) for make in WITNESS_FORMS.values()]
+    for g in grams:
+        form = lll_reduce(g)
+        dets, lam, n = form.dets, form.lam, len(form.gram)
+        dec = ldl(form.gram)
+        assert dec.status == "positive_definite"
+        assert dec.pivots == tuple(Fraction(dets[i + 1], dets[i]) for i in range(n))
+        assert [r[:i] for i, r in enumerate(dec.lower)] == [
+            tuple(Fraction(lam[i][j], dets[j + 1]) for j in range(i)) for i in range(n)
+        ]
+
+
+def test_prepared_forms_never_call_ldl(monkeypatch):
+    # from the Gram entries to the enumeration everything runs in integers:
+    # with ldl refusing, the certificates are the same
+    runs = {
+        "shortest over K_33": lambda: shortest(next(_forms_basket())),
+        "witness 16": lambda: verify_witness(16),
+        "real witness 32": lambda: verify_real_witness(32, force=True),
+    }
+    want = {name: dumps_canonical(run().to_json_dict()) for name, run in runs.items()}
+
+    def refuse(matrix):
+        raise RuntimeError("ldl called")
+
+    orig = traceform.ldl
+    for module in [m for name, m in sys.modules.items() if name.startswith("unitred")]:
+        if getattr(module, "ldl", None) is orig:  # every module that binds it
+            monkeypatch.setattr(module, "ldl", refuse)
+    with pytest.raises(RuntimeError, match="ldl called"):
+        is_totally_positive(make_field(5).one())  # the patch holds
+    assert {name: dumps_canonical(run().to_json_dict()) for name, run in runs.items()} == want

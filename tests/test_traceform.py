@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import pytest
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
 from unitred.linalg import det_exact
-from unitred.realfield import make_real_field
+from unitred.numtheory import euler_phi, moebius
+from unitred.realfield import RealElement, _real_witness_data, make_real_field
 from unitred.svp import lll_reduce, shortest
 from unitred.traceform import LDLResult, gram, is_totally_positive, ldl
 from unitred.units import is_reduced, mu_star
+from unitred.witness import witness_for_conductor
 
 from linalg_helpers import mat_mul, transpose
 
@@ -73,6 +76,55 @@ def test_gram_symmetry_and_form_evaluation():
             )
             assert quad == (a * x * x.conj()).trace()
             cases += 1
+
+
+def _fraction_trace_form_entries(a):
+    """trace_form_entries and trace as they ran before their integer sums:
+    one Fraction multiply-add per coefficient and entry, over the monomial
+    traces Tr(z^j) = phi(N) * moebius(d) / phi(d), d = N / gcd(j, N), or the
+    real context's Tr(t^k).  Returns (rows, trace)."""
+    ctx, d = a.ctx, a.ctx.degree
+    if isinstance(a, RealElement):
+        mono, count = ctx._mono_trace, 2 * d - 1
+    else:
+        big_n = ctx.conductor
+        phi = euler_phi(big_n)
+        mono = []
+        for j in range(big_n):
+            e = big_n // math.gcd(j, big_n)
+            mono.append(Fraction(phi * moebius(e), euler_phi(e)))
+        mono, count = mono * 2, big_n
+    t = []
+    for k in range(count):
+        acc = Fraction(0)
+        for m, c in enumerate(a.coeffs):
+            if c:
+                acc += c * mono[m + k]
+        t.append(acc)
+    if isinstance(a, RealElement):
+        rows = [[t[i + j] for j in range(d)] for i in range(d)]
+    else:
+        rows = [[t[(i - j) % big_n] for j in range(d)] for i in range(d)]
+    return rows, t[0]
+
+
+def test_trace_form_entries_match_the_fraction_oracle():
+    rng = random.Random(410)
+    elements = []
+    for ctx in [make_field(n) for n in (15, 16, 33, 44)] + [make_real_field(32), make_real_field(49)]:
+        for _ in range(6):
+            den = rng.randint(1, 12)
+            elements.append(ctx.element([Fraction(rng.randint(-9, 9), den) for _ in range(ctx.degree)]))
+        elements.append(ctx.element([Fraction(rng.randint(-5, 5), rng.randint(1, 7))]))
+        elements.append(ctx.zero())
+    elements += [witness_for_conductor(25), witness_for_conductor(32), _real_witness_data(49)[0]]
+    for a in elements:
+        rows, trace = _fraction_trace_form_entries(a)
+        assert a.ctx.trace_form_entries(a) == rows, a
+        assert a.trace() == trace, a
+    # the witnesses are totally real: gram keeps the same entries
+    for a in elements[-3:]:
+        assert gram(a).entries == tuple(map(tuple, _fraction_trace_form_entries(a)[0]))
 
 
 def test_gram_det_is_disc_times_norm():
