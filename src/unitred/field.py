@@ -346,7 +346,8 @@ class _Element:
     # -- invariants --------------------------------------------------------------
 
     def trace(self) -> Fraction:
-        return self._traces(self.ctx._mono_trace, 1)[0]
+        mono = self.ctx._mono_trace
+        return sum((c * mono[i] for i, c in enumerate(self.coeffs) if c), Fraction(0))
 
     def _traces(self, mono, count) -> list[Fraction]:
         """Tr(self * x^k) for k < count, from the integer monomial traces
