@@ -1,11 +1,11 @@
 """Exact arithmetic in cyclotomic fields.
 
-The field of conductor N is Q(z) for a primitive N-th root of unity z,
-represented on the power basis 1, z, ..., z^(phi(N)-1) with exact rational
-coefficients.  Integer coefficient vectors are exactly the ring of integers.
-Conductor labels are canonical (N = 1 or N % 4 != 2), so every field has
-one name; N % 4 == 2 is rejected because that field equals the one of
-conductor N/2.
+The field of conductor N is Q(z) for a primitive N-th root of unity z.  An
+element is stored on the power basis 1, z, ..., z^(phi(N)-1) as integer
+coefficients over one positive denominator, in lowest terms, so it lies in
+the ring of integers Z[z] exactly when that denominator is 1.  Conductor
+labels are canonical (N = 1 or N % 4 != 2), so every field has one name;
+N % 4 == 2 is rejected because that field equals the one of conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
@@ -168,17 +168,25 @@ class _Ring:
                 f"expected at most {self.degree} coefficients for {self!r}, "
                 f"got {len(vals)}"
             )
-        vals += [Fraction(0)] * (self.degree - len(vals))
-        return self._element_type(self, tuple(vals))
+        den, (num,) = _integer_scale([vals])
+        return self._make(num + [0] * (self.degree - len(num)), den)
+
+    def _make(self, num, den: int = 1):
+        """The element sum_i num[i] x^i / den for integers num[i] and den > 0,
+        put in lowest terms: gcd(den, *num) == 1."""
+        if den != 1 and (g := math.gcd(den, *num)) != 1:
+            num, den = [c // g for c in num], den // g
+        return self._element_type(self, tuple(num), den)
 
     def zero(self):
-        return self.element([])
+        return self._make([0] * self.degree)
 
     def one(self):
-        return self.element([1])
+        return self.from_rational(1)
 
     def from_rational(self, q):
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return self._make([q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
         """Coefficients known to share the norm of x: x alone (over K_N+
@@ -219,16 +227,25 @@ def split_table(ring, primes: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _Element:
-    """Exact element on the power basis of a monic integer polynomial f.
+    """Exact element on the power basis of a monic integer polynomial f:
+    integer coefficients num over one denominator den, in lowest terms as
+    _Ring._make builds them; coeffs are the Fractions num[i] / den.
 
-    Everything here takes f as an argument.  Subclasses pass their own f to
-    multiplication, norm and inverse, and supply repr and the maps to other
-    fields.  Only elements of the same class and conductor mix; ints and
-    Fractions coerce.  A rational element equals its value in every field.
+    Everything here takes f as an argument.  Subclasses supply repr and the
+    maps to other fields, and define `*`, norm and inverse as calls passing
+    their own f, since perfbench/tracer.py reads those names from each
+    class's own namespace.  Only elements of the same class and conductor
+    mix; ints and Fractions coerce.  A rational element equals its value in
+    every field.
     """
 
     ctx: _Ring
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- ring structure -------------------------------------------------------
 
@@ -247,46 +264,43 @@ class _Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(self.ctx, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        s, t = self.den, o.den
+        return self.ctx._make([x * t + y * s for x, y in zip(self.num, o.num)], s * t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ctx, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return type(self)(self.ctx, tuple(-x for x in self.coeffs))
+        return self.ctx._make([-x for x in self.num], self.den)
+
+    def _scale(self, q: Fraction):
+        return self.ctx._make([x * q.numerator for x in self.num], self.den * q.denominator)
 
     def _mul(self, other, modulus):
-        """Product with other: one integer convolution over the common
-        denominator s, reduced modulo the monic modulus, then divided by s^2."""
+        """Product with other: one integer convolution of the numerators,
+        reduced modulo the monic modulus, over the product of denominators."""
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return type(self)(self.ctx, tuple(x * q for x in self.coeffs))
+            return self._scale(Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        s, (a, b) = _integer_scale([self.coeffs, o.coeffs])
-        taps = [(j, y) for j, y in enumerate(b) if y]
-        conv = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
+        taps = [(j, y) for j, y in enumerate(o.num) if y]
+        conv = [0] * (2 * len(self.num) - 1)
+        for i, x in enumerate(self.num):
             if x:
                 for j, y in taps:
                     conv[i + j] += x * y
-        den = s * s
-        out = _poly_divmod_monic(conv, modulus)[1]
-        return type(self)(self.ctx, tuple(Fraction(c, den) for c in out))
+        return self.ctx._make(_poly_divmod_monic(conv, modulus)[1], self.den * o.den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return type(self)(self.ctx, tuple(x / q for x in self.coeffs))
+            return self._scale(1 / Fraction(other))
         if isinstance(other, type(self)):
             return self * other.inverse()
         return NotImplemented
@@ -308,76 +322,69 @@ class _Element:
             e >>= 1
         return out
 
+    def _key(self):
+        # a rational element is keyed by its value, so that equality stays
+        # transitive across fields and it hashes like its value; any other by
+        # conductor and (num, den), which is in lowest terms (K_N+ has half
+        # the degree of K_N, so num tells the two apart)
+        if self.is_rational():
+            return Fraction(self.num[0], self.den)
+        return self.ctx.conductor, self.num, self.den
+
     def __eq__(self, other):
-        # rational elements compare by value, which keeps equality transitive;
-        # K_N+ has half the degree of K_N, so the coefficients tell them apart
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, _Element):
-            return NotImplemented
-        if self.is_rational() and other.is_rational():
-            return self.coeffs[0] == other.coeffs[0]
-        return (
-            self.ctx.conductor == other.ctx.conductor and self.coeffs == other.coeffs
-        )
+            return self._key() == other
+        return self._key() == other._key() if isinstance(other, _Element) else NotImplemented
 
     def __hash__(self):
-        # a rational element equals its value, so it must hash like it
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.ctx.conductor, self.coeffs))
+        return hash(self._key())
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- invariants --------------------------------------------------------------
 
     def trace(self) -> Fraction:
-        mono = self.ctx._mono_trace
-        return sum((c * mono[i] for i, c in enumerate(self.coeffs) if c), Fraction(0))
+        return self._traces(self.ctx._mono_trace, 1)[0]
 
     def _traces(self, mono, count) -> list[Fraction]:
         """Tr(self * x^k) for k < count, from the integer monomial traces
-        mono[j] = Tr(x^j): the coefficients over one denominator, so each is
-        one integer sum and one Fraction."""
-        s, (c,) = _integer_scale([self.coeffs])
-        return [Fraction(sum(map(operator.mul, c, mono[k:])), s) for k in range(count)]
+        mono[j] = Tr(x^j): each one integer sum over the denominator."""
+        num, den = self.num, self.den
+        return [Fraction(sum(map(operator.mul, num, mono[k:])), den) for k in range(count)]
 
     def _norm(self, modulus) -> Fraction:
-        """Resultant of the monic modulus and the coefficient polynomial,
-        denominators cleared first; exact and sign-exact."""
-        f = _trim(list(self.coeffs))
-        if not f:
-            return Fraction(0)
-        if len(f) == 1:
-            return f[0] ** self.ctx.degree
-        den, (ints,) = _integer_scale([f])
-        return Fraction(_resultant_int(list(modulus), ints), den**self.ctx.degree)
+        """Resultant of the monic modulus and the numerator polynomial, over
+        den^degree; exact and sign-exact."""
+        f = _trim(list(self.num))
+        if len(f) < 2:
+            return self.as_rational() ** self.ctx.degree
+        return Fraction(_resultant_int(list(modulus), f), self.den**self.ctx.degree)
 
     def _inverse(self, modulus):
         """1/x from one integer solve M u = den * e_0, M the matrix of
-        multiplication by den * x on the power basis of Z[x]/(modulus): its
-        column j is den * x * z^j, each one the previous times z."""
+        multiplication by num = den * x on the power basis of Z[x]/(modulus):
+        its column j is num * z^j, each one the previous times z."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        den, cols = _integer_scale([self.coeffs])
+        cols = [self.num]
         for _ in range(self.ctx.degree - 1):
             cols.append(_times_x(cols[-1], modulus))
-        rhs = [den] + [0] * (self.ctx.degree - 1)
-        return type(self)(self.ctx, tuple(solve_exact(list(zip(*cols)), rhs)))
+        rhs = [self.den] + [0] * (self.ctx.degree - 1)
+        return self.ctx.element(solve_exact(list(zip(*cols)), rhs))
 
 
 class CycloElement(_Element):
@@ -402,12 +409,11 @@ class CycloElement(_Element):
     def _monomial_map(self, up: "FieldContext", step: int) -> "CycloElement":
         """Image under z -> w^step, w the generator of up: c_i moves to the
         exponent i * step mod up's conductor, over one common denominator."""
-        s, (a,) = _integer_scale([self.coeffs])
         m = up.conductor
         p = [0] * m
-        for i, c in enumerate(a):
+        for i, c in enumerate(self.num):
             p[i * step % m] += c
-        return up._from_exponents(p, s)
+        return up._from_exponents(p, self.den)
 
     def conj(self) -> "CycloElement":
         """Complex conjugation z -> z^(-1) (identity for conductor 1)."""
@@ -449,10 +455,8 @@ class CycloElement(_Element):
         for k in self.ctx.galois_units:
             if k % n == 1 % n:
                 total = total + self.galois(k)
-        cols = [down.zeta(j).lift(m).coeffs for j in range(down.degree)]
-        matrix = [[cols[j][i] for j in range(down.degree)] for i in range(self.ctx.degree)]
-        sol = solve_exact(matrix, list(total.coeffs))
-        return CycloElement(down, tuple(sol))
+        cols = [down.zeta(j).lift(m).num for j in range(down.degree)]  # integral
+        return down.element(solve_exact(list(zip(*cols)), total.coeffs))
 
     def decompose(self, n: int) -> list["CycloElement"]:
         """Write self = sum_i lift(x_i) * z_M^i with x_i in the subfield of
@@ -475,7 +479,7 @@ class CycloElement(_Element):
                 f"decomposition needs every prime of {m}//{n} to divide {n}; "
                 f"offending primes: {bad}"
             )
-        return [CycloElement(down, self.coeffs[i::ratio]) for i in range(ratio)]
+        return [down._make(self.num[i::ratio], self.den) for i in range(ratio)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -499,8 +503,7 @@ class FieldContext(_Ring):
     def _from_exponents(self, p, den: int = 1) -> CycloElement:
         """sum_j p[j] z^j / den for integers p[j], j < conductor: one
         reduction modulo the cyclotomic polynomial."""
-        out = _poly_divmod_monic(p, self.cyclo_poly)[1]
-        return CycloElement(self, tuple(Fraction(c, den) for c in out))
+        return self._make(_poly_divmod_monic(p, self.cyclo_poly)[1], den)
 
     def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
         """Sign-canonical coefficients of every +-z^j * x, x nonzero and
@@ -522,7 +525,11 @@ class FieldContext(_Ring):
 
     def trace_form_entries(self, a: CycloElement):
         """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power
-        basis; entry (i, j) is Tr(a * z^k), k = i - j mod N."""
+        basis; entry (i, j) is Tr(a * z^k), k = i - j mod N.  ValueError
+        unless a == conj(a), which, the trace pairing being nondegenerate,
+        is exactly when the rows are symmetric."""
+        if a.conj() != a:
+            raise ValueError(f"{a!r} is not totally real; its trace pairing is not symmetric")
         n, big_n = self.degree, self.conductor
         t = a._traces(self._mono_trace * 2, big_n)
         return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .errors import ConductorError, VerificationError
 from .field import CycloElement, _Element, _poly_str, _Ring, _times_x, make_field
-from .linalg import _integer_scale
 from .numtheory import listed_divisor, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, enumerate_below
 from .traceform import gram
@@ -55,12 +54,11 @@ class RealElement(_Element):
         """Image in the cyclotomic field, on the power basis: Horner's rule in
         t = z + z^-1 on exponents mod N, additions only, reduced once."""
         big_n = self.ctx.conductor
-        s, (a,) = _integer_scale([self.coeffs])
         p = [0] * big_n
-        for c in reversed(a):
+        for c in reversed(self.num):
             p = [x + y for x, y in zip(p[-1:] + p[:-1], p[1:] + p[:1])]  # p * t
             p[0] += c
-        return make_field(big_n)._from_exponents(p, s)
+        return make_field(big_n)._from_exponents(p, self.den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,7 +87,7 @@ class RealFieldContext(_Ring):
 
     def theta(self) -> RealElement:
         # x * 1 mod the minimal polynomial: rational in degree 1 (conductors 3, 4)
-        return self.element(_times_x(self.one().coeffs, self.min_poly))
+        return self._make(_times_x(self.one().num, self.min_poly))
 
     # -- trace form -------------------------------------------------------------
 
@@ -153,22 +151,20 @@ def project(y: CycloElement) -> RealElement:
     if y.conj() != y:
         raise ValueError(f"{y!r} is not fixed by conjugation")
     ctx = make_real_field(y.ctx.conductor)
-    s, (a,) = _integer_scale([y.coeffs])
-    f = ctx.min_poly
+    a, f = y.num, ctx.min_poly
     b1 = b2 = [0] * ctx.degree
     for c in reversed(a[1:]):
         b1, b2 = [x - z for x, z in zip(_times_x(b1, f), b2)], b1
         b1[0] += c
     out = [x - 2 * z for x, z in zip(_times_x(b1, f), b2)]
     out[0] += 2 * a[0]
-    return RealElement(ctx, tuple(Fraction(c, 2 * s) for c in out))
+    return ctx._make(out, 2 * y.den)
 
 
 def real_element_from_json_dict(payload: dict) -> RealElement:
     if payload.get("basis") != "theta":
         raise ValueError("expected a theta-basis element payload")
-    ctx = make_real_field(int(payload["conductor"]))
-    return ctx.element([Fraction(c) for c in payload["coeffs"]])
+    return make_real_field(int(payload["conductor"])).element(payload["coeffs"])
 
 
 # ---------------------------------------------------------------------------

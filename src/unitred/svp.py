@@ -346,7 +346,7 @@ def enumerate_below(
     norms, a = None, form.element
     if a is not None:
         d = a.ctx.degree
-        norms = _OrbitNorms(a.ctx, (bound * _integer_scale([a.coeffs])[0] / d) ** d)
+        norms = _OrbitNorms(a.ctx, (bound * a.den / d) ** d)
     vectors, last = [], None
     for val, coords in found:
         if val != last:  # sorted, so each distinct value is built once

@@ -37,13 +37,9 @@ class GramMatrix:
 
 
 def gram(a) -> GramMatrix:
-    """Gram matrix of (u, v) -> Tr(a * u * conj(v)) on the power basis."""
-    rows = a.ctx.trace_form_entries(a)
-    sym = [[rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
-    if sym != rows:
-        # happens exactly when a is not fixed by conjugation
-        raise ValueError(f"{a!r} is not totally real; its trace pairing is not symmetric")
-    return GramMatrix(element=a, entries=tuple(tuple(r) for r in rows))
+    """Gram matrix of (u, v) -> Tr(a * u * conj(v)) on the power basis;
+    ValueError unless a is fixed by conjugation (trace_form_entries checks)."""
+    return GramMatrix(element=a, entries=tuple(map(tuple, a.ctx.trace_form_entries(a))))
 
 
 @dataclass(frozen=True)

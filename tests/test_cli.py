@@ -308,8 +308,9 @@ def test_sweep_to_5000_runs_in_bounded_memory():
         "from unitred.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    rc = main(['sweep', '3..5000'])\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(rc, len(out.getvalue().splitlines()), rss)\n"
+        "with open('/proc/self/status') as f:  # VmHWM: this process's own peak, reset by exec\n"
+        "    hwm = next(ln.split()[1] for ln in f if ln.startswith('VmHWM:'))\n"
+        "print(rc, len(out.getvalue().splitlines()), hwm)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300

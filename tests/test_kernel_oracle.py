@@ -4,7 +4,8 @@ The oracle is the earlier implementation: each context kept x^j reduced
 modulo its defining polynomial (every j mod N for K_N, j < max(3d - 2, 2)
 for K_N+), and products, Galois maps and lifts were summed in Fractions
 through those rows.  The functions below are that code unchanged, except
-that the rows come from _zeta_rows / _theta_rows instead of the context.
+that the rows come from _zeta_rows / _theta_rows instead of the context and
+that results are built through ctx.element from their Fraction coefficients.
 """
 
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from unitred.errors import ConductorError, VerificationError
-from unitred.field import CycloElement, _times_x, make_field
+from unitred.field import _times_x, make_field
 from unitred.realfield import make_real_field
 
 CANONICAL_TO_100 = [n for n in range(1, 101) if n % 4 != 2]
@@ -52,7 +53,7 @@ def _table_mul(self, other, rows):
     """
     if isinstance(other, (int, Fraction)):
         q = Fraction(other)
-        return type(self)(self.ctx, tuple(x * q for x in self.coeffs))
+        return self.ctx.element([x * q for x in self.coeffs])
     o = self._coerce(other)
     if o is None:
         return NotImplemented
@@ -71,7 +72,7 @@ def _table_mul(self, other, rows):
             for t in range(n):
                 if row[t]:
                     out[t] += ck * row[t]
-    return type(self)(self.ctx, tuple(out))
+    return self.ctx.element(out)
 
 
 def _table_galois(self, k, rows):
@@ -88,7 +89,7 @@ def _table_galois(self, k, rows):
             for t in range(n):
                 if row[t]:
                     out[t] += c * row[t]
-    return CycloElement(self.ctx, tuple(out))
+    return self.ctx.element(out)
 
 
 def _table_lift(self, m):
@@ -106,7 +107,7 @@ def _table_lift(self, m):
             for t in range(up.degree):
                 if row[t]:
                     out[t] += c * row[t]
-    return CycloElement(up, tuple(out))
+    return up.element(out)
 
 
 def _coeff(rng, denom):

@@ -103,7 +103,9 @@ def test_field_1009_builds_its_real_subfield_in_bounded_memory():
         "ctx = make_real_field(1009)\n"
         "x = ctx.element([(7 * i) % 11 - 5 or 6 for i in range(ctx.degree)]) / 3\n"
         "ok = rc == 0 and len(mp) == 505 and mp[-1] == 1 and project(embed(x)) == x\n"
-        "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as f:  # VmHWM: this process's own peak, reset by exec\n"
+        "    hwm = next(ln.split()[1] for ln in f if ln.startswith('VmHWM:'))\n"
+        "print(ok, hwm)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

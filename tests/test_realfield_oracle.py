@@ -7,8 +7,10 @@ get the minimal polynomial of t, and read the traces of t^k off those
 embeddings; embed summed the embedded powers and project solved against
 them.  The functions below are that code unchanged, except that the
 embedded powers are returned and passed around instead of kept on the
-context, and that the conductor gate, which make_real_field keeps, is left
-out.
+context, that the conductor gate, which make_real_field keeps, is left
+out, that project builds its result through ctx.element, and that each
+solve reads an embedded power's coefficients once: coeffs is built from
+the stored integers on every read.
 """
 
 import math
@@ -21,7 +23,7 @@ import pytest
 from unitred.errors import VerificationError
 from unitred.field import _times_x, make_field
 from unitred.linalg import _integer_scale, solve_exact
-from unitred.realfield import RealElement, embed, make_real_field, project
+from unitred.realfield import embed, make_real_field, project
 
 CANONICAL_3_TO_100 = [n for n in range(3, 101) if n % 4 != 2]
 
@@ -35,7 +37,8 @@ def _oracle_real_field(n):
     emb = [cyclo.one()]
     for _ in range(d):
         emb.append(emb[-1] * th)
-    cols = [[emb[i].coeffs[r] for i in range(d)] for r in range(cyclo.degree)]
+    rows = [e.coeffs for e in emb[:d]]
+    cols = [[rows[i][r] for i in range(d)] for r in range(cyclo.degree)]
     sol = solve_exact(cols, list(emb[d].coeffs))
     if any(c.denominator != 1 for c in sol):
         raise VerificationError(f"t is not integral over Z at conductor {n}")
@@ -67,12 +70,10 @@ def _oracle_project(y, theta_embed):
     if y.conj() != y:
         raise ValueError(f"{y!r} is not fixed by conjugation")
     ctx = make_real_field(y.ctx.conductor)
-    cols = [
-        [theta_embed[i].coeffs[r] for i in range(ctx.degree)]
-        for r in range(y.ctx.degree)
-    ]
+    rows = [e.coeffs for e in theta_embed]
+    cols = [[rows[i][r] for i in range(ctx.degree)] for r in range(y.ctx.degree)]
     sol = solve_exact(cols, list(y.coeffs))
-    return RealElement(ctx, tuple(sol))
+    return ctx.element(sol)
 
 
 def _elements(rng, ring):
