@@ -9,9 +9,10 @@ N % 4 == 2 is rejected because that field equals the one of conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
-Moebius closed form, norms from integer resultants (or, under a known
-bound, from checked roots at split primes), inverses from one integer
-solve against the matrix of multiplication by the element.
+Moebius closed form, norms from integer resultants, inverses from one
+integer solve against the matrix of multiplication by the element.
+split_table gives the enumeration checked roots at split primes, where it
+reads the norms of the vectors it keeps under a known bound.
 """
 
 from __future__ import annotations
@@ -188,11 +189,6 @@ class _Ring:
         q = Fraction(q)
         return self._make([q.numerator] + [0] * (self.degree - 1), q.denominator)
 
-    def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
-        """Coefficients known to share the norm of x: x alone (over K_N+
-        only -x could, and in odd degree N(-x) = -N(x))."""
-        return [tuple(coeffs)]
-
     def roots_mod(self, ell: int) -> list[int]:
         """The roots of the defining polynomial f mod ell, from a w of order
         N; VerificationError unless their linear factors multiply back to f
@@ -358,13 +354,13 @@ class _Element:
     # -- invariants --------------------------------------------------------------
 
     def trace(self) -> Fraction:
-        return self._traces(self.ctx._mono_trace, 1)[0]
+        return Fraction(self._traces(self.ctx._mono_trace, 1)[0], self.den)
 
-    def _traces(self, mono, count) -> list[Fraction]:
-        """Tr(self * x^k) for k < count, from the integer monomial traces
-        mono[j] = Tr(x^j): each one integer sum over the denominator."""
-        num, den = self.num, self.den
-        return [Fraction(sum(map(operator.mul, num, mono[k:])), den) for k in range(count)]
+    def _traces(self, mono, count) -> list[int]:
+        """den * Tr(self * x^k) for k < count, from the integer monomial
+        traces mono[j] = Tr(x^j): one integer sum each."""
+        num = self.num
+        return [sum(map(operator.mul, num, mono[k:])) for k in range(count)]
 
     def _norm(self, modulus) -> Fraction:
         """Resultant of the monic modulus and the numerator polynomial, over
@@ -505,34 +501,21 @@ class FieldContext(_Ring):
         reduction modulo the cyclotomic polynomial."""
         return self._make(_poly_divmod_monic(p, self.cyclo_poly)[1], den)
 
-    def norm_orbit(self, coeffs) -> list[tuple[int, ...]]:
-        """Sign-canonical coefficients of every +-z^j * x, x nonzero and
-        integral: in even degree N(z) = N(-1) = 1, so all share the norm of
-        x.  Each step multiplies by z, a shift reduced by the cyclotomic
-        polynomial.  In degree 1 (conductor 1), x stands alone."""
-        if self.degree % 2:
-            return [tuple(coeffs)]
-        x, out = list(coeffs), []
-        for _ in range(self.conductor):
-            out.append(tuple(x) if next(c for c in x if c) > 0 else tuple(-c for c in x))
-            x = _times_x(x, self.cyclo_poly)
-        return out
-
     def _conjugates_mod(self, w, ell):  # Phi_N and w^k, k a unit mod N
         return self.cyclo_poly, [pow(w, k, ell) for k in self.galois_units]
 
     # -- trace form -----------------------------------------------------------
 
     def trace_form_entries(self, a: CycloElement):
-        """Rows of the Gram matrix Tr(a * z^i * conj(z^j)) over the power
-        basis; entry (i, j) is Tr(a * z^k), k = i - j mod N.  ValueError
-        unless a == conj(a), which, the trace pairing being nondegenerate,
-        is exactly when the rows are symmetric."""
+        """(rows, den): the Gram matrix Tr(a * z^i * conj(z^j)) over the power
+        basis is rows / den, entry (i, j) being Tr(a * z^k), k = i - j mod N.
+        ValueError unless a == conj(a), which, the trace pairing being
+        nondegenerate, is exactly when the rows are symmetric."""
         if a.conj() != a:
             raise ValueError(f"{a!r} is not totally real; its trace pairing is not symmetric")
         n, big_n = self.degree, self.conductor
         t = a._traces(self._mono_trace * 2, big_n)
-        return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)]
+        return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)], a.den
 
 
 @lru_cache(maxsize=64)  # O(N) traces and units each: a sweep must not keep them all

@@ -29,7 +29,7 @@ from .numtheory import listed_divisor, require_canonical_conductor
 from .svp import DEFAULT_NODE_CAP, enumerate_below
 from .traceform import gram
 from .units import mu_star
-from .witness import _certify, _prime_power, _WitnessCertificate, witness_for_conductor
+from .witness import _certify, _prime_power, _WitnessCertificate, _witness_x
 
 
 class RealElement(_Element):
@@ -92,10 +92,11 @@ class RealFieldContext(_Ring):
     # -- trace form -------------------------------------------------------------
 
     def trace_form_entries(self, a: RealElement):
-        """Rows of the Gram matrix Tr(a * t^i * t^j); entry depends on i+j only."""
+        """(rows, den): the Gram matrix Tr(a * t^i * t^j) is rows / den; entry
+        (i, j) depends on i+j only."""
         d = self.degree
         t = a._traces(self._mono_trace, 2 * d - 1)
-        return [[t[i + j] for j in range(d)] for i in range(d)]
+        return [[t[i + j] for j in range(d)] for i in range(d)], a.den
 
 
 def _dickson_sum(c) -> list[int]:
@@ -242,15 +243,12 @@ def verify_real_witness(
     """
     a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
     mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
-    if a.embed() != witness_for_conductor(big_n):
-        raise VerificationError(
-            f"real witness at {big_n} does not embed to the cyclotomic one"
-        )
-    upper = a.inverse().trace()
+    x = _witness_x(big_n)
+    if a.embed() * x * x.conj() != 1:
+        raise VerificationError(f"real witness at {big_n} does not embed to the cyclotomic one")
+    upper = (2 + x.num[1] * a.ctx.theta()).trace()  # a^-1 = 2 + c t for x = 1 + c z
     if upper != upper_cf:
-        raise VerificationError(
-            f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
-        )
+        raise VerificationError(f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}")
     if mu_exact is None:
         return RealDiscrepancyCertificate(witness=a, mu_upper=upper, quoted_form=quoted, **fields)
 

@@ -9,7 +9,9 @@ a proof; post-conditions raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
-other.  The bound is inclusive, or strict on request.
+other.  The bound is inclusive, or strict on request.  On a trace form each
+vector comes with its exact field norm, read off a table of the reduced
+basis at checked roots modulo split primes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import BudgetError, NotTotallyPositiveError, VerificationError
 from .field import split_table
@@ -162,45 +163,14 @@ def _verify_lll(g, det_g, u, w):
 # bounded enumeration
 
 
-class _OrbitNorms(dict):
-    """Norms of one enumeration's integral vectors x, by coefficients, given
-    N(x)^2 <= sq_bound: a missing one is the product of x's values at the
-    roots of split_table mod M, M^2 > 4 * sq_bound, read as the residue of
-    least absolute value, and filed under all of ring.norm_orbit."""
-
-    def __init__(self, ring, sq_bound: Fraction):
-        self.ring, self.sq_bound = ring, sq_bound
-
-    @cached_property
-    def table(self):  # each prime is above 2^20, so M^2 > 2^(40 * primes)
-        m, rows = split_table(self.ring, -(-math.ceil(4 * self.sq_bound).bit_length() // 40))
-        if m * m <= 4 * self.sq_bound:
-            raise VerificationError(f"split modulus {m} does not cover the norm bound")
-        return m, rows
-
-    def __missing__(self, coeffs: tuple[int, ...]) -> Fraction:
-        m, rows = self.table
-        acc = 1
-        for row in rows:
-            acc = acc * sum(map(operator.mul, coeffs, row)) % m
-        norm = Fraction(acc - m if 2 * acc > m else acc)
-        self.update(dict.fromkeys(self.ring.norm_orbit(coeffs), norm))
-        return norm
-
-
 @dataclass(frozen=True)
 class FoundVector:
-    """A lattice vector, its form value, and its field norm as an element of
-    a trace form's field (None for raw Gram rows), computed when first read,
-    at split primes (_OrbitNorms)."""
+    """A lattice vector, its form value and, for a trace form, the field norm
+    of its element (None for raw Gram rows), from the enumeration's root table."""
 
     coeffs: tuple[int, ...]
     value: Fraction
-    norms: _OrbitNorms | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def norm(self) -> Fraction | None:
-        return None if self.norms is None else self.norms[self.coeffs]
+    norm: int | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {"coeffs": [str(c) for c in self.coeffs], "value": str(self.value)}
@@ -221,6 +191,20 @@ def _prepare(g) -> LLLResult:
     return g if isinstance(g, LLLResult) else lll_reduce(g)
 
 
+def _root_table(a, bound: Fraction, u):
+    """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
+    coefficients u[l] and r_i running over the roots of split_table, and
+    M^2 > 4 * (bound * den(a) / d)^d; (None, u) for raw rows (a None)."""
+    if a is None:
+        return None, u
+    sq_bound = (bound * a.den / a.ctx.degree) ** a.ctx.degree
+    # each prime is above 2^20, so M^2 > 2^(40 * primes)
+    m, roots = split_table(a.ctx, -(-math.ceil(4 * sq_bound).bit_length() // 40))
+    if m * m <= 4 * sq_bound:
+        raise VerificationError(f"split modulus {m} does not cover the norm bound")
+    return m, [ul + tuple(sum(map(operator.mul, ul, r)) % m for r in roots) for ul in u]
+
+
 def enumerate_below(
     g,
     bound,
@@ -234,10 +218,11 @@ def enumerate_below(
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  When G
-    came from the trace form of a, each vector's norm is the field norm of
-    the corresponding element x, one evaluation per orbit under
-    x -> +-zeta^j x, exact because N(x)^2 <= (bound * den(a) / d)^d: AM-GM
-    over the d positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
+    came from the trace form of a, each vector carries the field norm of its
+    element x, the product of x's values at the roots of _root_table read as
+    the residue of least absolute value: exact, since N(x)^2 <= (bound *
+    den(a) / d)^d by AM-GM over the d positive terms of Tr(a x conj(x)), and
+    N(den(a) a) >= 1.
 
     Fincke-Pohst over the LDL factors of the LLL-reduced form, read off its
     integer dets and lam, in integers only.  Level l adds
@@ -246,16 +231,16 @@ def enumerate_below(
     pivot_l / den_l^2, s times that step is k_l * (t * den_l + C_l)^2 for
     integers k_l and C_l, so each interval end is an exact isqrt, and the
     steps sum to at most floor(s * scale * bound), or ceil(...) - 1 when
-    strict.  While the coordinates above a level are all 0, C_l = 0 and t
-    runs over t >= 0 only, so no -v twin is visited.
+    strict.  A frame whose higher coordinates are all 0 (C_l = 0) takes
+    t = 0 first and then t > 0 only, so no -v twin is visited.
 
-    Only the reduced-basis coordinates v are kept on the way down.  Each
-    frame works out its children's centres and intervals, so an empty
-    interval costs no call.  A level-0 interval is counted in one step, and
-    the original-basis coordinates sum_l v_l u[l] are built only for the
-    vectors it keeps.  When a cap would trip inside a level-0 interval, that
-    interval is replayed node by node, so a BudgetError carries the nodes
-    and results of a node-by-node walk.
+    Only the reduced-basis coordinates v are kept on the way down, and each
+    frame works out its children's intervals, so an empty one costs no call.
+    A level-0 run is counted in one step (and replayed node by node when a
+    cap trips inside it, as a node-by-node walk would stop).  Its kept
+    vectors read P_1 + t rows[0], their original-basis coordinates and
+    values at the roots together, with P_l = sum_{j>=l} v_j rows[j] rebuilt
+    after each run only from the highest level whose coordinate changed.
     """
     bound = Fraction(bound)
     form = _prepare(g)
@@ -268,12 +253,14 @@ def enumerate_below(
     weights = [Fraction(dets[l + 1], dets[l] * dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
     ks = [w.numerator * (s // w.denominator) for w in weights]
-    # C_l = near[l] * v_(l+1) + the sum over far[l] of L[j][l] * den_l * v_j;
-    # the frame at level l + 1 sums far[l] once and hands each child its C_l
-    near = [lam[l + 1][l] // gs[l] for l in range(n - 1)]
-    far = [
-        [(j, lam[j][l] // gs[l]) for j in range(l + 2, n) if lam[j][l]]
-        for l in range(n - 1)
+    # level l's constants: k_l, den_l, and k, den of level l - 1 with C_(l-1)
+    # = near * v_l + sum_(j > l) far[j - l - 1] * v_j, far[.] being
+    # L[j][l - 1] * den_(l-1); the frame at level l sums far once and hands
+    # each child its C_(l-1)
+    levels = [(ks[0], dens[0])] + [
+        (ks[l], dens[l], ks[l - 1], dens[l - 1], lam[l][l - 1] // gs[l - 1],
+         tuple(lam[j][l - 1] // gs[l - 1] for j in range(l + 1, n)))
+        for l in range(1, n)
     ]
 
     scaled = bound * form.scale * s
@@ -281,77 +268,97 @@ def enumerate_below(
     if top < 0:
         return EnumerationResult(bound, (), 0)
     nodes = results = 0
-    found: list[tuple[int, tuple[int, ...]]] = []  # (s * scale * value, coords)
+    found: list[tuple[int, tuple[int, ...], int | None]] = []  # (s * scale * value, coords, norm)
     v = [0] * n  # reduced-basis coordinates of the levels above the current one
-    u0 = u[0]
+    # the root table and the prefixes P_1 .. P_n (P_n = 0), built at the first
+    # kept vector; P_l is current for the levels l above `stale`
+    mod = rows = None
+    pre, stale = [None] * n, n - 1
+    flip = -1 if form.element is not None and form.element.ctx.degree % 2 else 1
 
     def over(what, cap):
-        return BudgetError(
-            f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
-        )
+        return BudgetError(f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results)
 
     def recurse(lvl: int, rem: int, free: int, c: int, lo: int, hi: int):
         # the non-empty run lo..hi of level lvl below v[lvl + 1:]; rem: top
         # minus the steps above lvl; free: a coordinate above lvl is nonzero;
         # c: the integer centre C_lvl
-        nonlocal nodes, results
-        k, den = ks[lvl], dens[lvl]
+        nonlocal nodes, results, mod, rows, stale
         if lvl == 0:
+            k, den = levels[0]
             count = hi - lo + 1
-            kept = count if free else count - 1  # not free: t = 0 is the zero vector
+            if not free:  # lo == 0, and t = 0 is the zero vector
+                lo = 1
+            kept = hi - lo + 1
             if nodes + count > node_cap or results + kept > result_cap:
-                for t in range(lo, hi + 1):  # a cap trips in this run: replay it
+                for i in range(count):  # a cap trips in this run: replay it
                     nodes += 1
                     if nodes > node_cap:
                         raise over("node", node_cap)
-                    if free or t:
+                    if i >= count - kept:
                         results += 1
                         if results > result_cap:
                             raise over("result", result_cap)
             else:
                 nodes += count
                 results += kept
-            base = [0] * n  # original-basis coordinates, built for kept vectors only
-            for l in range(1, n):
-                if vl := v[l]:
-                    base = [b + vl * r for b, r in zip(base, u[l])]
-            for t in range(lo if free else 1, hi + 1):
-                coords = [b + t * r for b, r in zip(base, u0)]
+            if not kept:
+                return
+            if rows is None:
+                mod, rows = _root_table(form.element, bound, u)
+                pre.append([0] * len(rows[0]))
+            if stale:
+                for l in range(stale, 0, -1):
+                    vl = v[l]
+                    pre[l] = [p + vl * b for p, b in zip(pre[l + 1], rows[l])] if vl else pre[l + 1]
+                stale = 0
+            p1, r0, x = pre[1], rows[0], lo * den + c
+            for t in range(lo, hi + 1):
+                w = [p + t * b for p, b in zip(p1, r0)]
+                coords, sign = w[:n], 1
                 if next(a for a in coords if a) < 0:
-                    coords = [-a for a in coords]
-                x = t * den + c
-                found.append((top - rem + k * x * x, tuple(coords)))
+                    coords, sign = [-a for a in coords], flip  # N(-x) = (-1)^d N(x)
+                norm = None
+                if mod is not None:
+                    norm = math.prod(w[n:]) % mod
+                    norm = sign * (norm - mod if 2 * norm > mod else norm)
+                found.append((top - rem + k * x * x, tuple(coords), norm))
+                x += den
             return
         # each child's interval is worked out here, so an empty one costs no call
-        kc, dc, nb = ks[lvl - 1], dens[lvl - 1], near[lvl - 1]
-        cb = 0
-        for j, lj in far[lvl - 1]:
-            cb += lj * v[j]
+        k, den, kc, dc, nb, far = levels[lvl]
+        cb = sum(map(operator.mul, far, v[lvl + 1 :]))
+        if not free:  # on the first descent, so c = lo = 0 and v, stale are as set
+            nodes += 1  # t = 0 leaves the child not free, and t > 0 runs free
+            if nodes > node_cap:
+                raise over("node", node_cap)
+            recurse(lvl - 1, rem, 0, 0, 0, math.isqrt(rem // kc) // dc)
+            lo = 1
+        x, cc = lo * den + c, cb + nb * lo
         for t in range(lo, hi + 1):
             nodes += 1
             if nodes > node_cap:
                 raise over("node", node_cap)
-            x = t * den + c
-            r, cc, f = rem - k * x * x, cb + nb * t, free or t
+            r = rem - k * x * x
             m = math.isqrt(r // kc)  # |t' * dc + cc| <= m one level down
-            lc = -((m + cc) // dc) if f else 0
+            lc = -((m + cc) // dc)
             hc = (m - cc) // dc
             if lc <= hc:
                 v[lvl] = t
-                recurse(lvl - 1, r, f, cc, lc, hc)
+                if stale < lvl:
+                    stale = lvl
+                recurse(lvl - 1, r, 1, cc, lc, hc)
+            x += den
+            cc += nb
 
     recurse(n - 1, top, 0, 0, 0, math.isqrt(top // ks[-1]) // dens[-1])
     found.sort()
 
-    norms, a = None, form.element
-    if a is not None:
-        d = a.ctx.degree
-        norms = _OrbitNorms(a.ctx, (bound * a.den / d) ** d)
     vectors, last = [], None
-    for val, coords in found:
+    for val, coords, norm in found:
         if val != last:  # sorted, so each distinct value is built once
             last, value = val, Fraction(val, s * form.scale)
-        vectors.append(FoundVector(coords, value, norms))
+        vectors.append(FoundVector(coords, value, norm))
     return EnumerationResult(bound=bound, vectors=tuple(vectors), nodes=nodes)
 
 

@@ -11,6 +11,7 @@ tests/test_traceform.py does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,27 +20,35 @@ from .linalg import _integer_scale
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GramMatrix:
-    """Exact Gram matrix of a trace form, plus the element it came from."""
+    """Exact Gram matrix of a trace form, plus the element it came from: the
+    integer rows over one positive denominator."""
 
     element: object  # CycloElement or RealElement
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.rows)
 
     def __repr__(self):
         return f"GramMatrix(conductor={self.element.ctx.conductor}, dim={self.dim})"
 
     def integer_scale(self) -> tuple[int, list[list[int]]]:
         """Smallest positive s with s*G integral, and s*G as int rows."""
-        return _integer_scale(self.entries)
+        g = math.gcd(self.den, *(c for row in self.rows for c in row))
+        return self.den // g, [[c // g for c in row] for row in self.rows]
 
 
 def gram(a) -> GramMatrix:
     """Gram matrix of (u, v) -> Tr(a * u * conj(v)) on the power basis;
     ValueError unless a is fixed by conjugation (trace_form_entries checks)."""
-    return GramMatrix(element=a, entries=tuple(map(tuple, a.ctx.trace_form_entries(a))))
+    rows, den = a.ctx.trace_form_entries(a)
+    return GramMatrix(a, tuple(map(tuple, rows)), den)
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,7 @@ def ldl(matrix) -> LDLResult:
     Only the lower triangle is read.  The factors of the rows a / s come
     from _fraction_free(a) stopped at index k (k == n on success): pivots
     up to k, L left of k."""
-    rows = matrix.entries if isinstance(matrix, GramMatrix) else matrix
-    s, a = _integer_scale(rows)
+    s, a = matrix.integer_scale() if isinstance(matrix, GramMatrix) else _integer_scale(matrix)
     status, k, dets, lam = _fraction_free(a)
     n = len(a)
     pivots = tuple(Fraction(dets[i + 1], dets[i] * s) for i in range(min(k + 1, n)))

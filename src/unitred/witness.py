@@ -58,12 +58,16 @@ def _witness_data(big_n: int):
     p, n = _prime_power(big_n, "witnesses")
     if p == 2 and n < 3:
         raise ValueError(f"2-power witness needs 2^n with n >= 3, got {big_n}")
+    x = _witness_x(big_n)
+    trace_cf = 2 ** (2 * n - 4) if p == 2 else Fraction(p ** (2 * (n - 1)) * (p * p - 1), 12)
+    return (x * x.conj()).inverse(), x, Fraction(trace_cf), max(Fraction(1), _closed_ratio(p, n))
+
+
+def _witness_x(big_n: int) -> CycloElement:
+    """x = 1+z at N = 2^n, 1-z at N = p^n: both witnesses, (x conj(x))^-1 over
+    K_N and (2 +- t)^-1 over K_N+, have inverses that embed to x conj(x)."""
     z = make_field(big_n).zeta()
-    if p == 2:
-        x, trace_cf = 1 + z, Fraction(2 ** (2 * n - 4))
-    else:
-        x, trace_cf = 1 - z, Fraction(p ** (2 * (n - 1)) * (p * p - 1), 12)
-    return (x * x.conj()).inverse(), x, trace_cf, max(Fraction(1), _closed_ratio(p, n))
+    return 1 + z if big_n % 2 == 0 else 1 - z
 
 
 def witness_for_conductor(big_n: int) -> CycloElement:

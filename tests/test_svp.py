@@ -538,43 +538,41 @@ def test_budget_stops_inside_a_leaf_run_match_the_oracle(name):
             assert stop[0] == "budget" and stop[2] > run[-1], (strict, caps)
 
 
-def _t2(x):
-    """Tr(x conj(x)), the sum of |conjugates|^2; conj is the identity on K_N+."""
-    return (x * (x.conj() if isinstance(x, CycloElement) else x)).trace()
-
-
-def test_orbit_norms_match_direct_resultants():
-    # one evaluation per orbit of x -> +-z^j x over K_N, none shared over K_N+
+def test_stored_norms_match_direct_resultants():
+    # every kept vector carries its norm as an int, read off the root table
     x = make_field(33).element([1, 1, 0, 0, 0, 1])
     sets = {
-        "witness 25": verify_witness(25).reduced_evidence,
-        "witness 32": verify_witness(32).reduced_evidence,
-        "real witness 49": verify_real_witness(49, force=True).reduced_evidence,
-        "shortest over K_33": shortest(gram(x * x.conj())).minima,
+        "witness 25": (verify_witness(25).reduced_evidence, make_field(25)),
+        "witness 32": (verify_witness(32).reduced_evidence, make_field(32)),
+        "real witness 49": (verify_real_witness(49, force=True).reduced_evidence, make_real_field(49)),
+        "shortest over K_33": (shortest(gram(x * x.conj())).minima, make_field(33)),
     }
-    for name, vectors in sets.items():
+    for name, (vectors, ring) in sets.items():
         assert vectors, name
-        ring = vectors[0].norms.ring
         for fv in vectors:
+            assert type(fv.norm) is int, (name, fv.coeffs)
             assert fv.norm == ring.element(fv.coeffs).norm(), (name, fv.coeffs)
 
 
-def test_orbit_norms_fold_signs_only_in_even_degree():
-    # -x is read before x: a key folded by sign in odd degree would hand x
-    # the norm of -x, which is -N(x)
+def test_stored_norms_keep_their_sign_in_odd_degree():
+    # N(-x) = -N(x) in odd degree: over K_7+ and K_9+ both signs of norm
+    # occur among the vectors of one scan, and each must be its resultant;
+    # K_1 (every canonical vector positive), K_16+, K_5 and K_12 are controls
     rng = random.Random(508)
     rings = (make_field(1), make_real_field(7), make_real_field(9), make_real_field(16),
              make_field(5), make_field(12))
     for ring in rings:
-        xs = [[rng.randint(-3, 3) for _ in range(ring.degree)] for _ in range(6)]
-        xs = [tuple(x) for x in xs if any(x)]
-        # by AM-GM, N(x)^2 <= (T2(x) / d)^d
-        t2 = max(_t2(ring.element(x)) for x in xs)
-        norms = svp._OrbitNorms(ring, (t2 / ring.degree) ** ring.degree)
-        for x in xs:
-            neg = tuple(-c for c in x)
-            for y in (neg, x, neg):
-                assert norms[y] == ring.element(y).norm(), (ring, y)
+        xs = [ring.element([rng.randint(-3, 3) for _ in range(ring.degree)]) for _ in range(6)]
+        xs = [x for x in xs if not x.is_zero()]
+        a = sum((x * (x.conj() if isinstance(x, CycloElement) else x) for x in xs), ring.one())
+        res = enumerate_below(gram(a), 3 * a.trace())
+        signs = set()
+        for fv in res.vectors:
+            assert fv.norm == ring.element(fv.coeffs).norm(), (ring, fv.coeffs)
+            signs.add(fv.norm > 0)
+        assert res.vectors, ring
+        if ring.degree % 2 and ring.degree > 1:
+            assert signs == {True, False}, ring
 
 
 # ---------------------------------------------------------------------------

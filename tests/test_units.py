@@ -172,67 +172,53 @@ def test_report_json_shapes():
     assert d["value"] == "2"
 
 
-def _count_norms(monkeypatch):
-    """Keys whose norm an enumeration evaluates from here on, in call order;
-    the scans never call the resultant behind .norm(), which is checked."""
-    calls = []
-    for cls in (CycloElement, RealElement):
+def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
+    # each scan stores a kept vector's norm as it finds it, from the root
+    # table at split primes; no scan calls the resultant behind .norm(),
+    # and the JSON reads the stored values
+    resultant = {cls: cls.norm for cls in (CycloElement, RealElement)}
+    for cls in resultant:
 
-        def resultant(self):
+        def refuse(self):
             raise AssertionError(f"an enumeration called .norm() on {self!r}")
 
-        monkeypatch.setattr(cls, "norm", resultant)
+        monkeypatch.setattr(cls, "norm", refuse)
 
-    def evaluate(self, coeffs, _orig=svp._OrbitNorms.__missing__):
-        calls.append(coeffs)
-        return _orig(self, coeffs)
-
-    monkeypatch.setattr(svp._OrbitNorms, "__missing__", evaluate)
-    return calls
-
-
-def test_norms_are_computed_only_where_a_certificate_reads_them(monkeypatch):
-    calls = _count_norms(monkeypatch)
-
-    # the witness checks read the norms of the vectors below Tr(a) only, one
-    # evaluation per orbit under x -> +-z^j x: the 575 vectors at conductor
-    # 25 fall into 23 orbits of 25, and the JSON matches the inclusive
-    # scan's but for nodes_visited
+    # the witness checks keep the vectors strictly below Tr(a); the JSON
+    # matches the inclusive scan's but for nodes_visited
     cert = verify_witness(25)
     assert len(cert.reduced_evidence) == 575
-    assert len(calls) == 575 // 25 == 23
     text = dumps_canonical(cert.to_json_dict())
-    assert len(calls) == 23  # the JSON reads the cached norms
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b5cc8840b04098a1bf4a4750fe59e0f647cb0e8477ff43ef7032fae80c32b4cc"
     )
-    del calls[:]
     real = verify_real_witness(32)
-    assert len(calls) == len(real.reduced_evidence) > 0
+    assert real.reduced_evidence
 
-    # shortest evaluates none itself, and its JSON one for its 15 minima,
-    # the orbit of x over K_15 (but for real witnesses, K_N+ has only +-1)
+    # shortest's 15 minima over K_15 are one orbit of x under +-z^j
     x = make_field(15).element([3, 1, 0, 0, 0, 0, 0, 1])
-    del calls[:]
     rep = shortest(gram(x * x.conj()))
-    assert calls == []
     rep.to_json_dict()
-    assert len(rep.minima) == 15
-    assert len(calls) == 1
+    assert len(rep.minima) == 15 and len({fv.norm for fv in rep.minima}) == 1
 
-    # mu_star reads norms up to its unit level and none above it: the five
-    # vectors at that level are one orbit, so it evaluates the first alone
+    # mu_star reads norms up to its unit level: the five vectors at or below
+    # it over K_5 are the units it reports
     ctx = make_field(5)
     e = 1 + ctx.zeta()  # a unit, so u = e^-1 beats u = 1 for a = (e e^-)^2
     a = (e * e.conj()) ** 2
     scan = enumerate_below(gram(a), a.trace()).vectors
-    del calls[:]
     ms = mu_star(a)
     assert ms.mu_star < a.trace()
     at_or_below = [fv.coeffs for fv in scan if fv.value <= ms.mu_star]
     assert len(at_or_below) == 5 < len(scan)
-    assert calls == at_or_below[:1]
-    assert sorted(set(ctx.norm_orbit(at_or_below[0]))) == at_or_below
+    assert [fv.coeffs for fv in ms.attaining] == at_or_below
+
+    monkeypatch.undo()
+    checked = (cert.reduced_evidence, real.reduced_evidence, rep.minima, ms.attaining, scan)
+    rings = (cert.witness.ctx, real.witness.ctx, x.ctx, ctx, ctx)
+    for vectors, ring in zip(checked, rings):
+        for fv in vectors:
+            assert fv.norm == ring.element(fv.coeffs).norm(), (ring, fv.coeffs)
 
 
 def test_is_reduced_is_one_strict_scan():

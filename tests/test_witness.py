@@ -221,7 +221,7 @@ def test_witness_check_rejects_x_missing_from_the_minimum_shell(monkeypatch):
 
 
 def test_real_witness_check_rejects_a_wrong_embedding(monkeypatch):
-    _perturbed(monkeypatch, realfield, "witness_for_conductor", lambda a: 2 * a)
+    _perturbed(monkeypatch, realfield, "_witness_x", lambda x: 2 * x)
     with pytest.raises(VerificationError) as exc:
         realfield.verify_real_witness(16)
     assert str(exc.value) == "real witness at 16 does not embed to the cyclotomic one"
