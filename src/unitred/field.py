@@ -9,10 +9,9 @@ N % 4 == 2 is rejected because that field equals the one of conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
-Moebius closed form, norms from integer resultants, inverses from one
+Moebius closed form, norms from integer resultants (split_table gives the
+enumeration checked roots at split primes instead), inverses from one
 integer solve against the matrix of multiplication by the element.
-split_table gives the enumeration checked roots at split primes, where it
-reads the norms of the vectors it keeps under a known bound.
 """
 
 from __future__ import annotations
@@ -207,8 +206,8 @@ class _Ring:
 
 @lru_cache(maxsize=64)  # degree^2 residues each
 def split_table(ring, primes: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(M, rows): M the product of the first `primes` of split_primes(N), and
-    rows[i] = (1, r_i, ..., r_i^(d-1)) mod M for the roots r_i of the
+    """(M, powers): M the product of the first `primes` of split_primes(N),
+    and powers[j] = (r_0^j, ..., r_(d-1)^j) mod M for the roots r_i of the
     defining polynomial mod M, joined by CRT from ring.roots_mod of each."""
     m, roots = 1, [0] * ring.degree
     for ell in islice(split_primes(ring.conductor), primes):
@@ -218,7 +217,7 @@ def split_table(ring, primes: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     powers = [[1] * ring.degree]  # powers[j][i] = r_i^j mod M
     for _ in range(ring.degree - 1):
         powers.append([p * r % m for p, r in zip(powers[-1], roots)])
-    return m, tuple(zip(*powers))
+    return m, tuple(map(tuple, powers))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -359,8 +358,7 @@ class _Element:
     def _traces(self, mono, count) -> list[int]:
         """den * Tr(self * x^k) for k < count, from the integer monomial
         traces mono[j] = Tr(x^j): one integer sum each."""
-        num = self.num
-        return [sum(map(operator.mul, num, mono[k:])) for k in range(count)]
+        return [sum(map(operator.mul, self.num, mono[k:])) for k in range(count)]
 
     def _norm(self, modulus) -> Fraction:
         """Resultant of the monic modulus and the numerator polynomial, over
@@ -515,7 +513,7 @@ class FieldContext(_Ring):
             raise ValueError(f"{a!r} is not totally real; its trace pairing is not symmetric")
         n, big_n = self.degree, self.conductor
         t = a._traces(self._mono_trace * 2, big_n)
-        return [[t[(i - j) % big_n] for j in range(n)] for i in range(n)], a.den
+        return tuple(tuple(t[(i - j) % big_n] for j in range(n)) for i in range(n)), a.den
 
 
 @lru_cache(maxsize=64)  # O(N) traces and units each: a sweep must not keep them all

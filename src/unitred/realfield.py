@@ -92,11 +92,10 @@ class RealFieldContext(_Ring):
     # -- trace form -------------------------------------------------------------
 
     def trace_form_entries(self, a: RealElement):
-        """(rows, den): the Gram matrix Tr(a * t^i * t^j) is rows / den; entry
-        (i, j) depends on i+j only."""
+        """(rows, den): Tr(a * t^i * t^j) is entry (i, j) of rows / den, by i+j."""
         d = self.degree
         t = a._traces(self._mono_trace, 2 * d - 1)
-        return [[t[i + j] for j in range(d)] for i in range(d)], a.den
+        return tuple(tuple(t[i + j] for j in range(d)) for i in range(d)), a.den
 
 
 def _dickson_sum(c) -> list[int]:

@@ -44,6 +44,13 @@ def _coerce_gram(g):
     return (*_integer_scale(rows), None)
 
 
+def _axpy(p: list, t: int, r) -> list:
+    """p + t * r, entry by entry (p itself when t == 0); +-1 in one map."""
+    if t in (1, -1):
+        return list(map(operator.add if t == 1 else operator.sub, p, r))
+    return [a + t * b for a, b in zip(p, r)] if t else p
+
+
 # ---------------------------------------------------------------------------
 # LLL
 
@@ -98,8 +105,8 @@ def lll_reduce(g) -> LLLResult:
             dj = d[j + 1]
             q = (2 * lam[k][j] + dj) // (2 * dj)
             if q:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                w[k] = [x - q * y for x, y in zip(w[k], w[j])]
+                u[k] = _axpy(u[k], -q, u[j])
+                w[k] = _axpy(w[k], -q, w[j])
                 for row in w:
                     row[k] -= q * row[j]
                 for t in range(j):
@@ -193,16 +200,22 @@ def _prepare(g) -> LLLResult:
 
 def _root_table(a, bound: Fraction, u):
     """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
-    coefficients u[l] and r_i running over the roots of split_table, and
-    M^2 > 4 * (bound * den(a) / d)^d; (None, u) for raw rows (a None)."""
+    coefficients u[l] and r_i running over the roots of split_table, and the
+    odd M has M^2 > 4 * (bound * den(a) / d)^d; (None, u) for raw rows."""
     if a is None:
         return None, u
     sq_bound = (bound * a.den / a.ctx.degree) ** a.ctx.degree
     # each prime is above 2^20, so M^2 > 2^(40 * primes)
-    m, roots = split_table(a.ctx, -(-math.ceil(4 * sq_bound).bit_length() // 40))
+    m, powers = split_table(a.ctx, -(-math.ceil(4 * sq_bound).bit_length() // 40))
     if m * m <= 4 * sq_bound:
         raise VerificationError(f"split modulus {m} does not cover the norm bound")
-    return m, [ul + tuple(sum(map(operator.mul, ul, r)) % m for r in roots) for ul in u]
+    table = []
+    for ul in u:  # a reduced basis is sparse: add up the powers it uses
+        vals = [0] * len(powers)
+        for c, col in zip(ul, powers):
+            vals = _axpy(vals, c, col)
+        table.append(ul + tuple(y % m for y in vals))
+    return m, table
 
 
 def enumerate_below(
@@ -217,30 +230,27 @@ def enumerate_below(
     when strict.
 
     G must be positive definite, so the list is finite and the enumeration is
-    exhaustive; exceeding node_cap or result_cap raises BudgetError.  When G
-    came from the trace form of a, each vector carries the field norm of its
-    element x, the product of x's values at the roots of _root_table read as
-    the residue of least absolute value: exact, since N(x)^2 <= (bound *
-    den(a) / d)^d by AM-GM over the d positive terms of Tr(a x conj(x)), and
-    N(den(a) a) >= 1.
+    exhaustive; exceeding node_cap or result_cap raises BudgetError.  On the
+    trace form of a, each vector carries the norm of its element x, the
+    product of x's values at the roots of _root_table as the residue of least
+    absolute value: exact, as N(x)^2 <= (bound * den(a) / d)^d by AM-GM over
+    the d positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
 
-    Fincke-Pohst over the LDL factors of the LLL-reduced form, read off its
-    integer dets and lam, in integers only.  Level l adds
-    pivot_l * (t + c_l)^2 with c_l = sum_{j>l} L[j][l] v_j; with den_l the
-    common denominator of column l of L and s that of every
-    pivot_l / den_l^2, s times that step is k_l * (t * den_l + C_l)^2 for
-    integers k_l and C_l, so each interval end is an exact isqrt, and the
-    steps sum to at most floor(s * scale * bound), or ceil(...) - 1 when
-    strict.  A frame whose higher coordinates are all 0 (C_l = 0) takes
-    t = 0 first and then t > 0 only, so no -v twin is visited.
+    Fincke-Pohst over the LDL factors of the LLL-reduced form, from its
+    integer dets and lam.  Level l adds pivot_l * (t + c_l)^2, c_l =
+    sum_{j>l} L[j][l] v_j; over den_l, the common denominator of column l of
+    L, and s, that of every pivot_l / den_l^2, s times the step is
+    k_l * (t * den_l + C_l)^2 with integers k_l, C_l: each interval end is an
+    exact isqrt, and the steps sum to at most floor(s * scale * bound), or
+    ceil(...) - 1 when strict.  A frame whose higher coordinates are all 0
+    (C_l = 0) takes t = 0 and then t > 0 only, so no -v twin is visited.
 
-    Only the reduced-basis coordinates v are kept on the way down, and each
-    frame works out its children's intervals, so an empty one costs no call.
-    A level-0 run is counted in one step (and replayed node by node when a
-    cap trips inside it, as a node-by-node walk would stop).  Its kept
-    vectors read P_1 + t rows[0], their original-basis coordinates and
-    values at the roots together, with P_l = sum_{j>=l} v_j rows[j] rebuilt
-    after each run only from the highest level whose coordinate changed.
+    Frames keep only the reduced-basis coordinates v and work out their
+    children's intervals, so an empty one costs no call.  A level-0 run is
+    counted in one step, or replayed node by node when a cap trips inside
+    it.  Its vectors read P_1 + t rows[0], original-basis coordinates and
+    values at the roots together, where P_l = sum_{j>=l} v_j rows[j] is
+    rebuilt after each run only from the highest level whose v changed.
     """
     bound = Fraction(bound)
     form = _prepare(g)
@@ -253,13 +263,12 @@ def enumerate_below(
     weights = [Fraction(dets[l + 1], dets[l] * dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
     ks = [w.numerator * (s // w.denominator) for w in weights]
-    # level l's constants: k_l, den_l, and k, den of level l - 1 with C_(l-1)
-    # = near * v_l + sum_(j > l) far[j - l - 1] * v_j, far[.] being
-    # L[j][l - 1] * den_(l-1); the frame at level l sums far once and hands
-    # each child its C_(l-1)
+    # level l's constants: k_l, den_l, and k, den of level l - 1 with C_(l-1) =
+    # near * v_l + the sum over far of the nonzero L[j][l - 1] * den_(l-1) * v_j,
+    # j > l; the frame at level l sums far once and hands each child its C_(l-1)
     levels = [(ks[0], dens[0])] + [
         (ks[l], dens[l], ks[l - 1], dens[l - 1], lam[l][l - 1] // gs[l - 1],
-         tuple(lam[j][l - 1] // gs[l - 1] for j in range(l + 1, n)))
+         [(j, lam[j][l - 1] // gs[l - 1]) for j in range(l + 1, n) if lam[j][l - 1]])
         for l in range(1, n)
     ]
 
@@ -307,27 +316,24 @@ def enumerate_below(
             if rows is None:
                 mod, rows = _root_table(form.element, bound, u)
                 pre.append([0] * len(rows[0]))
-            if stale:
-                for l in range(stale, 0, -1):
-                    vl = v[l]
-                    pre[l] = [p + vl * b for p, b in zip(pre[l + 1], rows[l])] if vl else pre[l + 1]
-                stale = 0
+            for l in range(stale, 0, -1):
+                pre[l] = _axpy(pre[l + 1], v[l], rows[l])
+            stale = 0
             p1, r0, x = pre[1], rows[0], lo * den + c
             for t in range(lo, hi + 1):
-                w = [p + t * b for p, b in zip(p1, r0)]
+                w = _axpy(p1, t, r0)
                 coords, sign = w[:n], 1
-                if next(a for a in coords if a) < 0:
-                    coords, sign = [-a for a in coords], flip  # N(-x) = (-1)^d N(x)
-                norm = None
-                if mod is not None:
-                    norm = math.prod(w[n:]) % mod
-                    norm = sign * (norm - mod if 2 * norm > mod else norm)
+                if next(filter(None, coords)) < 0:
+                    coords, sign = map(operator.neg, coords), flip  # N(-x) = (-1)^d N(x)
+                norm = mod and (sign * math.prod(w[n:]) + mod // 2) % mod - mod // 2  # M odd
                 found.append((top - rem + k * x * x, tuple(coords), norm))
                 x += den
             return
         # each child's interval is worked out here, so an empty one costs no call
         k, den, kc, dc, nb, far = levels[lvl]
-        cb = sum(map(operator.mul, far, v[lvl + 1 :]))
+        cb = 0
+        for j, lj in far:
+            cb += lj * v[j]
         if not free:  # on the first descent, so c = lo = 0 and v, stale are as set
             nodes += 1  # t = 0 leaves the child not free, and t > 0 runs free
             if nodes > node_cap:

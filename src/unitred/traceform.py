@@ -20,8 +20,7 @@ from .linalg import _integer_scale
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GramMatrix:
-    """Exact Gram matrix of a trace form, plus the element it came from: the
-    integer rows over one positive denominator."""
+    """Exact Gram matrix rows / den of a trace form, and the element it came from."""
 
     element: object  # CycloElement or RealElement
     rows: tuple[tuple[int, ...], ...]
@@ -47,8 +46,7 @@ class GramMatrix:
 def gram(a) -> GramMatrix:
     """Gram matrix of (u, v) -> Tr(a * u * conj(v)) on the power basis;
     ValueError unless a is fixed by conjugation (trace_form_entries checks)."""
-    rows, den = a.ctx.trace_form_entries(a)
-    return GramMatrix(a, tuple(map(tuple, rows)), den)
+    return GramMatrix(a, *a.ctx.trace_form_entries(a))
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,7 @@ def _witness_data(big_n: int):
 
 
 def _witness_x(big_n: int) -> CycloElement:
-    """x = 1+z at N = 2^n, 1-z at N = p^n: both witnesses, (x conj(x))^-1 over
-    K_N and (2 +- t)^-1 over K_N+, have inverses that embed to x conj(x)."""
+    """x = 1+z at N = 2^n, 1-z at N = p^n: both witnesses' inverses embed to x conj(x)."""
     z = make_field(big_n).zeta()
     return 1 + z if big_n % 2 == 0 else 1 - z
 
