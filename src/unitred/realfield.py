@@ -92,7 +92,7 @@ class RealFieldContext(_Ring):
     # -- trace form -------------------------------------------------------------
 
     def trace_form_entries(self, a: RealElement):
-        """(rows, den): Tr(a * t^i * t^j) is entry (i, j) of rows / den, by i+j."""
+        """(rows, den): entry (i, j) of rows / den is Tr(a * t^(i+j))."""
         d = self.degree
         t = a._traces(self._mono_trace, 2 * d - 1)
         return tuple(tuple(t[i + j] for j in range(d)) for i in range(d)), a.den

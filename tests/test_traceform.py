@@ -7,7 +7,7 @@ import pytest
 
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
-from unitred.linalg import det_exact
+from unitred.linalg import _integer_scale, det_exact
 from unitred.numtheory import euler_phi, moebius
 from unitred.realfield import RealElement, _real_witness_data, make_real_field
 from unitred.svp import lll_reduce, shortest
@@ -130,6 +130,8 @@ def test_trace_form_entries_match_the_fraction_oracle():
             rows = _fraction_trace_form_entries(a)[0]
         ints, den = a.ctx.trace_form_entries(a)
         assert [[Fraction(c, den) for c in row] for row in ints] == rows, a
+        # the integer rows over den scale by one gcd as the lcm over entries does
+        assert gram(a).integer_scale() == _integer_scale(rows), a
     # the witnesses are totally real: gram keeps the same entries
     for a in elements[-3:]:
         assert gram(a).entries == tuple(map(tuple, _fraction_trace_form_entries(a)[0]))
