@@ -1,16 +1,17 @@
 """Alternating benchmark pairs of two checkouts, written as bench/BENCH_<label>.json.
 
-    python3 bench/pairs.py PARENT CHANGE --label NAME --seed 2201 --pairs 10 \
-        [--workload witness ...] [--seconds 20] [--claim witness:wall_s] [--out PATH]
+    python3 bench/pairs.py PARENT CHANGE --label NAME --seed 2201 \
+        [--workload witness ...] [--claim witness:wall_s]
 
 PARENT and CHANGE are two checkouts of this repository, each a git clone
 with its own perfbench/ and src/ and no uncommitted change to a tracked
 file.  Both are byte-compiled with compileall first, and every run sets
 PYTHONDONTWRITEBYTECODE=1, so each child reads that bytecode and none
 compiles the package (a child that compiles it reads a different peak RSS).
-Pair i runs seed SEED + i on both sides with `perfbench/run.py --trace 0`;
-odd pairs run the parent first, even pairs the change first.  Workloads run
-one after another, all pairs of one before the next.
+Each workload gets ten pairs: pair i runs seed SEED + i on both sides with
+`perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds; odd pairs run
+the parent first, even pairs the change first.  Workloads run one after
+another, all pairs of one before the next.
 
 Per workload and side the file holds the median and quartiles (inclusive
 method) of each end-to-end metric over the runs, the runs in pair order, and
@@ -19,9 +20,10 @@ median over every pass child of a run, and each child's figure includes the
 resident size of the run.py that spawned it, which grows with the passes it
 has recorded; so the file also keeps each run's number of pass children and
 the median peak over its first five.  With --claim WORKLOAD:METRIC it
-records whether the change won at least nine tenths of the pairs on that
-metric and its median beat the parent's by more than the parent's
-interquartile range.  Standard library only.
+records whether the change won at least nine of the ten pairs on that
+metric, its median beat the parent's by more than the parent's
+interquartile range, and every run of that workload on both sides was
+correct.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git_sha(checkout: Path) -> str:
@@ -98,28 +101,25 @@ def main() -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--label", required=True)
     ap.add_argument("--seed", type=int, required=True, help="pair i uses seed + i")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower")
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shas = {side: git_sha(path) for side, path in checkouts.items()}
     for path in checkouts.values():
         compile_checkout(path)
-    names = args.workload or [
-        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    ]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    names = args.workload or [w["name"] for w in benchmark["workloads"]]
 
     workloads = {}
     for name in names:
-        seeds = [args.seed + i for i in range(1, args.pairs + 1)]
+        seeds = [args.seed + i for i in range(1, PAIRS + 1)]
         runs = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds, 1):
             for side in SIDES if i % 2 else SIDES[::-1]:
-                runs[side].append(run_once(checkouts[side], name, seed, args.seconds))
+                runs[side].append(run_once(checkouts[side], name, seed, seconds))
                 r = runs[side][-1]
                 print(f"{name} pair {i} {side}: " + " ".join(
                     f"{m} {r['metrics'][m]:.4g}" for m in METRICS) + f" correct {r['correct']}",
@@ -138,21 +138,22 @@ def main() -> int:
     claim = None
     if args.claim:
         wname, metric = args.claim.split(":")
-        m = workloads[wname]["metrics"][metric]
+        w = workloads[wname]
+        m = w["metrics"][metric]
         gap = m["parent"]["median"] - m["change"]["median"]
         iqr = m["parent"]["q3"] - m["parent"]["q1"]
         wins = m["change_lower_in_pairs"]
         claim = {
-            "workload": wname, "metric": metric, "wins": wins, "pairs": workloads[wname]["pairs"],
-            "median_gap": gap, "parent_iqr": iqr,
-            "met": wins * 10 >= 9 * workloads[wname]["pairs"] and gap > iqr,
+            "workload": wname, "metric": metric, "wins": wins, "pairs": PAIRS,
+            "median_gap": gap, "parent_iqr": iqr, "all_correct": w["all_correct"],
+            "met": wins >= 9 and gap > iqr and w["all_correct"],
         }
     out = {
         "label": args.label,
         "claim": claim,
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {seconds:g} --trace 0",
         "order": "odd pairs run the parent first, even pairs the change first",
         "bytecode": "both checkouts compiled with `python -m compileall src perfbench` before the "
                     "first run; PYTHONDONTWRITEBYTECODE=1 was set for every run",
@@ -160,7 +161,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "workloads": workloads,
     }
-    path = args.out or ROOT / "bench" / f"BENCH_{args.label}.json"
+    path = ROOT / "bench" / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     if claim:

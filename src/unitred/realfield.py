@@ -244,10 +244,14 @@ def verify_real_witness(
     mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
     x = _witness_x(big_n)
     if a.embed() * x * x.conj() != 1:
-        raise VerificationError(f"real witness at {big_n} does not embed to the cyclotomic one")
+        raise VerificationError(
+            f"real witness at {big_n} does not embed to the cyclotomic one"
+        )
     upper = (2 + x.num[1] * a.ctx.theta()).trace()  # a^-1 = 2 + c t for x = 1 + c z
     if upper != upper_cf:
-        raise VerificationError(f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}")
+        raise VerificationError(
+            f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
+        )
     if mu_exact is None:
         return RealDiscrepancyCertificate(witness=a, mu_upper=upper, quoted_form=quoted, **fields)
 

@@ -10,8 +10,7 @@ a proof; post-conditions raise VerificationError on any inconsistency.
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
 other.  The bound is inclusive, or strict on request.  On a trace form each
-vector comes with its exact field norm, read off a table of the reduced
-basis at checked roots modulo split primes.
+vector carries its exact field norm, from checked roots at split primes.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ def lll_reduce(g) -> LLLResult:
             dj = d[j + 1]
             q = (2 * lam[k][j] + dj) // (2 * dj)
             if q:
-                u[k] = _axpy(u[k], -q, u[j])
-                w[k] = _axpy(w[k], -q, w[j])
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                w[k] = [x - q * y for x, y in zip(w[k], w[j])]
                 for row in w:
                     row[k] -= q * row[j]
                 for t in range(j):
@@ -201,9 +200,7 @@ def _prepare(g) -> LLLResult:
 def _root_table(a, bound: Fraction, u):
     """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
     coefficients u[l] and r_i running over the roots of split_table, and the
-    odd M has M^2 > 4 * (bound * den(a) / d)^d; (None, u) for raw rows."""
-    if a is None:
-        return None, u
+    odd M has M^2 > 4 * (bound * den(a) / d)^d."""
     sq_bound = (bound * a.den / a.ctx.degree) ** a.ctx.degree
     # each prime is above 2^20, so M^2 > 2^(40 * primes)
     m, powers = split_table(a.ctx, -(-math.ceil(4 * sq_bound).bit_length() // 40))
@@ -231,10 +228,10 @@ def enumerate_below(
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  On the
-    trace form of a, each vector carries the norm of its element x, the
-    product of x's values at the roots of _root_table as the residue of least
-    absolute value: exact, as N(x)^2 <= (bound * den(a) / d)^d by AM-GM over
-    the d positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
+    trace form of a, each vector carries the norm of its element x, the least
+    absolute residue of the product of x's values at the roots of _root_table,
+    exact as N(x)^2 <= (bound * den(a) / d)^d: AM-GM over the d positive terms
+    of Tr(a x conj(x)), and N(den(a) a) >= 1.
 
     Fincke-Pohst over the LDL factors of the LLL-reduced form, from its
     integer dets and lam.  Level l adds pivot_l * (t + c_l)^2, c_l =
@@ -247,10 +244,9 @@ def enumerate_below(
 
     Frames keep only the reduced-basis coordinates v and work out their
     children's intervals, so an empty one costs no call.  A level-0 run is
-    counted in one step, or replayed node by node when a cap trips inside
-    it.  Its vectors read P_1 + t rows[0], original-basis coordinates and
-    values at the roots together, where P_l = sum_{j>=l} v_j rows[j] is
-    rebuilt after each run only from the highest level whose v changed.
+    counted in one step (replayed node by node if a cap trips in it); its
+    vectors read coordinates and root values off P_1 + t rows[0], the prefix
+    P_l = sum_{j>=l} v_j rows[j] being rebuilt from the highest changed v.
     """
     bound = Fraction(bound)
     form = _prepare(g)
@@ -263,9 +259,8 @@ def enumerate_below(
     weights = [Fraction(dets[l + 1], dets[l] * dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
     ks = [w.numerator * (s // w.denominator) for w in weights]
-    # level l's constants: k_l, den_l, and k, den of level l - 1 with C_(l-1) =
-    # near * v_l + the sum over far of the nonzero L[j][l - 1] * den_(l-1) * v_j,
-    # j > l; the frame at level l sums far once and hands each child its C_(l-1)
+    # level l: k_l, den_l, then k, den, near, far of level l - 1, where C_(l-1) =
+    # near * v_l + sum over far of the nonzero L[j][l-1] * den_(l-1) * v_j, j > l
     levels = [(ks[0], dens[0])] + [
         (ks[l], dens[l], ks[l - 1], dens[l - 1], lam[l][l - 1] // gs[l - 1],
          [(j, lam[j][l - 1] // gs[l - 1]) for j in range(l + 1, n) if lam[j][l - 1]])
@@ -283,10 +278,12 @@ def enumerate_below(
     # kept vector; P_l is current for the levels l above `stale`
     mod = rows = None
     pre, stale = [None] * n, n - 1
-    flip = -1 if form.element is not None and form.element.ctx.degree % 2 else 1
+    flip = -1 if (a := form.element) is not None and a.ctx.degree % 2 else 1
 
     def over(what, cap):
-        return BudgetError(f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results)
+        return BudgetError(
+            f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
+        )
 
     def recurse(lvl: int, rem: int, free: int, c: int, lo: int, hi: int):
         # the non-empty run lo..hi of level lvl below v[lvl + 1:]; rem: top
@@ -296,8 +293,7 @@ def enumerate_below(
         if lvl == 0:
             k, den = levels[0]
             count = hi - lo + 1
-            if not free:  # lo == 0, and t = 0 is the zero vector
-                lo = 1
+            lo = lo if free else 1  # not free: lo == 0, and t = 0 is the zero vector
             kept = hi - lo + 1
             if nodes + count > node_cap or results + kept > result_cap:
                 for i in range(count):  # a cap trips in this run: replay it
@@ -314,7 +310,7 @@ def enumerate_below(
             if not kept:
                 return
             if rows is None:
-                mod, rows = _root_table(form.element, bound, u)
+                mod, rows = (None, u) if a is None else _root_table(a, bound, u)
                 pre.append([0] * len(rows[0]))
             for l in range(stale, 0, -1):
                 pre[l] = _axpy(pre[l + 1], v[l], rows[l])
