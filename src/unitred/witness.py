@@ -304,43 +304,53 @@ class L75Report:
 
 
 def l75_scan(p: int, box_radius: int) -> L75Report:
-    """Scan the rounding inequality exhaustively at small p.
+    """Scan the rounding inequality at every lattice point of a box, small p.
 
     Q and the box are both invariant under permuting coordinates, so
-    margin(sigma w, m) = margin(w, sigma^-1 m): every permutation of
-    w = (1..p-1) sees the same multiset of margins, and one scan of
-    w = (1..p-1) stands for all (p-1)! of them.  With sum(w) = p(p-1)/2
-    the margin is p^2 * (Q(m) + sum m_i (p-1-2 w_i)).
-
-    The minimum margin is 0 and m = 0 attains it; the boundary margin shows
-    how fast the quadratic grows at the box wall (violations outside the
-    box would need the margin to come back down, which a positive-definite
-    quadratic cannot do).
+    margin(sigma w, m) = margin(w, sigma^-1 m): one scan of w = (1..p-1)
+    stands for all (p-1)! permutations.  With sum(w) = p(p-1)/2 the margin
+    is p^2 * (sum_w f_w(m_w) - s^2), f_w(t) = p t^2 + (p-1-2w) t, s = sum m_w.
+    The coordinates meet only through s, so the scan meets in the middle
+    (Horowitz-Sahni): the tail, all but the first h = (p-1)//2 coordinates,
+    is tabulated by its sum s_B (a count per total T_B, the least T_B, the
+    least on the wall), and each head point (s_A, T_A) meets each row at
+    margins T_B - need, need = (s_A + s_B)^2 - T_A.  At radius r that is
+    (2r+1)^h (2(p-1-h)r + 1) + (2r+1)^(p-1-h) integer steps for (2r+1)^(p-1)
+    points.  PASS covers the box's lattice points only: extending it by
+    convexity would need margin >= 0 on the continuous wall, unchecked here.
     """
     if p not in (3, 5, 7):
         raise ValueError(f"scan supports p in 3, 5, 7, got {p}")
     if box_radius < 1:
         raise ValueError("box radius must be >= 1")
-    d = p - 1
+    d, h = p - 1, (p - 1) // 2
     side = range(-box_radius, box_radius + 1)
-    # margin / p^2 = sum_w (p m_w^2 + (p-1-2w) m_w) - (sum_w m_w)^2; terms[w-1]
-    # tabulates the summand over the side, indexed by m_w + box_radius
+    # terms[w-1] tabulates f_w over the side, indexed by m_w + box_radius
     terms = [[p * t * t + (p - 1 - 2 * w) * t for t in side] for w in range(1, p)]
     wall = (0, len(side) - 1)  # indices of -box_radius and box_radius
 
-    min_margin = boundary_min = None
-    zeros = 0
-    for idx in itertools.product(range(len(side)), repeat=d):
-        s = sum(idx) - d * box_radius  # sum of the m_w
-        margin = sum(col[i] for col, i in zip(terms, idx)) - s * s
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if margin == 0:
-            zeros += 1
-        if (boundary_min is None or margin < boundary_min) and any(
-            i in wall for i in idx
-        ):
-            boundary_min = margin
+    def points(cols):  # (s, T, on the wall) for each point of the box over cols
+        for idx in itertools.product(range(len(side)), repeat=len(cols)):
+            s = sum(idx) - len(cols) * box_radius
+            yield s, sum(col[i] for col, i in zip(cols, idx)), any(i in wall for i in idx)
+
+    rows = {}  # s_B -> [{T_B: count}, least T_B, least T_B on the wall or None]
+    for s, t, on_wall in points(terms[h:]):
+        row = rows.setdefault(s, [{}, t, None])
+        row[0][t] = row[0].get(t, 0) + 1
+        row[1] = min(row[1], t)
+        if on_wall and (row[2] is None or t < row[2]):
+            row[2] = t
+    min_margin, boundary_min, zeros = 0, None, 0  # m = 0 lies in the box, at margin 0
+    for s_a, t_a, a_wall in points(terms[:h]):
+        for s_b, (counts, lo, lo_wall) in rows.items():
+            need = (s_a + s_b) ** 2 - t_a
+            zeros += counts.get(need, 0)
+            if lo - need < min_margin:
+                min_margin = lo - need
+            wall_lo = lo if a_wall else lo_wall
+            if wall_lo is not None and (boundary_min is None or wall_lo - need < boundary_min):
+                boundary_min = wall_lo - need
     perms = math.factorial(d)
     return L75Report(
         p=p,

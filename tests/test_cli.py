@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,6 +264,20 @@ def test_l75_pass():
     assert res.payload["passed"] is True
     assert res.payload["min_margin"] == 0
     assert res.payload["zero_at_m_zero"] is True
+
+
+def test_l75_defaults_finish_and_pass():
+    # zero counts and wall margins of the default box (radius p); the bound
+    # fails if the scan goes back to visiting every point (l75 7 alone then
+    # takes about 15 s)
+    start = time.perf_counter()
+    for p, zeros, wall in ((3, 6, 72), (5, 120, 1100), (7, 5040, 6468)):
+        res = run(["l75", str(p)])
+        assert res.exit_code == 0
+        assert f"box {p}: PASS" in res.text
+        assert res.payload["zero_margin_count"] == zeros
+        assert res.payload["boundary_min_margin"] == wall
+    assert time.perf_counter() - start < 10
 
 
 def test_seeded_payload_is_byte_deterministic():

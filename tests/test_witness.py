@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from unitred.field import make_field
 from unitred.svp import FoundVector
 from unitred.traceform import ldl
 from unitred.witness import (
+    L75Report,
     delta_lower_bound,
     eq4_check,
     l75_scan,
@@ -343,6 +345,44 @@ def test_l75_scan_matches_full_permutation_oracle():
             rep = l75_scan(p, box).to_json_dict()
             assert rep.pop("kind") == "l75_scan"
             assert rep == _l75_oracle(p, box), (p, box)
+
+
+def _l75_box_oracle(p, box):
+    """The scan before the split by coordinate sum: one pass over every point
+    of the box for w = (1..p-1), margin / p^2 = sum_w f_w(m_w) - (sum m)^2."""
+    d = p - 1
+    side = range(-box, box + 1)
+    terms = [[p * t * t + (p - 1 - 2 * w) * t for t in side] for w in range(1, p)]
+    wall = (0, len(side) - 1)
+    min_margin = boundary_min = None
+    zeros = 0
+    for idx in itertools.product(range(len(side)), repeat=d):
+        s = sum(idx) - d * box
+        margin = sum(col[i] for col, i in zip(terms, idx)) - s * s
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+        if margin == 0:
+            zeros += 1
+        if (boundary_min is None or margin < boundary_min) and any(i in wall for i in idx):
+            boundary_min = margin
+    perms = math.factorial(d)
+    return L75Report(
+        p=p,
+        box_radius=box,
+        permutations=perms,
+        grid_points=len(side) ** d,
+        passed=min_margin >= 0,
+        min_margin=p * p * min_margin,
+        zero_margin_count=perms * zeros,
+        zero_at_m_zero=True,
+        boundary_min_margin=p * p * boundary_min,
+    )
+
+
+def test_l75_scan_matches_the_box_oracle():
+    for p, boxes in ((3, (1, 2, 3, 4)), (5, (1, 2, 3)), (7, (1, 2))):
+        for box in boxes:
+            assert l75_scan(p, box) == _l75_box_oracle(p, box), (p, box)
 
 
 def test_import_does_not_load_numpy():
