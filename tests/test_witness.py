@@ -348,8 +348,8 @@ def test_l75_scan_matches_full_permutation_oracle():
 
 
 def _l75_box_oracle(p, box):
-    """The scan before the split by coordinate sum: one pass over every point
-    of the box for w = (1..p-1), margin / p^2 = sum_w f_w(m_w) - (sum m)^2."""
+    """The direct scan: one pass over every point of the box for
+    w = (1..p-1), margin / p^2 = sum_w f_w(m_w) - (sum m)^2."""
     d = p - 1
     side = range(-box, box + 1)
     terms = [[p * t * t + (p - 1 - 2 * w) * t for t in side] for w in range(1, p)]
