@@ -46,6 +46,7 @@ from .realfield import (
     embed,
     make_real_field,
     project,
+    real_element_from_json_dict,
     real_mu_relations_check,
     real_sqrt_of_unit,
     verify_real_witness,
@@ -149,6 +150,7 @@ __all__ = [
     "project",
     "q_eval",
     "q_matrix",
+    "real_element_from_json_dict",
     "real_mu_relations_check",
     "real_sqrt_of_unit",
     "rho",

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are plain nested lists of ints or Fractions; nothing here ever
-touches floating point.  Both routines clear denominators once and run one
+touches floating point.  solve_exact clears denominators once and runs one
 fraction-free Gauss-Jordan elimination on the integer matrix (Bareiss,
 Math. Comp. 22, 1968): every entry stays a minor of the input, so every
 division is exact, and a Fraction is formed only for the result.
@@ -22,7 +22,7 @@ def _integer_scale(rows) -> tuple[int, list[list[int]]]:
     return s, [[c.numerator * (s // c.denominator) for c in row] for row in rows]
 
 
-def _eliminate(a, ncols) -> tuple[int, int, int]:
+def _eliminate(a, ncols) -> tuple[int, int]:
     """Fraction-free Gauss-Jordan on the int rows a, in place, over the first
     ncols columns.
 
@@ -31,11 +31,10 @@ def _eliminate(a, ncols) -> tuple[int, int, int]:
     f = 0 is rescaled by pivot / previous_pivot.  Columns left of the pivot
     are not updated, as nothing reads them again.  Afterwards the first
     `rank` rows are the pivot rows, and row i reads d * x_(c_i) plus its
-    non-pivot entries, with d the last pivot.  Returns (rank, d, sign), sign
-    being that of the row permutation.
+    non-pivot entries, with d the last pivot.  Returns (rank, d).
     """
     m = len(a)
-    r, d, sign = 0, 1, 1
+    r, d = 0, 1
     for c in range(ncols):
         if r == m:
             break
@@ -44,7 +43,6 @@ def _eliminate(a, ncols) -> tuple[int, int, int]:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-            sign = -sign
         prow = a[r][c:]
         piv = prow[0]
         for i in range(m):
@@ -59,7 +57,7 @@ def _eliminate(a, ncols) -> tuple[int, int, int]:
                 row[j] = q
         d = piv
         r += 1
-    return r, d, sign
+    return r, d
 
 
 def solve_exact(rows, rhs) -> list[Fraction]:
@@ -69,18 +67,10 @@ def solve_exact(rows, rhs) -> list[Fraction]:
     """
     m, n = len(rows), len(rows[0])
     _, a = _integer_scale([list(row) + [rhs[i]] for i, row in enumerate(rows)])
-    rank, d, _ = _eliminate(a, n)
+    rank, d = _eliminate(a, n)
     if rank < n:
         raise LinearAlgebraError("underdetermined system")
     if any(a[i][n] for i in range(n, m)):
         raise LinearAlgebraError("inconsistent system")
     return [Fraction(a[i][n], d) for i in range(n)]
 
-
-def det_exact(rows) -> Fraction:
-    n = len(rows)
-    s, a = _integer_scale(rows)
-    rank, d, sign = _eliminate(a, n)
-    if rank < n:
-        return Fraction(0)
-    return Fraction(sign * d, s**n)

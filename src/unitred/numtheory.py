@@ -82,10 +82,14 @@ def miller_rabin(n: int) -> bool:
     return True
 
 
+SPLIT_PRIME_BITS = 20  # every split prime is above 2^SPLIT_PRIME_BITS
+
+
 def split_primes(n: int):
-    """The primes l = 1 (mod n) above 2^20, ascending, as miller_rabin finds them."""
+    """The primes l = 1 (mod n) above 2^SPLIT_PRIME_BITS, ascending, as miller_rabin finds them."""
     step = math.lcm(2, n)
-    return (ell for ell in count((2**20 // step + 1) * step + 1, step) if miller_rabin(ell))
+    start = (2**SPLIT_PRIME_BITS // step + 1) * step + 1
+    return (ell for ell in count(start, step) if miller_rabin(ell))
 
 
 def primes():

@@ -1,11 +1,12 @@
 """Exact lattice tools: LLL reduction and bounded enumeration.
 
-Everything here is integral: LLL keeps the transform, the Gram and the
-Gram-Schmidt data (leading minors and scaled mu) in integers, a fresh
-fraction-free elimination of the reduced Gram checks it, and enumeration
-reads that elimination and runs over one common denominator, with exact
-integer square roots for the interval ends.  A successful run is therefore
-a proof; post-conditions raise VerificationError on any inconsistency.
+Everything here is integral: LLL keeps only the transform and the
+Gram-Schmidt data (leading minors and scaled mu) in integers, the reduced
+Gram is formed once from the transform, a fresh fraction-free elimination
+of it checks the reduction, and enumeration reads that elimination and runs
+over one common denominator, with exact integer square roots for the
+interval ends.  A successful run is therefore a proof; post-conditions
+raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
@@ -22,25 +23,12 @@ from fractions import Fraction
 
 from .errors import BudgetError, NotTotallyPositiveError, VerificationError
 from .field import split_table
-from .linalg import _integer_scale
-from .traceform import GramMatrix, _fraction_free
+from .numtheory import SPLIT_PRIME_BITS
+from .traceform import _coerce_gram, _fraction_free
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_RESULT_CAP = 1_000_000
-
-
-def _coerce_gram(g):
-    """(scale, integer rows, element-or-None) from a GramMatrix or raw rows."""
-    if isinstance(g, GramMatrix):
-        return (*g.integer_scale(), g.element)
-    rows = [[Fraction(c) for c in row] for row in g]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("Gram matrix must be square")
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
-        raise ValueError("Gram matrix must be symmetric")
-    return (*_integer_scale(rows), None)
 
 
 def _axpy(p: list, t: int, r) -> list:
@@ -56,9 +44,10 @@ def _axpy(p: list, t: int, r) -> list:
 
 @dataclass(frozen=True)
 class LLLResult:
-    """transform is unimodular with transform * G * transform^T == gram for
-    G = scale * g; dets and lam, from _fraction_free(gram), checked the
-    reduction.  Enumeration reads this; element is a trace form's, else None."""
+    """transform is unimodular, and gram is transform * G * transform^T for
+    G = scale * g, formed from the transform by the check; dets and lam, from
+    _fraction_free(gram), checked the reduction.  Enumeration reads this;
+    element is a trace form's, else None."""
 
     transform: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
@@ -77,17 +66,17 @@ def lll_reduce(g) -> LLLResult:
     reduced.
 
     Integral LLL (Cohen, Alg. 2.6.7): d[i], the i-th leading principal minor
-    of the current Gram w, and lam[k][j] = d[j + 1] * mu[k][j] come from the
-    elimination behind ldl and are updated in integers, by exact divisions.
-    That elimination decides positive definiteness: a form that is not
-    raises NotTotallyPositiveError, which names the element of a trace form
-    and reports the pivot of the unscaled matrix.
+    of the current basis's Gram, and lam[k][j] = d[j + 1] * mu[k][j] come
+    from the elimination behind ldl and are updated in integers, by exact
+    divisions; with the transform they are the loop's whole state.  That
+    elimination decides positive definiteness: a form that is not raises
+    NotTotallyPositiveError, which names the element of a trace form and
+    reports the pivot of the unscaled matrix.
     """
     scale, rows, element = _coerce_gram(g)
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = [list(r) for r in rows]
-    status, stop, d, lam = _fraction_free(w)
+    status, stop, d, lam = _fraction_free(rows)
     if status != "positive_definite":
         what = "Gram matrix" if element is None else f"trace form of {element!r}"
         raise NotTotallyPositiveError(
@@ -105,9 +94,6 @@ def lll_reduce(g) -> LLLResult:
             q = (2 * lam[k][j] + dj) // (2 * dj)
             if q:
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                w[k] = [x - q * y for x, y in zip(w[k], w[j])]
-                for row in w:
-                    row[k] -= q * row[j]
                 for t in range(j):
                     lam[k][t] -= q * lam[j][t]
                 lam[k][j] -= q * dj
@@ -119,9 +105,6 @@ def lll_reduce(g) -> LLLResult:
         # swap b_(k-1) and b_k; d[k] and lam[i][k - 1 : k + 1] change for i > k
         swaps += 1
         u[k - 1], u[k] = u[k], u[k - 1]
-        w[k - 1], w[k] = w[k], w[k - 1]
-        for row in w:
-            row[k - 1], row[k] = row[k], row[k - 1]
         lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
         b = x // d[k]
         for li in lam[k + 1 :]:
@@ -131,28 +114,27 @@ def lll_reduce(g) -> LLLResult:
         d[k] = b
         k = max(k - 1, 1)
 
-    dets, lam = _verify_lll(rows, det_g, u, w)
+    w, dets, lam = _verify_lll(rows, det_g, u)
     u, w, lam = (tuple(map(tuple, m)) for m in (u, w, lam))
     return LLLResult(u, w, swaps, scale, element, tuple(dets), lam)
 
 
-def _verify_lll(g, det_g, u, w):
-    """Check the reduction against g, whose determinant det_g was read before
-    the loop, and against a fresh _fraction_free(w) that shares nothing with
-    the loop's bookkeeping; return its (dets, lam).  With mu[i][j] =
-    lam[i][j] / dets[j + 1] and B_i = dets[i + 1] / dets[i], every test is in
-    integers.  Once u * g * u^T == w, det w = det(u)^2 * det_g, so
-    det w == det_g shows that the integral u is unimodular."""
+def _verify_lll(g, det_g, u):
+    """Form w = u * g * u^T, the reduced Gram, and check the reduction against
+    g, whose determinant det_g was read before the loop, with a fresh
+    _fraction_free(w) that reuses none of the loop's minors; return
+    (w, dets, lam).  With mu[i][j] = lam[i][j] / dets[j + 1] and B_i =
+    dets[i + 1] / dets[i], every test is in integers.  det w = det(u)^2 *
+    det_g, so det w == det_g shows that the integral u is unimodular."""
     n = len(g)
+    ug = [[sum(map(operator.mul, ui, col)) for col in zip(*g)] for ui in u]
+    w = [[sum(map(operator.mul, r, uj)) for uj in u] for r in ug]
     status, _, dets, lam = _fraction_free(w)
     if status != "positive_definite":
         raise VerificationError(
             f"LLL-reduced Gram matrix is {status} after LLL found the form "
             "positive definite"
         )
-    ug = [[sum(map(operator.mul, ui, col)) for col in zip(*g)] for ui in u]
-    if [[sum(map(operator.mul, r, uj)) for uj in u] for r in ug] != w:
-        raise VerificationError("LLL Gram bookkeeping mismatch")
     if dets[n] != det_g:
         raise VerificationError(f"LLL transform is not unimodular (det^2 {Fraction(dets[n], det_g)})")
     num, den = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
@@ -162,7 +144,7 @@ def _verify_lll(g, det_g, u, w):
                 raise VerificationError(f"basis not size-reduced at ({i},{j})")
         if i and den * (dets[i + 1] * dets[i - 1] + lam[i][i - 1] ** 2) < num * dets[i] ** 2:
             raise VerificationError(f"Lovasz condition fails at {i}")
-    return dets, lam
+    return w, dets, lam
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +184,9 @@ def _root_table(a, bound: Fraction, u):
     coefficients u[l] and r_i running over the roots of split_table, and the
     odd M has M^2 > 4 * (bound * den(a) / d)^d."""
     sq_bound = (bound * a.den / a.ctx.degree) ** a.ctx.degree
-    # each prime is above 2^20, so M^2 > 2^(40 * primes)
-    m, powers = split_table(a.ctx, -(-math.ceil(4 * sq_bound).bit_length() // 40))
+    # each prime is above 2^SPLIT_PRIME_BITS, so M^2 > 2^(2 * SPLIT_PRIME_BITS * primes)
+    primes = -(-math.ceil(4 * sq_bound).bit_length() // (2 * SPLIT_PRIME_BITS))
+    m, powers = split_table(a.ctx, primes)
     if m * m <= 4 * sq_bound:
         raise VerificationError(f"split modulus {m} does not cover the norm bound")
     table = []
@@ -252,6 +235,8 @@ def enumerate_below(
     form = _prepare(g)
     u, dets, lam = form.transform, form.dets, form.lam
     n = len(u)
+    if not n:  # a 0-dimensional lattice has no nonzero vector
+        return EnumerationResult(bound, (), 0)
     # L[j][l] = lam[j][l] / dets[l + 1] and pivot_l = dets[l + 1] / dets[l]; with
     # g_l = gcd(dets[l + 1], lam[l + 1:][l]), den_l = dets[l + 1] / g_l
     gs = [math.gcd(dets[l + 1], *(lam[j][l] for j in range(l + 1, n))) for l in range(n)]
@@ -390,6 +375,8 @@ def shortest(g, *, node_cap: int = DEFAULT_NODE_CAP) -> MinimaReport:
     exhaustive and the reported minimum is certified.
     """
     form = _prepare(g)
+    if not form.gram:
+        raise ValueError("shortest needs a nonempty form: a 0-dimensional lattice has no minimum")
     start = Fraction(min(row[i] for i, row in enumerate(form.gram)), form.scale)
     res = enumerate_below(form, start, node_cap=node_cap)
     if not res.vectors:

@@ -67,12 +67,26 @@ class LDLResult:
     lower: tuple[tuple[Fraction, ...], ...]
 
 
+def _coerce_gram(g) -> tuple[int, list[list[int]], object]:
+    """(scale, scale * g as int rows, element-or-None), the one way into ldl
+    and LLL; raw rows must be square and symmetric (ValueError otherwise)."""
+    if isinstance(g, GramMatrix):
+        return (*g.integer_scale(), g.element)
+    rows = [[Fraction(c) for c in row] for row in g]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("Gram matrix must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("Gram matrix must be symmetric")
+    return (*_integer_scale(rows), None)
+
+
 def ldl(matrix) -> LDLResult:
-    """LDL^T over the rationals without pivoting, as a definiteness test.
-    Only the lower triangle is read.  The factors of the rows a / s come
-    from _fraction_free(a) stopped at index k (k == n on success): pivots
-    up to k, L left of k."""
-    s, a = matrix.integer_scale() if isinstance(matrix, GramMatrix) else _integer_scale(matrix)
+    """LDL^T over the rationals without pivoting, as a definiteness test of
+    a GramMatrix or of square, symmetric raw rows (ValueError otherwise).
+    The factors of the rows a / s come from _fraction_free(a) stopped at
+    index k (k == n on success): pivots up to k, L left of k."""
+    s, a, _ = _coerce_gram(matrix)
     status, k, dets, lam = _fraction_free(a)
     n = len(a)
     pivots = tuple(Fraction(dets[i + 1], dets[i] * s) for i in range(min(k + 1, n)))

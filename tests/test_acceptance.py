@@ -15,7 +15,6 @@ from fractions import Fraction
 from unitred.certify import boundary_analysis, classify, strong_criterion, table1
 from unitred.cli import run
 from unitred.field import make_field
-from unitred.linalg import det_exact
 from unitred.realfield import classify_real, make_real_field, verify_real_witness
 from unitred.serialize import dumps_canonical
 from unitred.svp import enumerate_below
@@ -23,7 +22,7 @@ from unitred.traceform import gram
 from unitred.units import mu_star
 from unitred.witness import eq4_check, l75_scan, q_eval, rho, rho_closed, verify_witness
 
-from linalg_helpers import invert_exact
+from linalg_helpers import fraction_det, invert_exact
 
 PRIMES_13_97 = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -230,7 +229,7 @@ def test_10_real_subfield(capsys):
 def _random_pd_gram(rng, dim):
     while True:
         b = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
-        if det_exact([[Fraction(x) for x in row] for row in b]) == 0:
+        if fraction_det([[Fraction(x) for x in row] for row in b]) == 0:
             continue
         return [
             [sum(b[k][i] * b[k][j] for k in range(dim)) for j in range(dim)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from unitred.errors import LinearAlgebraError
-from unitred.linalg import det_exact, solve_exact
+from unitred.linalg import solve_exact
 
 from linalg_helpers import (
     fraction_det,
@@ -44,7 +44,7 @@ def test_solve_square_random():
     while solved < 60:
         n = rng.randint(1, 6)
         a = _rand_matrix(rng, n)
-        if det_exact(a) == 0:
+        if fraction_det(a) == 0:
             continue
         x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         b = mat_vec(a, x_true)
@@ -60,7 +60,7 @@ def test_solve_tall_full_column_rank():
         m, n = 6, 3
         a = _rand_matrix(rng, m, n)
         cols = transpose(a)
-        if det_exact([[sum(c1[i] * c2[i] for i in range(m)) for c2 in cols] for c1 in cols]) == 0:
+        if fraction_det([[sum(c1[i] * c2[i] for i in range(m)) for c2 in cols] for c1 in cols]) == 0:
             continue  # column-rank deficient; skip
         x_true = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         b = mat_vec(a, x_true)
@@ -79,27 +79,13 @@ def test_solve_inconsistent_tall_raises():
         solve_exact(a, [Fraction(0), Fraction(1)])
 
 
-def test_det_multiplicative():
-    rng = random.Random(205)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        a = _rand_matrix(rng, n)
-        b = _rand_matrix(rng, n)
-        assert det_exact(mat_mul(a, b)) == det_exact(a) * det_exact(b)
-
-
-def test_det_known():
-    assert det_exact([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]) == 3
-    assert det_exact(identity(7)) == 1
-
-
 def test_invert_round_trip():
     rng = random.Random(206)
     done = 0
     while done < 40:
         n = rng.randint(1, 5)
         a = _rand_matrix(rng, n)
-        if det_exact(a) == 0:
+        if fraction_det(a) == 0:
             continue
         inv = invert_exact(a)
         eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -157,19 +143,3 @@ def test_solve_matches_fraction_oracle():
     outcomes = {label for _, label in kinds}
     assert outcomes == {"solved", "underdetermined system", "inconsistent system"}
     assert kinds[("tall", "solved")] > 0 and kinds[("wide", "underdetermined system")] > 0
-
-
-def test_det_matches_fraction_oracle():
-    rng = random.Random(208)
-    zero = 0
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        a = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3:
-            a = [[x if rng.random() < 0.4 else Fraction(0) for x in row] for row in a]
-        if rng.random() < 0.2 and n > 1:
-            a[0] = list(a[-1])
-        want = fraction_det(a)
-        zero += want == 0
-        assert det_exact(a) == want, a
-    assert zero > 20

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import unitred
@@ -74,6 +75,32 @@ def test_library_imports_only_what_it_uses():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert found == []
+
+
+def test_library_has_no_dead_helpers():
+    # every module-level function and class is named somewhere in the package
+    # outside its own definition, or is exported in unitred.__all__
+    modules = sorted(Path(unitred.__file__).parent.glob("*.py"))
+    assert modules
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in modules]
+
+    def named(node):
+        return Counter(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum(map(named, trees), Counter())
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(modules, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in unitred.__all__
+        and everywhere[node.name] == named(node)[node.name]
+    ]
     assert found == []
 
 

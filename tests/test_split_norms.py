@@ -20,7 +20,13 @@ import unitred.field as field
 import unitred.svp as svp
 from unitred.errors import VerificationError
 from unitred.field import CycloElement, FieldContext, make_field, split_table
-from unitred.numtheory import is_canonical_conductor, is_prime, miller_rabin, split_primes
+from unitred.numtheory import (
+    SPLIT_PRIME_BITS,
+    is_canonical_conductor,
+    is_prime,
+    miller_rabin,
+    split_primes,
+)
 from unitred.realfield import RealFieldContext, make_real_field, verify_real_witness
 from unitred.serialize import dumps_canonical
 from unitred.svp import enumerate_below
@@ -104,7 +110,7 @@ def test_split_norms_match_resultants_on_random_vectors():
 def test_split_primes_are_primes_one_mod_n():
     for n in (1, 3, 4, 33, 44, 49, 97):
         ells = list(islice(split_primes(n), 4))
-        assert ells == sorted(ells) and ells[0] > 2**20
+        assert ells == sorted(ells) and ells[0] > 2**SPLIT_PRIME_BITS
         assert all(ell % n == 1 % n and is_prime(ell) for ell in ells), (n, ells)
     # strong pseudoprimes to the bases 2, 3, 5 (and 7) are caught by 2, 7, 61,
     # and the first one to 2, 7 and 61 together is where exactness ends

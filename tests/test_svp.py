@@ -10,7 +10,6 @@ import unitred.svp as svp
 import unitred.traceform as traceform
 from unitred.errors import BudgetError, NotTotallyPositiveError, VerificationError
 from unitred.field import CycloElement, make_field
-from unitred.linalg import det_exact
 from unitred.numtheory import euler_phi
 from unitred.realfield import _real_witness_data, make_real_field, verify_real_witness
 from unitred.serialize import dumps_canonical
@@ -18,14 +17,14 @@ from unitred.svp import EnumerationResult, enumerate_below, lll_reduce, shortest
 from unitred.traceform import gram, is_totally_positive, ldl
 from unitred.witness import verify_witness, witness_for_conductor
 
-from linalg_helpers import invert_exact, mat_mul, transpose
+from linalg_helpers import fraction_det, invert_exact, mat_mul, transpose
 
 
 def _rand_pd_gram(rng, dim, spread=2):
     # B^T B for random integer B with nonzero determinant; entries stay small
     while True:
         b = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(dim)]
-        if det_exact([[Fraction(x) for x in row] for row in b]) != 0:
+        if fraction_det([[Fraction(x) for x in row] for row in b]) != 0:
             return mat_mul(transpose(b), b)
 
 
@@ -59,67 +58,79 @@ def test_lll_transform_is_unimodular_and_consistent():
         g = _rand_pd_gram(rng, dim)
         res = lll_reduce(g)
         u = [list(row) for row in res.transform]
-        assert abs(det_exact([[Fraction(x) for x in r] for r in u])) == 1
+        assert abs(fraction_det([[Fraction(x) for x in r] for r in u])) == 1
         back = mat_mul(mat_mul(u, g), transpose(u))
         assert [tuple(row) for row in back] == [tuple(row) for row in res.gram]
 
 
 def test_verify_lll_rejects_a_consistent_transform_of_determinant_2():
-    # u * g * u^T == w, and w is size-reduced and Lovasz-reduced, but det u
-    # = 2: only comparing det w with det g can catch it
-    g, u, w = [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 4]]
+    # w = u * g * u^T = diag(1, 4) is size-reduced and Lovasz-reduced, but
+    # det u = 2: only comparing det w with det g can catch it
+    g, u = [[1, 0], [0, 1]], [[1, 0], [0, 2]]
     with pytest.raises(VerificationError, match=r"not unimodular \(det\^2 4\)"):
-        svp._verify_lll(g, 1, u, w)
-    svp._verify_lll(g, 1, g, g)  # u = 1 passes
+        svp._verify_lll(g, 1, u)
+    assert svp._verify_lll(g, 1, g)[0] == g  # u = 1 passes
 
 
 I2, I3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize(
-    "g, u, w, message",
+    "g, u, message",
     [
-        # w itself is not positive definite
-        pytest.param(I2, I2, [[1, 2], [2, 1]], "Gram matrix is indefinite after LLL found",
+        # w = u * g * u^T is not positive definite
+        pytest.param([[1, 2], [2, 1]], I2, "Gram matrix is indefinite after LLL found",
                      id="indefinite-2x2"),
-        pytest.param(I3, I3, [[1, 0, 0], [0, 1, 1], [0, 1, 1]],
+        pytest.param([[1, 0, 0], [0, 1, 1], [0, 1, 1]], I3,
                      "Gram matrix is singular after LLL found", id="singular-3x3"),
-        # u * g * u^T != w
-        pytest.param(I2, I2, [[2, 0], [0, 2]], "bookkeeping mismatch", id="mismatch-2x2"),
-        pytest.param(I3, I3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "bookkeeping mismatch",
-                     id="mismatch-3x3"),
-        # mu = 1 at (1, 0), and mu = -1 at (2, 0)
-        pytest.param(I2, [[1, 0], [1, 1]], [[1, 1], [1, 2]], r"not size-reduced at \(1,0\)",
-                     id="size-2x2"),
-        pytest.param(I3, [[1, 0, 0], [0, 1, 0], [-1, 0, 1]], [[1, 0, -1], [0, 1, 0], [-1, 0, 2]],
-                     r"not size-reduced at \(2,0\)", id="size-3x3"),
+        # w = [[1, 1], [1, 2]]: mu = 1 at (1, 0); w = [[1, 0, -1], [0, 1, 0],
+        # [-1, 0, 2]]: mu = -1 at (2, 0)
+        pytest.param(I2, [[1, 0], [1, 1]], r"not size-reduced at \(1,0\)", id="size-2x2"),
+        pytest.param(I3, [[1, 0, 0], [0, 1, 0], [-1, 0, 1]], r"not size-reduced at \(2,0\)",
+                     id="size-3x3"),
         # B_i < (99/100 - mu^2) * B_(i-1): B = (4, 1); B = (4, 2) with mu = 1/2,
         # just under (99/100 - 1/4) * 4; B = (100, 98), just under 99
-        pytest.param([[4, 0], [0, 1]], I2, [[4, 0], [0, 1]], "Lovasz condition fails at 1",
-                     id="lovasz-2x2"),
-        pytest.param([[4, 2], [2, 3]], I2, [[4, 2], [2, 3]], "Lovasz condition fails at 1",
-                     id="lovasz-mu-2x2"),
-        pytest.param([[100, 0], [0, 98]], I2, [[100, 0], [0, 98]], "Lovasz condition fails at 1",
+        pytest.param([[4, 0], [0, 1]], I2, "Lovasz condition fails at 1", id="lovasz-2x2"),
+        pytest.param([[4, 2], [2, 3]], I2, "Lovasz condition fails at 1", id="lovasz-mu-2x2"),
+        pytest.param([[100, 0], [0, 98]], I2, "Lovasz condition fails at 1",
                      id="lovasz-edge-2x2"),
-        pytest.param([[1, 0, 0], [0, 4, 0], [0, 0, 1]], I3, [[1, 0, 0], [0, 4, 0], [0, 0, 1]],
-                     "Lovasz condition fails at 2", id="lovasz-3x3"),
+        pytest.param([[1, 0, 0], [0, 4, 0], [0, 0, 1]], I3, "Lovasz condition fails at 2",
+                     id="lovasz-3x3"),
     ],
 )
-def test_verify_lll_refuses_each_broken_reduction(g, u, w, message):
-    det_g = det_exact([[Fraction(x) for x in row] for row in g])
+def test_verify_lll_refuses_each_broken_reduction(g, u, message):
+    det_g = fraction_det(g)
     with pytest.raises(VerificationError, match=message):
-        svp._verify_lll(g, det_g, u, w)
+        svp._verify_lll(g, det_g, u)
 
 
 @pytest.mark.parametrize(
-    "w",
+    "g",
     [[[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[4, 2], [2, 4]], [[100, 0], [0, 99]]],
     ids=["mu-half", "mu-minus-half", "lovasz-mu-edge", "lovasz-edge"],
 )
-def test_verify_lll_accepts_the_boundaries(w):
+def test_verify_lll_accepts_the_boundaries(g):
     # |mu| = 1/2 is size-reduced, and B_1 = (99/100 - mu^2) * B_0 is Lovasz-reduced
-    det_w = w[0][0] * w[1][1] - w[0][1] ** 2
-    assert svp._verify_lll(w, det_w, I2, w) == ([1, w[0][0], det_w], [[0, 0], [w[1][0], 0]])
+    det_g = g[0][0] * g[1][1] - g[0][1] ** 2
+    assert svp._verify_lll(g, det_g, I2) == (g, [1, g[0][0], det_g], [[0, 0], [g[1][0], 0]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2], [3, 4]], [[2, 1, 0], [1, 2]], [[1], [2, 3]], [[1, 0], [0, 1], [0, 0]]],
+    ids=["asymmetric", "ragged-long-first", "ragged-short-first", "3x2"],
+)
+def test_malformed_gram_rows_are_refused_on_every_way_in(rows):
+    # traceform._coerce_gram is the one conversion of raw rows, for ldl and LLL
+    for run in (ldl, lll_reduce, lambda g: enumerate_below(g, 1), shortest):
+        with pytest.raises(ValueError, match="Gram matrix must be (square|symmetric)"):
+            run(rows)
+
+
+def test_the_zero_dimensional_form_has_no_nonzero_vector():
+    assert enumerate_below([], 1) == EnumerationResult(Fraction(1), (), 0)
+    with pytest.raises(ValueError, match="nonempty form"):
+        shortest([])
 
 
 def test_enumeration_matches_brute_force():
@@ -583,7 +594,7 @@ def _fraction_lll(g, delta=svp.DEFAULT_DELTA):
     """lll_reduce as it ran before its integral kernel: the LDL factors of
     w are recomputed after every swap and mu, B are Fractions.  Returns
     (transform, gram, swaps)."""
-    scale, rows, element = svp._coerce_gram(g)
+    scale, rows, element = traceform._coerce_gram(g)
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     w = [list(r) for r in rows]

@@ -7,7 +7,7 @@ import pytest
 
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
-from unitred.linalg import _integer_scale, det_exact
+from unitred.linalg import _integer_scale
 from unitred.numtheory import euler_phi, moebius
 from unitred.realfield import RealElement, _real_witness_data, make_real_field
 from unitred.svp import lll_reduce, shortest
@@ -15,7 +15,7 @@ from unitred.traceform import LDLResult, gram, is_totally_positive, ldl
 from unitred.units import is_reduced, mu_star
 from unitred.witness import witness_for_conductor
 
-from linalg_helpers import mat_mul, transpose
+from linalg_helpers import fraction_det, mat_mul, transpose
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 
@@ -143,7 +143,7 @@ def test_gram_det_is_disc_times_norm():
         ctx = make_field(n)
         for _ in range(50):
             a = _rand_totally_positive(rng, ctx)
-            assert det_exact(gram(a).entries) == ctx.discriminant_abs * a.norm()
+            assert fraction_det(gram(a).entries) == ctx.discriminant_abs * a.norm()
 
 
 def test_integer_scale():
