@@ -9,9 +9,9 @@ N % 4 == 2 is rejected because that field equals the one of conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
-Moebius closed form, norms from integer resultants (split_table gives the
-enumeration checked roots at split primes instead), inverses from one
-integer solve against the matrix of multiplication by the element.
+Moebius closed form, norms and inverses from one integer subresultant chain
+against the modulus (split_table gives the enumeration checked roots at
+split primes instead).
 """
 
 from __future__ import annotations
@@ -70,55 +70,50 @@ def _exact_div(a, b):
     return q
 
 
-def _prem(a, b):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over the integers."""
-    dv = len(b) - 1
-    lc = b[-1]
-    r = list(a)
-    e = len(a) - 1 - dv + 1
-    while len(r) - 1 >= dv and r:
-        dr = len(r) - 1
-        t = r[-1]
-        r = [lc * c for c in r]
-        for i in range(dv + 1):
-            r[dr - dv + i] -= t * b[i]
-        _trim(r)
-        e -= 1
-    if e > 0:
-        f = lc**e
-        r = [f * c for c in r]
-    return r
+def _subresultant(f, g):
+    """(res, t) for trimmed integer polynomials with 0 < deg g < deg f: res
+    their resultant and t, of degree below deg f, with t * g = res (mod f).
 
-
-def _resultant_int(a, b):
-    """Resultant of integer polynomials a and b, trimmed, with
-    0 < deg b < deg a, via the subresultant PRS: the case .norm() passes,
-    a being the monic modulus.  Each pseudo-remainder lowers the degree, so
-    every step's delta is at least 1.
-
-    Divisions in the chain are exact over Z; _exact_div raises
-    VerificationError if the bookkeeping ever breaks that.  Tested against
-    products of conjugates; the oracle for split_table's norms.
+    The subresultant PRS (Collins, JACM 14, 1967), carrying each remainder's
+    cofactor of g: lc(b)^(delta+1) a = q b + r makes r's cofactor
+    lc(b)^(delta+1) t_a - q t_b, and both are divided by lg h^delta (lg the
+    previous b's leading coefficient).  Every delta is at least 1.  The
+    divisions are exact over Z, remainders and cofactors being determinants;
+    _exact_div raises VerificationError if the bookkeeping ever breaks that.
     """
-    da, db = len(a) - 1, len(b) - 1
+    da, db = len(f) - 1, len(g) - 1
     if not 0 < db < da:
         raise ValueError(f"resultant needs 0 < deg b < deg a, got deg a {da}, deg b {db}")
-    s = g = h = 1
+    a, b, ta, tb = f, g, [], [1]
+    s = lg = h = 1
     while True:
         delta = da - db
         if (da % 2) and (db % 2):
             s = -s
-        r = _prem(a, b)
-        if not r:
-            return 0
-        a, da = b, db
-        den = g * h**delta
-        b = [_exact_div(c, den) for c in r]
+        lc, r, q = b[-1], list(a), [0] * (delta + 1)
+        for k in range(delta, -1, -1):  # r <- lc * r - c x^k b, c its top
+            c = r.pop()
+            r = [lc * x for x in r]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+            q = [lc * x for x in q]
+            q[k] = c
+        if not _trim(r):
+            return 0, []
+        t = [lc ** (delta + 1) * x for x in ta] + [0] * (delta + len(tb) - len(ta))
+        for i, qi in enumerate(q):
+            for j, y in enumerate(tb):
+                t[i + j] -= qi * y
+        den = lg * h**delta
+        a, da, ta = b, db, tb
+        b, tb = [_exact_div(c, den) for c in r], [_exact_div(c, den) for c in _trim(t)]
         db = len(b) - 1
-        g = a[-1]
-        h = _exact_div(g**delta, h ** (delta - 1))
+        lg = a[-1]
+        h = _exact_div(lg**delta, h ** (delta - 1))
         if db == 0:
-            return s * _exact_div(b[0] ** da, h ** (da - 1))
+            # the last subresultant is (b0 / h)^(da - 1) * b, cofactor alike
+            scale, hd = s * b[0] ** (da - 1), h ** (da - 1)
+            return _exact_div(scale * b[0], hd), [_exact_div(scale * c, hd) for c in tb]
 
 
 def _times_x(p, f):
@@ -160,9 +155,10 @@ class _Ring:
         """Element from a coefficient sequence on the power basis.
 
         Shorter sequences are zero-padded to the degree; longer ones are an
-        error.  Entries may be ints, Fractions, or strings like "-3/2".
+        error.  Entries may be ints, Fractions, or strings like "-3/2"; only
+        the last are converted, ints carrying numerator and denominator too.
         """
-        vals = [Fraction(c) for c in coeffs]
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
             raise ValueError(
                 f"expected at most {self.degree} coefficients for {self!r}, "
@@ -363,22 +359,26 @@ class _Element:
     def _norm(self, modulus) -> Fraction:
         """Resultant of the monic modulus and the numerator polynomial, over
         den^degree; exact and sign-exact."""
-        f = _trim(list(self.num))
-        if len(f) < 2:
+        g = _trim(list(self.num))
+        if len(g) < 2:
             return self.as_rational() ** self.ctx.degree
-        return Fraction(_resultant_int(list(modulus), f), self.den**self.ctx.degree)
+        return Fraction(_subresultant(modulus, g)[0], self.den**self.ctx.degree)
 
     def _inverse(self, modulus):
-        """1/x from one integer solve M u = den * e_0, M the matrix of
-        multiplication by num = den * x on the power basis of Z[x]/(modulus):
-        its column j is num * z^j, each one the previous times z."""
+        """1/x = den * t / res from the subresultant chain of the modulus and
+        num = den * x, which ends with t * num = res (mod the modulus): O(d^2)
+        integer steps, no linear solve."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        cols = [self.num]
-        for _ in range(self.ctx.degree - 1):
-            cols.append(_times_x(cols[-1], modulus))
-        rhs = [self.den] + [0] * (self.ctx.degree - 1)
-        return self.ctx.element(solve_exact(list(zip(*cols)), rhs))
+        g = _trim(list(self.num))
+        if len(g) < 2:
+            return self.ctx.from_rational(1 / self.as_rational())
+        res, t = _subresultant(modulus, g)
+        if not res:
+            raise VerificationError(f"{self!r} is a zero divisor: the modulus is reducible")
+        sign = -1 if res < 0 else 1
+        t += [0] * (self.ctx.degree - len(t))
+        return self.ctx._make([sign * self.den * c for c in t], sign * res)
 
 
 class CycloElement(_Element):

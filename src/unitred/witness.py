@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -395,15 +396,23 @@ class Eq4Report:
 
 def eq4_check(a: CycloElement, y: CycloElement) -> Eq4Report:
     """Tr_{K_M}(lift(a) y conj(y)) == (M/N) * sum_i Tr_{K_N}(a x_i conj(x_i))
-    where the x_i are the components of y over K_N.  Exact on both sides."""
+    where the x_i are the components of y over K_N.  Exact on both sides.
+
+    The left side is a product in K_M.  The right side is one integer sum:
+    with T[m] = den(a) * Tr(a z^m), Tr(a x conj(x)) = sum_(j,k) x_j x_k
+    T[(j - k) mod N] / den(a) for x = sum_j x_j z^j, each component's
+    numerator put over y's denominator."""
     low = a.ctx.conductor
     high = y.ctx.conductor
-    lifted = a.lift(high)
-    lhs = (lifted * y * y.conj()).trace()
+    lhs = (a.lift(high) * y * y.conj()).trace()
     parts = y.decompose(low)
-    rhs = Fraction(high // low) * sum(
-        ((a * x * x.conj()).trace() for x in parts), Fraction(0)
-    )
+    t = a._traces(a.ctx._mono_trace * 2, low)
+    rows = [[t[(j - k) % low] for k in range(a.ctx.degree)] for j in range(a.ctx.degree)]
+    total = 0
+    for x in parts:
+        v = [c * (y.den // x.den) for c in x.num]
+        total += sum(c * sum(map(operator.mul, row, v)) for c, row in zip(v, rows) if c)
+    rhs = Fraction(total * (high // low), a.den * y.den**2)
     return Eq4Report(
         conductor_low=low,
         conductor_high=high,

@@ -339,7 +339,8 @@ def test_sweep_to_5000_runs_in_bounded_memory():
 
 def _witness_commands():
     # every error path (ConductorError, ValueError, DegreeError), both budget
-    # stops and the closed-form delta bounds
+    # stops, the closed-form delta bounds and the trace-lift identity on the
+    # perfbench pairs
     modes = ([], ["--json"], ["--verify"], ["--verify", "--json"])
     cmds = []
     for n in (1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 25, 27, 32, 49):
@@ -351,6 +352,8 @@ def _witness_commands():
         cmds.append(["real", "witness", "64", "--verify", "--budget", "2000", *j])
     for n in (0, 1, 2, 8, 15, 16, 22, 23, 25, 27, 49, 64, 81, 97, 121, 1024):
         cmds += [["delta-bound", str(n)], ["delta-bound", str(n), "--json"]]
+    for n, m in ((5, 25), (8, 32), (9, 27), (7, 49), (15, 45), (3, 81)):
+        cmds.append(["check-eq4", str(n), str(m), "--seed", "7", "--json"])
     return cmds
 
 
@@ -365,7 +368,7 @@ def test_witness_commands_are_byte_identical(capsys):
         out, err = capsys.readouterr()
         blob = json.dumps([code, out, err]).encode()
         got[" ".join(argv)] = hashlib.sha256(blob).hexdigest()
-    assert len(got) == 152
+    assert len(got) == 158
     assert got.keys() == expected.keys()
     assert [cmd for cmd in got if got[cmd] != expected[cmd]] == []
 

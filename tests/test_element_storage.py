@@ -80,6 +80,9 @@ def test_results_are_in_lowest_terms_and_match_fractions(n):
         x = _check(ctx.element(ints), ints)
         y = _check(ctx.element(fracs), fracs)
         _check(ctx.element([str(c) for c in fracs]), fracs)
+        mixed = [True, "-3/4", 7, Fraction(2, 6), False][: ctx.degree]
+        want = [Fraction(1), Fraction(-3, 4), Fraction(7), Fraction(1, 3), 0][: ctx.degree]
+        _check(ctx.element(mixed), want + [0] * (ctx.degree - len(want)))
         thirds = [Fraction(1, 3), Fraction(2, 3)] + one[2:]
         _check(ctx.element([Fraction(2, 6), Fraction(4, 6)]), thirds)
         _check(x + y, [a + b for a, b in zip(ints, fracs)])

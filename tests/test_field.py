@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import unitred.field as field
-from unitred.errors import ConductorError, FieldMismatchError
+from unitred.errors import ConductorError, FieldMismatchError, VerificationError
 from unitred.field import (
     CycloElement,
-    _resultant_int,
+    _poly_divmod_monic,
+    _subresultant,
+    _times_x,
     _trim,
     cyclotomic_poly,
     element_from_json_dict,
@@ -21,7 +23,9 @@ from unitred.field import (
     recompose,
 )
 from unitred.numtheory import euler_phi, factorize, moebius, prime_divisors
+from unitred.linalg import solve_exact
 from unitred.realfield import embed, make_real_field, project
+from unitred.witness import _witness_x
 
 from linalg_helpers import fraction_solve
 
@@ -148,7 +152,7 @@ def test_trace_galois_orbit_sum():
 def test_resultant_needs_0_lt_deg_b_lt_deg_a(a, b):
     deg = f"deg a {len(a) - 1}, deg b {len(b) - 1}"
     with pytest.raises(ValueError, match=deg):
-        _resultant_int(a, b)
+        _subresultant(a, b)
 
 
 def test_norm_of_zero_and_of_rationals_needs_no_resultant(monkeypatch):
@@ -157,7 +161,7 @@ def test_norm_of_zero_and_of_rationals_needs_no_resultant(monkeypatch):
     def refuse(a, b):
         raise AssertionError("resultant called")
 
-    monkeypatch.setattr(field, "_resultant_int", refuse)
+    monkeypatch.setattr(field, "_subresultant", refuse)
     q = Fraction(-3, 2)
     for ctx in (make_field(16), make_real_field(16)):
         assert ctx.zero().norm() == 0
@@ -212,6 +216,8 @@ def test_inverse():
             done += 1
     with pytest.raises(ZeroDivisionError):
         make_field(5).zero().inverse()
+    with pytest.raises(VerificationError, match="zero divisor"):  # 1 + z modulo z^4 - 1
+        make_field(5).element([1, 1])._inverse((-1, 0, 0, 0, 1))
 
 
 def test_galois_permutes_and_fixes_trace():
@@ -323,6 +329,76 @@ def _euclid_inverse(x, modulus):
     return tuple(u) + (Fraction(0),) * (x.ctx.degree - len(u))
 
 
+def _prem(a, b):
+    """Oracle: pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over the
+    integers (the kernel before the chain carried cofactors)."""
+    dv = len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    e = len(a) - 1 - dv + 1
+    while len(r) - 1 >= dv and r:
+        dr = len(r) - 1
+        t = r[-1]
+        r = [lc * c for c in r]
+        for i in range(dv + 1):
+            r[dr - dv + i] -= t * b[i]
+        _trim(r)
+        e -= 1
+    if e > 0:
+        f = lc**e
+        r = [f * c for c in r]
+    return r
+
+
+def _resultant_int(a, b):
+    """Oracle: resultant of integer polynomials a and b with 0 < deg b <
+    deg a by the plain subresultant PRS, no cofactor carried."""
+    da, db = len(a) - 1, len(b) - 1
+    s = g = h = 1
+    while True:
+        delta = da - db
+        if (da % 2) and (db % 2):
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a, da = b, db
+        den = g * h**delta
+        b = [field._exact_div(c, den) for c in r]
+        db = len(b) - 1
+        g = a[-1]
+        h = field._exact_div(g**delta, h ** (delta - 1))
+        if db == 0:
+            return s * field._exact_div(b[0] ** da, h ** (da - 1))
+
+
+def _bareiss_inverse(x, modulus):
+    """Oracle: 1/x from one solve M u = den * e_0, M the matrix of
+    multiplication by num = den * x: column j is num * z^j."""
+    cols = [x.num]
+    for _ in range(x.ctx.degree - 1):
+        cols.append(_times_x(cols[-1], modulus))
+    rhs = [x.den] + [0] * (x.ctx.degree - 1)
+    return x.ctx.element(solve_exact(list(zip(*cols)), rhs))
+
+
+def _check_chain(x, modulus):
+    """The chain of the modulus and x's numerator against the old resultant:
+    the same res, and t * num = res modulo the modulus."""
+    g = _trim(list(x.num))
+    if len(g) < 2:
+        return
+    res, t = _subresultant(modulus, g)
+    assert res == _resultant_int(list(modulus), g) != 0
+    assert len(t) <= len(modulus) - 1
+    conv = [0] * (len(t) + len(g) - 1)
+    for i, ti in enumerate(t):
+        for j, gj in enumerate(g):
+            conv[i + j] += ti * gj
+    rem = _poly_divmod_monic(conv, modulus)[1]
+    assert rem == [res] + [0] * (len(modulus) - 2)
+
+
 def _prime_power_decompose(y, n):
     """Oracle: decompose by a Fraction solve against the relative basis
     lift(z_n^j) * z_M^i, one prime of M/n at a time."""
@@ -349,6 +425,7 @@ def _prime_power_decompose(y, n):
 
 
 CANONICAL_TO_100 = [n for n in range(1, 101) if n % 4 != 2]
+WITNESS_CONDUCTORS = (8, 9, 16, 25, 27, 32, 49, 64, 81)
 
 
 def _sparse_elem(rng, ctx, denom):
@@ -379,12 +456,19 @@ def test_inverse_matches_euclid_oracle(real):
         ]
         if ctx.degree <= 24:
             xs.append(_rand_elem(ctx, rng, denom=rng.randint(1, 5)))
+        if n in WITNESS_CONDUCTORS:  # the witnesses invert 2 + t, 2 - t and x conj(x)
+            if real:
+                xs.append(2 + ctx.theta() if n % 2 == 0 else 2 - ctx.theta())
+            else:
+                xs.append(_witness_x(n) * _witness_x(n).conj())
         for x in xs:
             if x.is_zero():
                 continue
             inv = x.inverse()
             assert inv.coeffs == _euclid_inverse(x, modulus), (n, x)
+            assert inv == _bareiss_inverse(x, modulus)
             assert x * inv == 1
+            _check_chain(x, modulus)
         if real and n <= 32:
             # the embed -> invert in K_N -> project round trip K_N+ used to take
             x = xs[1]

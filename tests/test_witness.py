@@ -402,17 +402,39 @@ def test_l75_guards():
         l75_scan(3, 0)
 
 
+def _eq4_by_products(a, y):
+    """Oracle: (lhs, rhs, components) of eq4 with the right side summed over
+    field products a * x * conj(x), one per component."""
+    low, high = a.ctx.conductor, y.ctx.conductor
+    lhs = (a.lift(high) * y * y.conj()).trace()
+    parts = y.decompose(low)
+    rhs = Fraction(high // low) * sum(((a * x * x.conj()).trace() for x in parts), Fraction(0))
+    return lhs, rhs, len(parts)
+
+
 def test_eq4_random_trials():
+    # integer trials, then the perfbench pairs with Fraction coefficients so
+    # that a.den and y.den are not 1 and components reduce to other dens
     rng = random.Random(804)
-    for small, big, trials in ((3, 9, 40), (5, 25, 20), (4, 8, 40)):
+    cases = [
+        (3, 9, 40, 1), (5, 25, 20, 1), (4, 8, 40, 1), (7, 49, 4, 6), (15, 45, 4, 4), (3, 81, 4, 9)
+    ]
+    for small, big, trials, denom in cases:
         ctx_s = make_field(small)
         ctx_b = make_field(big)
         for _ in range(trials):
-            a = ctx_s.element([rng.randint(-5, 5) for _ in range(ctx_s.degree)])
-            y = ctx_b.element([rng.randint(-5, 5) for _ in range(ctx_b.degree)])
+            a, y = (
+                [Fraction(rng.randint(-5, 5), rng.randint(1, denom)) for _ in range(ctx.degree)]
+                for ctx in (ctx_s, ctx_b)
+            )
+            if denom > 1:  # a top coefficient 1/denom puts denom into den
+                a[-1] = y[-1] = Fraction(1, denom)
+            a, y = ctx_s.element(a), ctx_b.element(y)
+            assert a.den % denom == 0 == y.den % denom
             rep = eq4_check(a, y)
             assert rep.passed
             assert rep.components == ctx_b.degree // ctx_s.degree
+            assert (rep.lhs, rep.rhs, rep.components) == _eq4_by_products(a, y)
             d = rep.to_json_dict()
             assert d["kind"] == "trace_lift_identity"
 
