@@ -279,6 +279,7 @@ def cmd_check_eq4(args) -> CommandResult:
         "seed": args.seed,
         "passed": True,
     }
+    values = []  # each trial's lhs, equal to its rhs
     for trial in range(args.trials):
         a = ctx_small.element(
             [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(ctx_small.degree)]
@@ -298,6 +299,8 @@ def cmd_check_eq4(args) -> CommandResult:
                 ),
                 json_out=True,
             )
+        values.append(str(rep.lhs))
+    payload["values"] = values
     text = (
         f"trace-lift identity: {args.trials}/{args.trials} random trials passed "
         f"(K_{small} -> K_{big}, seed {args.seed})"

@@ -70,9 +70,10 @@ def _exact_div(a, b):
     return q
 
 
-def _subresultant(f, g):
+def _subresultant(f, g, cofactor=True):
     """(res, t) for trimmed integer polynomials with 0 < deg g < deg f: res
-    their resultant and t, of degree below deg f, with t * g = res (mod f).
+    their resultant and t, of degree below deg f, with t * g = res (mod f);
+    t is [] when cofactor is false, and the chain then skips its updates.
 
     The subresultant PRS (Collins, JACM 14, 1967), carrying each remainder's
     cofactor of g: lc(b)^(delta+1) a = q b + r makes r's cofactor
@@ -84,29 +85,31 @@ def _subresultant(f, g):
     da, db = len(f) - 1, len(g) - 1
     if not 0 < db < da:
         raise ValueError(f"resultant needs 0 < deg b < deg a, got deg a {da}, deg b {db}")
-    a, b, ta, tb = f, g, [], [1]
+    a, b, ta, tb = f, g, [], [1] if cofactor else []
     s = lg = h = 1
     while True:
         delta = da - db
         if (da % 2) and (db % 2):
             s = -s
-        lc, r, q = b[-1], list(a), [0] * (delta + 1)
+        lc, r, tops = b[-1], list(a), []
         for k in range(delta, -1, -1):  # r <- lc * r - c x^k b, c its top
             c = r.pop()
             r = [lc * x for x in r]
             for i in range(db):
                 r[k + i] -= c * b[i]
-            q = [lc * x for x in q]
-            q[k] = c
+            tops.append(c)
         if not _trim(r):
             return 0, []
-        t = [lc ** (delta + 1) * x for x in ta] + [0] * (delta + len(tb) - len(ta))
-        for i, qi in enumerate(q):
-            for j, y in enumerate(tb):
-                t[i + j] -= qi * y
         den = lg * h**delta
-        a, da, ta = b, db, tb
-        b, tb = [_exact_div(c, den) for c in r], [_exact_div(c, den) for c in _trim(t)]
+        if cofactor:  # q[k] = c_k lc^k, c_k the top taken at x^k
+            t = [lc ** (delta + 1) * x for x in ta] + [0] * (delta + len(tb) - len(ta))
+            for i, c in enumerate(reversed(tops)):
+                qi = c * lc**i
+                for j, y in enumerate(tb):
+                    t[i + j] -= qi * y
+            ta, tb = tb, [_exact_div(c, den) for c in _trim(t)]
+        a, da = b, db
+        b = [_exact_div(c, den) for c in r]
         db = len(b) - 1
         lg = a[-1]
         h = _exact_div(lg**delta, h ** (delta - 1))
@@ -362,7 +365,7 @@ class _Element:
         g = _trim(list(self.num))
         if len(g) < 2:
             return self.as_rational() ** self.ctx.degree
-        return Fraction(_subresultant(modulus, g)[0], self.den**self.ctx.degree)
+        return Fraction(_subresultant(modulus, g, cofactor=False)[0], self.den**self.ctx.degree)
 
     def _inverse(self, modulus):
         """1/x = den * t / res from the subresultant chain of the modulus and

@@ -10,8 +10,12 @@ raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
-other.  The bound is inclusive, or strict on request.  On a trace form each
-vector carries its exact field norm, from checked roots at split primes.
+other.  The bound is inclusive, or strict on request.  Every value of an
+integral form G is a multiple of its norm group g = gcd(G_ii, 2 G_ij), as
+v G v^T = sum G_ii v_i^2 + sum_{i<j} 2 G_ij v_i v_j; so a scan walks only
+up to the last multiple of g within its bound, and no vector lies between
+the two.  On a trace form each vector carries its exact field norm, from
+checked roots at split primes.
 """
 
 from __future__ import annotations
@@ -221,9 +225,15 @@ def enumerate_below(
     sum_{j>l} L[j][l] v_j; over den_l, the common denominator of column l of
     L, and s, that of every pivot_l / den_l^2, s times the step is
     k_l * (t * den_l + C_l)^2 with integers k_l, C_l: each interval end is an
-    exact isqrt, and the steps sum to at most floor(s * scale * bound), or
-    ceil(...) - 1 when strict.  A frame whose higher coordinates are all 0
-    (C_l = 0) takes t = 0 and then t > 0 only, so no -v twin is visited.
+    exact isqrt, and the steps sum to at most top: floor(s * scale * bound),
+    or ceil(...) - 1 when strict, rounded down to a multiple of s * g.  g, the
+    gcd of the reduced Gram's diagonal and doubled off-diagonal entries, is
+    the lattice's norm group, the same for every basis, and s * g divides
+    every scaled value, so no vector lies above the rounded top and within
+    the bound.  A top below s * g admits no nonzero vector and visits no
+    node; the result's bound stays the caller's, and the root table is sized
+    from top.  A frame whose higher coordinates are all 0 (C_l = 0) takes
+    t = 0 and then t > 0 only, so no -v twin is visited.
 
     Frames keep only the reduced-basis coordinates v and work out their
     children's intervals, so an empty one costs no call.  A level-0 run is
@@ -244,6 +254,17 @@ def enumerate_below(
     weights = [Fraction(dets[l + 1], dets[l] * dens[l] * dens[l]) for l in range(n)]
     s = math.lcm(*(w.denominator for w in weights))
     ks = [w.numerator * (s // w.denominator) for w in weights]
+
+    scaled = bound * form.scale * s
+    top = math.ceil(scaled) - 1 if strict else math.floor(scaled)
+    # s * g, g the norm group of the reduced Gram w, divides s * scale * value
+    w = form.gram
+    diagonal = (r[i] for i, r in enumerate(w))
+    step = s * math.gcd(*diagonal, *(2 * x for i, r in enumerate(w) for x in r[:i]))
+    top -= top % step
+    if top < step:  # a nonzero vector's scaled value is at least s * g
+        return EnumerationResult(bound, (), 0)
+    stepped = Fraction(top // s, form.scale)  # the bound rounded down, for the root table
     # level l: k_l, den_l, then k, den, near, far of level l - 1, where C_(l-1) =
     # near * v_l + sum over far of the nonzero L[j][l-1] * den_(l-1) * v_j, j > l
     levels = [(ks[0], dens[0])] + [
@@ -251,11 +272,6 @@ def enumerate_below(
          [(j, lam[j][l - 1] // gs[l - 1]) for j in range(l + 1, n) if lam[j][l - 1]])
         for l in range(1, n)
     ]
-
-    scaled = bound * form.scale * s
-    top = math.ceil(scaled) - 1 if strict else math.floor(scaled)
-    if top < 0:
-        return EnumerationResult(bound, (), 0)
     nodes = results = 0
     found: list[tuple[int, tuple[int, ...], int | None]] = []  # (s * scale * value, coords, norm)
     v = [0] * n  # reduced-basis coordinates of the levels above the current one
@@ -295,7 +311,7 @@ def enumerate_below(
             if not kept:
                 return
             if rows is None:
-                mod, rows = (None, u) if a is None else _root_table(a, bound, u)
+                mod, rows = (None, u) if a is None else _root_table(a, stepped, u)
                 pre.append([0] * len(rows[0]))
             for l in range(stale, 0, -1):
                 pre[l] = _axpy(pre[l + 1], v[l], rows[l])

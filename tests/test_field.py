@@ -158,7 +158,7 @@ def test_resultant_needs_0_lt_deg_b_lt_deg_a(a, b):
 def test_norm_of_zero_and_of_rationals_needs_no_resultant(monkeypatch):
     # .norm() returns early for zero, for constants and in degree 1, so the
     # resultant only ever sees 0 < deg b < deg a
-    def refuse(a, b):
+    def refuse(*args, **kwargs):
         raise AssertionError("resultant called")
 
     monkeypatch.setattr(field, "_subresultant", refuse)
@@ -384,12 +384,14 @@ def _bareiss_inverse(x, modulus):
 
 def _check_chain(x, modulus):
     """The chain of the modulus and x's numerator against the old resultant:
-    the same res, and t * num = res modulo the modulus."""
+    the same res, with and without the cofactor, and t * num = res modulo
+    the modulus."""
     g = _trim(list(x.num))
     if len(g) < 2:
         return
     res, t = _subresultant(modulus, g)
     assert res == _resultant_int(list(modulus), g) != 0
+    assert _subresultant(modulus, g, cofactor=False) == (res, [])
     assert len(t) <= len(modulus) - 1
     conv = [0] * (len(t) + len(g) - 1)
     for i, ti in enumerate(t):

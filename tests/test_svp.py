@@ -166,6 +166,34 @@ def test_enumeration_below_nothing_visits_no_node(bound, strict):
         assert res.bound == bound
 
 
+@pytest.mark.parametrize("bound, strict", [(1, False), (2, True), (Fraction(3, 2), False)])
+def test_a_bound_below_one_value_step_visits_no_node(bound, strict):
+    # every value of these forms is a multiple of 2, so no nonzero vector
+    # lies below 2, nor at it on a strict scan; the scan returns at once
+    for g in ([[4, 2], [2, 6]], [[2, 1], [1, 4]], gram(make_field(4).one())):
+        assert _value_step(g) == 2
+        res = enumerate_below(g, bound, strict=strict)
+        assert res == EnumerationResult(Fraction(bound), (), 0)
+    # K_12's 1 has trace 4 and value step 4, so nothing lies below Tr(1)
+    one = make_field(12).one()
+    assert _value_step(gram(one)) == one.trace() == 4
+    assert enumerate_below(gram(one), 4, strict=True) == EnumerationResult(Fraction(4), (), 0)
+    assert enumerate_below(gram(one), 4).nodes > 0
+
+
+def test_value_step_of_the_rows_is_that_of_the_reduced_gram():
+    # the norm group gcd(G_ii, 2 G_ij) is the same for every basis: read off
+    # the raw rows it equals the one read off the LLL-reduced Gram
+    rng = random.Random(509)
+    grams = [_rand_rational_pd_gram(rng, 1 + k % 6) for k in range(60)]
+    grams += [gram(make()) for make in WITNESS_FORMS.values()]
+    for g in grams:
+        form = lll_reduce(g)
+        w = form.gram
+        reduced = math.gcd(*(r[i] for i, r in enumerate(w)), *(2 * x for i, r in enumerate(w) for x in r[:i]))
+        assert _value_step(g) == Fraction(reduced, form.scale), g
+
+
 def test_sign_canonical_first_nonzero_positive():
     rng = random.Random(503)
     g = _rand_pd_gram(rng, 3)
@@ -402,17 +430,50 @@ def _outcome(run):
         return ("budget", str(exc), exc.nodes, exc.results)
 
 
+def _value_step(g):
+    """The gcd, in Fractions, of the diagonal and the doubled off-diagonal
+    entries of g as given (a prepared form's element, or its rows over its
+    scale): every value v G v^T is an integer combination of them."""
+    if isinstance(g, svp.LLLResult):
+        g = gram(g.element) if g.element is not None else [
+            [Fraction(x, g.scale) for x in row] for row in g.gram
+        ]
+    rows = g.entries if isinstance(g, traceform.GramMatrix) else [[Fraction(x) for x in r] for r in g]
+    terms = [r[i] for i, r in enumerate(rows)] + [2 * x for i, r in enumerate(rows) for x in r[:i]]
+    den = math.lcm(*(t.denominator for t in terms))
+    return Fraction(math.gcd(*(t.numerator * (den // t.denominator) for t in terms)), den)
+
+
+def _stepped_bound(g, bound, strict):
+    """(the largest multiple of the value step at or below bound, or below
+    it when strict, the step)."""
+    step = _value_step(g)
+    q = Fraction(bound) / step
+    return (math.ceil(q) - 1 if strict else math.floor(q)) * step, step
+
+
 def _assert_matches_oracle(g, bound, strict=False, **caps):
-    """The kernel against the half-space twin: the same vectors, nodes and
-    budget stops."""
+    """The kernel against the half-space twin: its vectors are the oracle's
+    at the bound as given; its nodes and budget stops are the oracle's walk
+    up to the stepped bound, inclusive, and none when that is below one
+    step.  The walk lists the same vectors: none lies between the two."""
 
     def kernel():
         res = enumerate_below(g, bound, strict=strict, **caps)
         return [(fv.value, fv.coeffs) for fv in res.vectors], res.nodes
 
-    want = _outcome(
-        lambda: _fraction_enumerate(g, bound, half_space=True, strict=strict, **caps)
+    top, step = _stepped_bound(g, bound, strict)
+    walk = ([], 0) if top < step else _outcome(
+        lambda: _fraction_enumerate(g, top, half_space=True, **caps)
     )
+    if walk[0] == "budget":
+        want = walk
+    elif not strict and top == bound:  # the walk is the oracle's run at the bound
+        want = walk
+    else:
+        found, _ = _fraction_enumerate(g, bound, half_space=True, strict=strict)
+        assert walk[0] == found, (bound, top, strict)
+        want = (found, walk[1])
     assert _outcome(kernel) == want, (bound, strict, caps)
     return want
 
