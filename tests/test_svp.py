@@ -190,7 +190,8 @@ def test_value_step_of_the_rows_is_that_of_the_reduced_gram():
     for g in grams:
         form = lll_reduce(g)
         w = form.gram
-        reduced = math.gcd(*(r[i] for i, r in enumerate(w)), *(2 * x for i, r in enumerate(w) for x in r[:i]))
+        off_diagonal = (2 * x for i, r in enumerate(w) for x in r[:i])
+        reduced = math.gcd(*(r[i] for i, r in enumerate(w)), *off_diagonal)
         assert _value_step(g) == Fraction(reduced, form.scale), g
 
 
@@ -438,7 +439,9 @@ def _value_step(g):
         g = gram(g.element) if g.element is not None else [
             [Fraction(x, g.scale) for x in row] for row in g.gram
         ]
-    rows = g.entries if isinstance(g, traceform.GramMatrix) else [[Fraction(x) for x in r] for r in g]
+    if isinstance(g, traceform.GramMatrix):
+        g = g.entries
+    rows = [[Fraction(x) for x in r] for r in g]
     terms = [r[i] for i, r in enumerate(rows)] + [2 * x for i, r in enumerate(rows) for x in r[:i]]
     den = math.lcm(*(t.denominator for t in terms))
     return Fraction(math.gcd(*(t.numerator * (den // t.denominator) for t in terms)), den)
@@ -466,9 +469,7 @@ def _assert_matches_oracle(g, bound, strict=False, **caps):
     walk = ([], 0) if top < step else _outcome(
         lambda: _fraction_enumerate(g, top, half_space=True, **caps)
     )
-    if walk[0] == "budget":
-        want = walk
-    elif not strict and top == bound:  # the walk is the oracle's run at the bound
+    if walk[0] == "budget" or (not strict and top == bound):  # the walk decides
         want = walk
     else:
         found, _ = _fraction_enumerate(g, bound, half_space=True, strict=strict)
