@@ -23,7 +23,6 @@ from .errors import (
     ConductorError,
     DegreeError,
     FieldMismatchError,
-    LinearAlgebraError,
     NotTotallyPositiveError,
     VerificationError,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "GramMatrix",
     "L75Report",
     "LDLResult",
-    "LinearAlgebraError",
     "MinimaReport",
     "MuStarReport",
     "NotTotallyPositiveError",

@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass
 
 from .certify import classify, table1
-from .errors import BudgetError, ConductorError, DegreeError, VerificationError
+from .errors import BudgetError, DegreeError, VerificationError
 from .field import _poly_str, element_to_json_dict, make_field, parse_element
-from .numtheory import is_canonical_conductor
+from .numtheory import is_canonical_conductor, require_divides
 from .realfield import _real_witness_data, classify_real, make_real_field, verify_real_witness
 from .serialize import dumps_canonical
 from .svp import DEFAULT_NODE_CAP, shortest
@@ -266,10 +266,9 @@ def cmd_delta_bound(args) -> CommandResult:
 
 def cmd_check_eq4(args) -> CommandResult:
     small, big = args.N, args.M
+    require_divides(small, big)
     ctx_small = make_field(small)
     ctx_big = make_field(big)
-    if big % small != 0:
-        raise ConductorError(f"{small} does not divide {big}")
     rng = random.Random(args.seed)
     payload = {
         "kind": "eq4_trials",

@@ -24,10 +24,6 @@ class DegreeError(UnitRedError, ValueError):
     and force=True was not passed.  The CLI exits 3 on it."""
 
 
-class LinearAlgebraError(UnitRedError, ValueError):
-    """Inconsistent or singular exact linear system where a solution was required."""
-
-
 class BudgetError(UnitRedError, RuntimeError):
     """Enumeration exceeded its node or result budget.
 

@@ -9,9 +9,10 @@ N % 4 == 2 is rejected because that field equals the one of conductor N/2.
 
 No floating point anywhere: products and Galois maps are integer
 polynomials reduced modulo the cyclotomic polynomial, traces come from a
-Moebius closed form, norms and inverses from one integer subresultant chain
-against the modulus (split_table gives the enumeration checked roots at
-split primes instead).
+Moebius closed form and relative traces from Ramanujan sums, norms and
+inverses from one integer subresultant chain against the modulus
+(split_table gives the enumeration checked roots at split primes instead).
+No linear system is solved.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import ConductorError, FieldMismatchError, VerificationError
-from .linalg import _integer_scale, solve_exact
 from .numtheory import (
     divisors,
     euler_phi,
+    factorize,
     moebius,
     prime_divisors,
     require_canonical_conductor,
+    require_divides,
     split_primes,
 )
 
@@ -167,7 +169,8 @@ class _Ring:
                 f"expected at most {self.degree} coefficients for {self!r}, "
                 f"got {len(vals)}"
             )
-        den, (num,) = _integer_scale([vals])
+        den = math.lcm(*(c.denominator for c in vals))
+        num = [c.numerator * (den // c.denominator) for c in vals]
         return self._make(num + [0] * (self.degree - len(num)), den)
 
     def _make(self, num, den: int = 1):
@@ -433,27 +436,38 @@ class CycloElement(_Element):
     def lift(self, m: int) -> "CycloElement":
         """Image in the field of conductor m (the conductor must divide m)."""
         big_n = self.ctx.conductor
-        up = make_field(m)
-        if m % big_n != 0:
-            raise ConductorError(f"{big_n} does not divide {m}")
-        return self._monomial_map(up, m // big_n)
+        require_divides(big_n, m)
+        return self._monomial_map(make_field(m), m // big_n)
 
     def relative_trace(self, n: int) -> "CycloElement":
-        """Trace down to the subfield of conductor n (n must divide the conductor):
-        the sum over automorphisms z -> z^k with k = 1 mod n, written back on the
-        subfield's power basis."""
+        """Trace down to the subfield of conductor n (n must divide the
+        conductor M): the sum over the automorphisms z -> z^k, k = 1 mod n, in
+        closed form, on the subfield's power basis.
+
+        Split M = A * B with A the part of M whose primes divide n, so n | A
+        and gcd(A, B) = 1, and write z^e = w^x * v^y by CRT, w = z^B and
+        v = z^A.  Gal(K_M/K_n) = Gal(K_A/K_n) x Gal(K_B/Q), so the trace of
+        z^e is a product.  Over K_n, w has minimal polynomial X^r - z_n with
+        r = A/n, every prime of r dividing n: the trace of w^x is r * z_n^(x/r)
+        when r | x, else 0.  The trace of v^y to Q is the Ramanujan sum
+        c_B(y) = mu(q) * phi(B) / phi(q), q = B / gcd(y, B) (S. Ramanujan,
+        Trans. Cambridge Philos. Soc. 22, 1918).  So one pass over the
+        coefficients collects integers on the powers of z_n, and one reduction
+        modulo Phi_n ends it.
+        """
         m = self.ctx.conductor
+        require_divides(n, m)
         down = make_field(n)
-        if m % n != 0:
-            raise ConductorError(f"{n} does not divide {m}")
-        if m == n:
-            return self
-        total = self.ctx.zero()
-        for k in self.ctx.galois_units:
-            if k % n == 1 % n:
-                total = total + self.galois(k)
-        cols = [down.zeta(j).lift(m).num for j in range(down.degree)]  # integral
-        return down.element(solve_exact(list(zip(*cols)), total.coeffs))
+        a = math.prod(p**k for p, k in factorize(m) if n % p == 0)
+        b, r = m // a, a // n
+        u, v, phi_b = pow(b, -1, a), pow(a, -1, b), euler_phi(b)
+        qs = [b // math.gcd(y, b) for y in range(b)]
+        ramanujan = [moebius(q) * phi_b // euler_phi(q) for q in qs]
+        p = [0] * n
+        for e, c in enumerate(self.num):
+            if c and (x := e * u % a) % r == 0:
+                p[x // r] += c * r * ramanujan[e * v % b]
+        return down._from_exponents(p, self.den)
 
     def decompose(self, n: int) -> list["CycloElement"]:
         """Write self = sum_i lift(x_i) * z_M^i with x_i in the subfield of
@@ -466,9 +480,8 @@ class CycloElement(_Element):
         decomposition is unique and integral exactly when self is.
         """
         m = self.ctx.conductor
+        require_divides(n, m)
         down = make_field(n)
-        if m % n != 0:
-            raise ConductorError(f"{n} does not divide {m}")
         ratio = m // n
         bad = [p for p in prime_divisors(ratio) if n % p != 0]
         if bad:

@@ -128,3 +128,11 @@ def require_canonical_conductor(n) -> None:
         raise ConductorError(
             f"conductor {n!r} is not canonical (need N >= 1 and N % 4 != 2){hint}"
         )
+
+
+def require_divides(n, m) -> None:
+    """ConductorError if the int n >= 1 does not divide the int m.  Callers
+    test this before they build either field, so a refused pair builds none;
+    other inputs are left to require_canonical_conductor."""
+    if isinstance(n, int) and isinstance(m, int) and n >= 1 and m % n:
+        raise ConductorError(f"{n} does not divide {m}")

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _integer_scale
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GramMatrix:
@@ -65,6 +63,13 @@ class LDLResult:
     pivots: tuple[Fraction, ...]
     failure_index: int
     lower: tuple[tuple[Fraction, ...], ...]
+
+
+def _integer_scale(rows) -> tuple[int, list[list[int]]]:
+    """Smallest positive s with s*rows integral, and s*rows as int rows;
+    entries are ints or Fractions."""
+    s = math.lcm(*(c.denominator for row in rows for c in row))
+    return s, [[c.numerator * (s // c.denominator) for c in row] for row in rows]
 
 
 def _coerce_gram(g) -> tuple[int, list[list[int]], object]:

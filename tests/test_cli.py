@@ -18,7 +18,6 @@ from unitred.errors import (
     ConductorError,
     DegreeError,
     FieldMismatchError,
-    LinearAlgebraError,
     NotTotallyPositiveError,
     VerificationError,
 )
@@ -189,6 +188,17 @@ def test_check_eq4_needs_divisible_pair():
     assert res2.payload["passed"] is True
 
 
+def test_check_eq4_refuses_before_building_a_field():
+    # divisibility is tested first: a refused pair builds neither field and
+    # takes no slot in make_field's cache (K_19996 alone takes seconds)
+    before = cli.make_field.cache_info()
+    for small, big in (("3", "19996"), ("3", "19994"), ("12", "19996")):
+        res = run(["check-eq4", small, big])
+        assert res.exit_code == 2
+        assert res.error == f"{small} does not divide {big}"
+        assert cli.make_field.cache_info() == before
+
+
 def test_check_eq4_failure_reports_the_counterexample(monkeypatch):
     trials = []
 
@@ -228,7 +238,7 @@ def test_check_eq4_failure_reports_the_counterexample(monkeypatch):
         (ConductorError("bad conductor"), 2, "bad conductor"),
         (FieldMismatchError("fields differ"), 2, "fields differ"),
         (NotTotallyPositiveError("not positive"), 2, "not positive"),
-        (LinearAlgebraError("singular system"), 2, "singular system"),
+        (ValueError("singular system"), 2, "singular system"),
         (ValueError("bad value"), 2, "bad value"),
         (ZeroDivisionError("inverse of zero"), 2, "inverse of zero"),
         (DegreeError("degree out of reach"), 3, "degree out of reach"),

@@ -22,12 +22,11 @@ from unitred.field import (
     parse_element,
     recompose,
 )
-from unitred.numtheory import euler_phi, factorize, moebius, prime_divisors
-from unitred.linalg import solve_exact
+from unitred.numtheory import divisors, euler_phi, factorize, moebius, prime_divisors
 from unitred.realfield import embed, make_real_field, project
 from unitred.witness import _witness_x
 
-from linalg_helpers import fraction_solve
+from linalg_helpers import fraction_solve, solve_exact
 
 CONDUCTORS = (5, 8, 9, 12, 15, 16)
 
@@ -280,6 +279,65 @@ def test_decompose_needs_power_compatible_step():
     y = make_field(15).zeta()
     with pytest.raises(ConductorError, match="offending primes"):
         y.decompose(3)
+
+
+def test_refused_pairs_build_no_field():
+    # divisibility is tested before either field is built, so a refusal
+    # takes no slot in make_field's cache (K_19996 alone takes seconds)
+    z, y = make_field(3).zeta(), make_field(9).zeta()
+    refusals = [
+        (z.lift, 19996),
+        (z.lift, 19994),  # not canonical either: the divisibility test comes first
+        (y.relative_trace, 19997),
+        (y.relative_trace, 6),
+        (y.decompose, 19997),
+        (y.decompose, 6),
+    ]
+    before = make_field.cache_info()
+    for method, target in refusals:
+        with pytest.raises(ConductorError, match="does not divide"):
+            method(target)
+        assert make_field.cache_info() == before, (method, target)
+
+
+def _solve_relative_trace(y, n):
+    """Oracle: relative_trace as it was before its closed form: the Galois
+    images z -> z^k, k = 1 mod n, summed in K_M and solved against the lifted
+    power basis of the subfield."""
+    m = y.ctx.conductor
+    down = make_field(n)
+    if m == n:
+        return y
+    total = y.ctx.zero()
+    for k in y.ctx.galois_units:
+        if k % n == 1 % n:
+            total = total + y.galois(k)
+    cols = [down.zeta(j).lift(m).num for j in range(down.degree)]  # integral
+    return down.element(solve_exact(list(zip(*cols)), total.coeffs))
+
+
+def test_relative_trace_matches_solve_oracle():
+    # every canonical pair n | M <= 120, n = 1 and n = M included; where every
+    # prime of M/n divides n, the trace is also M/n times decompose(n)[0]
+    rng = random.Random(306)
+    pairs = 0
+    for m in range(1, 121):
+        if m % 4 == 2:
+            continue
+        ctx = make_field(m)
+        for n in divisors(m):
+            if n % 4 == 2:
+                continue
+            pairs += 1
+            for _ in range(3):
+                y = ctx.element(
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ctx.degree)]
+                )
+                got = y.relative_trace(n)
+                assert got == _solve_relative_trace(y, n), (m, n, y)
+                if all(n % p == 0 for p in prime_divisors(m // n)):
+                    assert got == y.decompose(n)[0] * (m // n), (m, n, y)
+    assert pairs == 368
 
 
 # -- oracles: the kernels as they were before the integer solve and slicing

@@ -3,9 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from unitred.errors import LinearAlgebraError
-from unitred.linalg import solve_exact
-
 from linalg_helpers import (
     fraction_det,
     fraction_solve,
@@ -13,6 +10,7 @@ from linalg_helpers import (
     invert_exact,
     mat_mul,
     mat_vec,
+    solve_exact,
     transpose,
 )
 
@@ -69,13 +67,13 @@ def test_solve_tall_full_column_rank():
 
 def test_solve_singular_raises():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(LinearAlgebraError):
+    with pytest.raises(ValueError):
         solve_exact(a, [Fraction(1), Fraction(1)])
 
 
 def test_solve_inconsistent_tall_raises():
     a = [[Fraction(1)], [Fraction(1)]]
-    with pytest.raises(LinearAlgebraError):
+    with pytest.raises(ValueError):
         solve_exact(a, [Fraction(0), Fraction(1)])
 
 
@@ -95,14 +93,14 @@ def test_invert_round_trip():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(LinearAlgebraError):
+    with pytest.raises(ValueError):
         invert_exact([[Fraction(0)]])
 
 
 def _outcome(solve, a, b):
     try:
         return solve(a, b)
-    except LinearAlgebraError as exc:
+    except ValueError as exc:
         return (type(exc), str(exc))
 
 

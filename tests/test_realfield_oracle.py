@@ -22,8 +22,10 @@ import pytest
 
 from unitred.errors import VerificationError
 from unitred.field import _times_x, make_field
-from unitred.linalg import _integer_scale, solve_exact
 from unitred.realfield import embed, make_real_field, project
+from unitred.traceform import _integer_scale
+
+from linalg_helpers import solve_exact
 
 CANONICAL_3_TO_100 = [n for n in range(3, 101) if n % 4 != 2]
 

@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import unitred
+import unitred.errors as errors
 import unitred.realfield as realfield
 import unitred.svp as svp
 import unitred.units as units
@@ -102,6 +103,32 @@ def test_library_has_no_dead_helpers():
         and everywhere[node.name] == named(node)[node.name]
     ]
     assert found == []
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    # an exception type that nothing in the package raises is dead public API:
+    # each class of unitred.errors is constructed (svp builds its BudgetError
+    # in a helper, then raises it), raised by name, or a base of another class
+    modules = sorted(Path(unitred.__file__).parent.glob("*.py"))
+    used = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                names = [node.func]
+            elif isinstance(node, ast.Raise):
+                names = [node.exc]
+            elif isinstance(node, ast.ClassDef):
+                names = node.bases
+            else:
+                continue
+            used |= {sub.id for sub in names if isinstance(sub, ast.Name)}
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert "UnitRedError" in classes
+    assert sorted(classes - used) == []
 
 
 def test_bench_files_name_both_commits_and_every_workload():

@@ -7,11 +7,10 @@ import pytest
 
 from unitred.errors import NotTotallyPositiveError
 from unitred.field import make_field
-from unitred.linalg import _integer_scale
 from unitred.numtheory import euler_phi, moebius
 from unitred.realfield import RealElement, _real_witness_data, make_real_field
 from unitred.svp import lll_reduce, shortest
-from unitred.traceform import LDLResult, gram, is_totally_positive, ldl
+from unitred.traceform import LDLResult, _integer_scale, gram, is_totally_positive, ldl
 from unitred.units import is_reduced, mu_star
 from unitred.witness import witness_for_conductor
 
