@@ -27,11 +27,12 @@ class DegreeError(UnitRedError, ValueError):
 class BudgetError(UnitRedError, RuntimeError):
     """Enumeration exceeded its node or result budget.
 
-    Carries the counts at the moment of failure so callers can report a partial
-    certificate instead of a silent wrong answer.
+    The one way any scan, witness checks included, stops on its budget.  It
+    carries the node and result counts at the moment of failure; the CLI
+    reports them on stderr and exits 3, printing no certificate.
     """
 
-    def __init__(self, message, *, nodes=None, results=None):
+    def __init__(self, message, *, nodes, results):
         super().__init__(message)
         self.nodes = nodes
         self.results = results

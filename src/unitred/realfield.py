@@ -193,38 +193,36 @@ class RealDiscrepancyCertificate(_WitnessCertificate):
 
     bound = mu_star / mu_upper is the proof-route lower bound on the
     discrepancy (mu_upper = Tr(a^-1) >= mu(a)); mu_exact and ratio_exact
-    come from the same enumeration and can only sharpen it.  quoted_form is
-    the closed form as published; closed_form_agrees records whether the
-    exact computation reproduces it (it does not for odd p, where the
-    published trace of 2-t drops a term).
+    come from the same enumeration, as the constant mu_path records, and
+    can only sharpen it.  quoted_form is the closed form as published;
+    closed_form_agrees records whether the exact computation reproduces it
+    (it does not for odd p, where the published trace of 2-t drops a term).
     """
+
+    mu_path = "enumeration"
 
     witness: RealElement
     mu_upper: Fraction
     quoted_form: Fraction
-    mu_star: Fraction | None = None
-    mu_exact: Fraction | None = None
-    mu_path: str = "trace_inverse_upper_bound"
-    bound: Fraction | None = None
-    ratio_exact: Fraction | None = None
-    closed_form_agrees: bool | None = None
+    mu_star: Fraction
+    mu_exact: Fraction
+    bound: Fraction
+    ratio_exact: Fraction
+    closed_form_agrees: bool
 
     def to_json_dict(self) -> dict:
-        head = {
-            "kind": "real_discrepancy_witness",
-            "witness": self.witness.to_json_dict(),
-            "mu_upper": str(self.mu_upper),
-            "quoted_form": str(self.quoted_form),
-            "mu_path": self.mu_path,
-        }
-        verified = {
-            "mu_star": str(self.mu_star),
-            "mu_exact": str(self.mu_exact),
-            "bound": str(self.bound),
-            "ratio_exact": str(self.ratio_exact),
-            "closed_form_agrees": self.closed_form_agrees,
-        }
-        return self._json(head, verified)
+        return self._json(
+            kind="real_discrepancy_witness",
+            witness=self.witness.to_json_dict(),
+            mu_upper=str(self.mu_upper),
+            quoted_form=str(self.quoted_form),
+            mu_path=self.mu_path,
+            mu_star=str(self.mu_star),
+            mu_exact=str(self.mu_exact),
+            bound=str(self.bound),
+            ratio_exact=str(self.ratio_exact),
+            closed_form_agrees=self.closed_form_agrees,
+        )
 
 
 def verify_real_witness(
@@ -239,9 +237,10 @@ def verify_real_witness(
     reduced, which is checked, not assumed), and the complete non-unit
     evidence.  The reported bound divides mu* by Tr(a^-1), the quantity the
     closed forms are built from; ratio_exact divides by the enumerated mu.
+    The embedding and Tr(a^-1) checks run before the scan, so a budget stop
+    (BudgetError) skips none of them.
     """
     a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
-    mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
     x = _witness_x(big_n)
     if a.embed() * x * x.conj() != 1:
         raise VerificationError(
@@ -252,9 +251,7 @@ def verify_real_witness(
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    if mu_exact is None:
-        return RealDiscrepancyCertificate(witness=a, mu_upper=upper, quoted_form=quoted, **fields)
-
+    mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
     if mu_exact > upper:
         raise VerificationError(
             f"enumerated minimum {mu_exact} exceeds the Tr(a^-1) bound {upper}"
@@ -267,7 +264,6 @@ def verify_real_witness(
         quoted_form=quoted,
         mu_star=mu_star_val,
         mu_exact=mu_exact,
-        mu_path="enumeration",
         bound=bound,
         ratio_exact=mu_star_val / mu_exact,
         closed_form_agrees=bound == quoted,

@@ -24,16 +24,10 @@ import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import (
-    BudgetError,
-    ConductorError,
-    DegreeError,
-    NotTotallyPositiveError,
-    VerificationError,
-)
+from .errors import ConductorError, DegreeError, NotTotallyPositiveError, VerificationError
 from .field import CycloElement, make_field
 from .numtheory import euler_phi, factorize, require_canonical_conductor
-from .svp import DEFAULT_NODE_CAP, DEFAULT_RESULT_CAP, FoundVector
+from .svp import DEFAULT_NODE_CAP, FoundVector
 from .units import is_reduced
 
 VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
@@ -77,39 +71,32 @@ def witness_for_conductor(big_n: int) -> CycloElement:
 
 @dataclass(frozen=True, kw_only=True)
 class _WitnessCertificate:
-    """What every witness certificate carries.
-
-    status "verified": reduced_evidence is the complete list of vectors with
-    form value strictly below trace_a, all non-units.  status
-    "budget_exceeded": the enumeration hit its cap, the closed-form checks
-    still hold, the enumerated fields are None and budget carries the caps
-    and the partial counts.
+    """What every witness certificate carries: reduced_evidence is the
+    complete list of vectors with form value strictly below trace_a, all
+    non-units.  Only a finished check builds one (a budget stop raises
+    BudgetError), so status and reduced are constants, kept as attributes
+    and in the JSON.
     """
 
+    status = "verified"
+    reduced = True
+
     conductor: int
-    status: str
     trace_a: Fraction
     nodes: int
-    reduced: bool | None = None
-    reduced_evidence: tuple[FoundVector, ...] = ()
-    budget: dict | None = None
+    reduced_evidence: tuple[FoundVector, ...]
 
-    def _json(self, head: dict, verified: dict) -> dict:
-        """The shared fields with head, and with verified once status is "verified"."""
-        out = {
-            **head,
+    def _json(self, **fields) -> dict:
+        """fields and the shared ones, as one JSON dict."""
+        return {
+            **fields,
             "conductor": self.conductor,
             "status": self.status,
             "trace_a": str(self.trace_a),
             "nodes_visited": self.nodes,
+            "reduced": self.reduced,
+            "reduced_evidence": [fv.to_json_dict() for fv in self.reduced_evidence],
         }
-        if self.status == "verified":
-            out.update(verified)
-            out["reduced"] = self.reduced
-            out["reduced_evidence"] = [fv.to_json_dict() for fv in self.reduced_evidence]
-        if self.budget is not None:
-            out["budget"] = self.budget
-        return out
 
 
 def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what: str):
@@ -119,8 +106,8 @@ def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what
 
     Returns (mu, fields): mu is the minimum of the form of a, the first value
     below Tr(a), or Tr(a) itself when nothing lies below it, since u = 1
-    attains Tr(a); fields are the _WitnessCertificate arguments.  On a budget
-    stop mu is None and fields describe the partial certificate.
+    attains Tr(a); fields are the _WitnessCertificate arguments.  A budget
+    stop raises the scan's BudgetError.
     """
     deg = a.ctx.degree
     if deg > VERIFY_DEGREE_CAP and not force:
@@ -131,20 +118,10 @@ def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what
     t = a.trace()
     if t != trace_cf:
         raise VerificationError(f"trace {t} differs from closed form {trace_cf}")
-    fields = {"conductor": big_n, "trace_a": t}
     try:
         cert = is_reduced(a, node_cap=node_cap)
     except NotTotallyPositiveError:
         raise VerificationError(f"{what} at {big_n} is not totally positive") from None
-    except BudgetError as exc:
-        budget = {
-            "node_cap": node_cap,
-            "result_cap": DEFAULT_RESULT_CAP,
-            "nodes": exc.nodes,
-            "results": exc.results,
-        }
-        fields.update(status="budget_exceeded", nodes=exc.nodes or 0, budget=budget)
-        return None, fields
     unit = cert.witness_unit
     if unit is not None:
         raise VerificationError(
@@ -152,36 +129,30 @@ def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what
             f"the {what} at {big_n} is not reduced"
         )
     below = cert.below_trace
-    fields.update(status="verified", nodes=cert.nodes, reduced=True, reduced_evidence=below)
+    fields = {"conductor": big_n, "trace_a": t, "nodes": cert.nodes, "reduced_evidence": below}
     return (below[0].value if below else t), fields
 
 
 @dataclass(frozen=True, kw_only=True)
 class DiscrepancyCertificate(_WitnessCertificate):
-    """Exhaustively certified witness report.
-
-    When verified, mu_a is exact and ratio = trace_a / mu_a equals
-    closed_form; after a budget stop mu_a and ratio are None.
-    """
+    """Exhaustively certified witness report: mu_a is exact and
+    ratio = trace_a / mu_a equals closed_form."""
 
     witness: CycloElement
     closed_form: Fraction
-    mu_a: Fraction | None = None
-    ratio: Fraction | None = None
-    mu_attained_at_expected: bool | None = None
+    mu_a: Fraction
+    ratio: Fraction
+    mu_attained_at_expected: bool
 
     def to_json_dict(self) -> dict:
-        head = {
-            "kind": "discrepancy_witness",
-            "witness_coeffs": [str(c) for c in self.witness.coeffs],
-            "closed_form": str(self.closed_form),
-        }
-        verified = {
-            "mu_a": str(self.mu_a),
-            "ratio": str(self.ratio),
-            "mu_attained_at_expected": self.mu_attained_at_expected,
-        }
-        return self._json(head, verified)
+        return self._json(
+            kind="discrepancy_witness",
+            witness_coeffs=[str(c) for c in self.witness.coeffs],
+            closed_form=str(self.closed_form),
+            mu_a=str(self.mu_a),
+            ratio=str(self.ratio),
+            mu_attained_at_expected=self.mu_attained_at_expected,
+        )
 
 
 def verify_witness(
@@ -198,26 +169,25 @@ def verify_witness(
       - mu(a) from enumeration satisfies trace/mu == closed ratio;
       - x (= 1+z or 1-z) attains mu exactly when the ratio is not floored.
 
-    Dimensions above VERIFY_DEGREE_CAP are refused unless force=True
-    (budget caps still apply and a cap hit yields a partial certificate).
+    Dimensions above VERIFY_DEGREE_CAP are refused unless force=True.  The
+    node cap always applies: a cap hit raises BudgetError, after every
+    check that does not read the scan has passed.
     """
     a, x, trace_cf, ratio_cf = _witness_data(big_n)
+    # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
+    # unless the ratio is floored
+    x_val = (a * x * x.conj()).trace()
+    if x_val != euler_phi(big_n):
+        raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
     mu_a, fields = _certify(a, big_n, trace_cf, node_cap, force, "witness")
-    if mu_a is None:
-        return DiscrepancyCertificate(witness=a, closed_form=ratio_cf, **fields)
-
     t = fields["trace_a"]
     ratio = t / mu_a
     if ratio != ratio_cf:
         raise VerificationError(
             f"ratio {ratio} differs from closed form {ratio_cf} at conductor {big_n}"
         )
-    # x = 1+z (2-power) or 1-z (p-power) has value Tr(1) = phi(N), the minimum
-    # unless the ratio is floored; its first coefficient is 1, so the scan,
-    # exhaustive below Tr(a), lists x as it is whenever x attains a mu_a < Tr(a)
-    x_val = (a * x * x.conj()).trace()
-    if x_val != euler_phi(big_n):
-        raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
+    # x's first coefficient is 1, so the scan, exhaustive below Tr(a), lists x
+    # as it is whenever x attains a mu_a < Tr(a)
     attained = x_val == mu_a
     minima = (fv for fv in fields["reduced_evidence"] if fv.value == mu_a)
     if attained and mu_a < t and not any(fv.coeffs == x.coeffs for fv in minima):

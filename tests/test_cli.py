@@ -131,13 +131,42 @@ def test_witness_49_refused_exit_3():
     assert "dimension 42 exceeds" in res.error
 
 
-def test_witness_budget_partial_exit_3_with_payload():
+def test_witness_budget_stop_exit_3_without_payload():
     res = run(["witness", "27", "--verify", "--budget", "2000"])
     assert res.exit_code == 3
-    assert res.json_out is True
-    assert res.payload["status"] == "budget_exceeded"
-    assert res.payload["trace_a"] == "54"
-    assert "mu_a" not in res.payload
+    assert res.payload is None
+    assert res.error == (
+        "budget exceeded: enumeration exceeded node cap 2000 (nodes 2001, results 338); "
+        "raise --budget to retry"
+    )
+
+
+_A16 = "2,-3/2,1,-1/2,0,1/2,-1,3/2"  # the witness over K_16
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shortest", "16", "-a", _A16],
+        ["mustar", "16", "-a", _A16],
+        ["reduced", "16", "-a", _A16],
+        ["witness", "16", "--verify"],
+        ["real", "witness", "32", "--verify"],
+    ],
+    ids=["shortest", "mustar", "reduced", "witness", "real witness"],
+)
+def test_every_budget_stop_is_exit_3_and_one_stderr_line(argv, json_flag, capsys):
+    # one budget path: no certificate on stdout, --json or not, and the
+    # counts reached on stderr
+    assert main([*argv, "--budget", "5", *json_flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"budget exceeded: enumeration exceeded node cap 5 \(nodes 6, results \d+\); "
+        r"raise --budget to retry\n",
+        err,
+    )
 
 
 def test_real_witness_quoted_form_disagreement_is_reported():
@@ -447,7 +476,11 @@ def test_budget_without_verify_is_a_usage_error(argv, capsys):
     assert "--budget needs --verify" in capsys.readouterr().err
     res = run([*argv, "--verify"])
     assert res.exit_code == 3
-    assert res.payload["status"] == "budget_exceeded"
+    assert res.payload is None
+    assert res.error == (
+        "budget exceeded: enumeration exceeded node cap 1 (nodes 2, results 0); "
+        "raise --budget to retry"
+    )
 
 
 def _readme_commands():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import unitred.svp as svp
-from unitred.errors import ConductorError, DegreeError
+from unitred.errors import BudgetError, ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
 from unitred.numtheory import is_canonical_conductor
 from unitred.realfield import (
@@ -275,13 +275,23 @@ def test_verify_real_witness_guards():
         verify_real_witness(49)  # half degree 21 exceeds the cap
 
 
-def test_verify_real_witness_budget_partial():
-    cert = verify_real_witness(32, node_cap=50)
-    assert cert.status == "budget_exceeded"
-    assert cert.mu_star is None
-    d = cert.to_json_dict()
-    assert d["kind"] == "real_discrepancy_witness"
-    assert "bound" not in d
+def test_verify_real_witness_budget_stop_raises():
+    with pytest.raises(BudgetError) as exc:
+        verify_real_witness(32, node_cap=50)
+    assert str(exc.value) == "enumeration exceeded node cap 50"
+    assert (exc.value.nodes, exc.value.results) == (51, 7)
+
+
+def test_verify_real_witness_checks_tr_inverse_before_the_scan(monkeypatch):
+    # the embedding and Tr(a^-1) checks do not read the scan, so a budget
+    # stop cannot skip them: a wrong closed form fails at node cap 1
+    def wrong_upper(big_n):
+        a, trace_cf, upper_cf, quoted = _real_witness_data(big_n)
+        return a, trace_cf, upper_cf + 1, quoted
+
+    monkeypatch.setattr("unitred.realfield._real_witness_data", wrong_upper)
+    with pytest.raises(VerificationError, match="Tr\\(a\\^-1\\) is 16, expected 17"):
+        verify_real_witness(32, node_cap=1)
 
 
 def _units_below(n, bound):

@@ -131,6 +131,28 @@ def test_every_error_class_is_raised_or_subclassed():
     assert sorted(classes - used) == []
 
 
+def test_only_the_cli_catches_budget_error():
+    # one budget path: every scan, witness checks included, lets BudgetError
+    # reach cli.run, which reports the counts on stderr and exits 3; a
+    # library catch would turn the stop into a second kind of result
+    catchers = []
+    for path in sorted(Path(unitred.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = {
+                        sub.id if isinstance(sub, ast.Name) else sub.attr
+                        for sub in ast.walk(node.type)
+                        if isinstance(sub, (ast.Name, ast.Attribute))
+                    }
+                    if "BudgetError" in names:
+                        catchers.append(f"{path.name}:{func.name}")
+    assert catchers == ["cli.py:run"]
+
+
 def test_bench_files_name_both_commits_and_every_workload():
     # each performance change commits bench/BENCH_<label>.json: the perfbench
     # medians and quartiles of the parent and of the change, per workload

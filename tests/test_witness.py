@@ -13,7 +13,7 @@ import unitred.realfield as realfield
 import unitred.svp as svp
 import unitred.units as units
 import unitred.witness as witness_module
-from unitred.errors import ConductorError, DegreeError, VerificationError
+from unitred.errors import BudgetError, ConductorError, DegreeError, VerificationError
 from unitred.field import make_field
 from unitred.svp import FoundVector
 from unitred.traceform import ldl
@@ -121,16 +121,27 @@ def test_verify_witness_degree_guard():
         verify_witness(49)
 
 
-def test_verify_witness_budget_partial():
-    cert = verify_witness(27, node_cap=1500)
-    assert cert.status == "budget_exceeded"
-    assert cert.trace_a == 54
-    assert cert.mu_a is None
-    assert cert.budget["node_cap"] == 1500
-    d = cert.to_json_dict()
-    assert d["kind"] == "discrepancy_witness"
-    assert d["status"] == "budget_exceeded"
-    assert "mu_a" not in d
+def test_verify_witness_budget_stop_raises():
+    # a budget stop is the scan's BudgetError with the counts reached; no
+    # certificate is built
+    with pytest.raises(BudgetError) as exc:
+        verify_witness(27, node_cap=1500)
+    assert str(exc.value) == "enumeration exceeded node cap 1500"
+    assert (exc.value.nodes, exc.value.results) == (1501, 278)
+
+
+def test_verify_witness_checks_x_before_the_scan(monkeypatch):
+    # the check on x's value does not read the scan, so a budget stop
+    # cannot skip it
+    data = witness_module._witness_data
+
+    def doubled_x(big_n):
+        a, x, trace_cf, ratio_cf = data(big_n)
+        return a, 2 * x, trace_cf, ratio_cf
+
+    monkeypatch.setattr(witness_module, "_witness_data", doubled_x)
+    with pytest.raises(VerificationError, match="x has form value 32, expected 8"):
+        verify_witness(16, node_cap=1)
 
 
 def test_witness_checks_reject_a_form_that_is_not_positive(monkeypatch):
