@@ -27,9 +27,8 @@ class DegreeError(UnitRedError, ValueError):
 class BudgetError(UnitRedError, RuntimeError):
     """Enumeration exceeded its node or result budget.
 
-    The one way any scan, witness checks included, stops on its budget.  It
-    carries the node and result counts at the moment of failure; the CLI
-    reports them on stderr and exits 3, printing no certificate.
+    The one way any scan, witness checks included, stops on its budget; the
+    CLI prints its node and result counts on stderr and exits 3.
     """
 
     def __init__(self, message, *, nodes, results):
