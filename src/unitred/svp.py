@@ -10,7 +10,13 @@ raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
-other.  The bound is inclusive, or strict on request.  Every value of an
+other.  On the trace form of an element of K_N of degree >= 2 it walks only
+the slice whose top reduced coordinate l is >= 1 and closes that under
+x -> zeta * x, which keeps the form, the value and the norm: were
+l(zeta^j x) = 0 for every j, l would vanish on Q[zeta] x, the whole field
+as Phi_N is irreducible, so every orbit of a nonzero x meets l >= 1 up to
+sign.  Raw rows and forms over K_N+, where only -1 acts, walk the whole
+tree.  The bound is inclusive, or strict on request.  Every value of an
 integral form G is a multiple of its norm group g = gcd(G_ii, 2 G_ij), as
 v G v^T = sum G_ii v_i^2 + sum_{i<j} 2 G_ij v_i v_j; so a scan walks only
 up to the last multiple of g within its bound, and no vector lies between
@@ -24,9 +30,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 
 from .errors import BudgetError, NotTotallyPositiveError, VerificationError
-from .field import split_table
+from .field import CycloElement, _times_x, split_table
 from .numtheory import SPLIT_PRIME_BITS
 from .traceform import _coerce_gram, _fraction_free
 
@@ -75,10 +83,15 @@ def lll_reduce(g) -> LLLResult:
     divisions; with the transform they are the loop's whole state.  That
     elimination decides positive definiteness: a form that is not raises
     NotTotallyPositiveError, which names the element of a trace form and
-    reports the pivot of the unscaled matrix.
+    reports the pivot of the unscaled matrix.  The trace form of an element
+    of K_N of degree >= 2 must be kept by x -> zeta * x, which enumeration
+    closes its slice under; VerificationError otherwise.
     """
     scale, rows, element = _coerce_gram(g)
     n = len(rows)
+    zeta_acts = isinstance(element, CycloElement) and n > 1
+    if zeta_acts and not _zeta_keeps(rows, element.ctx.cyclo_poly):
+        raise VerificationError(f"x -> zeta * x does not keep the trace form of {element!r}")
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     status, stop, d, lam = _fraction_free(rows)
     if status != "positive_definite":
@@ -121,6 +134,19 @@ def lll_reduce(g) -> LLLResult:
     w, dets, lam = _verify_lll(rows, det_g, u)
     u, w, lam = (tuple(map(tuple, m)) for m in (u, w, lam))
     return LLLResult(u, w, swaps, scale, element, tuple(dets), lam)
+
+
+def _zeta_keeps(g, f) -> bool:
+    """Whether x -> x * x mod f preserves the symmetric form g: Z g Z^T == g,
+    Z's rows being x * e_i mod f.  Those rows are shifts but for the last,
+    so adding up the rows of m they select makes Z m cost O(n^2)."""
+    n = len(g)
+    z = [_times_x([int(i == j) for j in range(n)], f) for i in range(n)]
+
+    def z_times(m):  # Z m: each row of Z adds up the rows of m it selects
+        return [reduce(lambda p, cr: _axpy(p, *cr), zip(zi, m), [0] * n) for zi in z]
+
+    return z_times(list(zip(*z_times(g)))) == g  # Z (Z g)^T = Z g^T Z^T
 
 
 def _verify_lll(g, det_g, u):
@@ -187,12 +213,16 @@ def _root_table(a, bound: Fraction, u):
     """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
     coefficients u[l] and r_i running over the roots of split_table, and the
     odd M has M^2 > 4 * (bound * den(a) / d)^d."""
-    sq_bound = (bound * a.den / a.ctx.degree) ** a.ctx.degree
+    d = a.ctx.degree
+    sq_bound = (bound * a.den / d) ** d
     # each prime is above 2^SPLIT_PRIME_BITS, so M^2 > 2^(2 * SPLIT_PRIME_BITS * primes)
     primes = -(-math.ceil(4 * sq_bound).bit_length() // (2 * SPLIT_PRIME_BITS))
     m, powers = split_table(a.ctx, primes)
     if m * m <= 4 * sq_bound:
         raise VerificationError(f"split modulus {m} does not cover the norm bound")
+    # a zeta orbit copies its representative's norm: N(-1) = N(zeta) = 1
+    if isinstance(a, CycloElement) and d > 1 and (d % 2 or math.prod(powers[1]) % m != 1):
+        raise VerificationError(f"N(-1) or N(zeta) is not 1 for the roots mod {m}")
     table = []
     for ul in u:  # a reduced basis is sparse: add up the powers it uses
         vals = [0] * len(powers)
@@ -215,10 +245,17 @@ def enumerate_below(
 
     G must be positive definite, so the list is finite and the enumeration is
     exhaustive; exceeding node_cap or result_cap raises BudgetError.  On the
-    trace form of a, each vector carries the norm of its element x, the least
-    absolute residue of the product of x's values at the roots of _root_table,
-    exact as N(x)^2 <= (bound * den(a) / d)^d: AM-GM over the d positive terms
-    of Tr(a x conj(x)), and N(den(a) a) >= 1.
+    trace form of a in K_N of degree >= 2 the tree is the slice v_(n-1) >= 1,
+    closed under zeta: each orbit has m = N (odd N) or N / 2 members up to
+    sign, of one value and norm.  node_cap bounds the slice's nodes and
+    result_cap the closed list.  VerificationError unless zeta keeps the form
+    (lll_reduce checks), the root table has N(-1) = N(zeta) = 1, and each
+    orbit returns to +-x at step m and no sooner.
+
+    On any trace form each vector carries the norm of its element x, the
+    least absolute residue of the product of x's values at the roots of
+    _root_table, exact as N(x)^2 <= (bound * den(a) / d)^d: AM-GM over the d
+    positive terms of Tr(a x conj(x)), and N(den(a) a) >= 1.
 
     Fincke-Pohst over the LDL factors of the LLL-reduced form, from its
     integer dets and lam.  Level l adds pivot_l * (t + c_l)^2, c_l =
@@ -280,6 +317,7 @@ def enumerate_below(
     mod = rows = None
     pre, stale = [None] * n, n - 1
     flip = -1 if (a := form.element) is not None and a.ctx.degree % 2 else 1
+    orbit = isinstance(a, CycloElement) and n > 1  # zeta acts: walk the slice v[n - 1] >= 1
 
     def over(what, cap):
         return BudgetError(
@@ -354,7 +392,28 @@ def enumerate_below(
             x += den
             cc += nb
 
-    recurse(n - 1, top, 0, 0, 0, math.isqrt(top // ks[-1]) // dens[-1])
+    recurse(n - 1, top, orbit, 0, int(orbit), math.isqrt(top // ks[-1]) // dens[-1])
+    if orbit:  # close the slice under x -> zeta * x, each orbit walked once
+        big_n, f = a.ctx.conductor, a.ctx.cyclo_poly
+        m = big_n if big_n % 2 else big_n // 2  # zeta^m = +-1, and no lower power
+        pending = {x for _, x, _ in found}  # slice vectors whose orbit is not walked yet
+        for val, x, norm in islice(found, len(found)):  # the slice, not what it appends
+            if x not in pending:
+                continue
+            y = x
+            for j in range(1, m + 1):
+                y = _times_x(y, f)
+                y = tuple(map(operator.neg, y) if next(filter(None, y)) < 0 else y)
+                if (y == x) != (j == m):
+                    raise VerificationError(f"zeta^{j} * {x} is {'not ' * (j == m)}+-{x}")
+                if y in pending:
+                    pending.remove(y)
+                elif j < m:  # outside the slice; N(zeta) = 1 and the value is kept
+                    found.append((val, y, norm))
+                    if len(found) > result_cap:
+                        results = len(found)
+                        raise over("result", result_cap)
+        del pending  # a set's table keeps its size as it empties; free it before the build
     found.sort()
 
     vectors, last = [], None

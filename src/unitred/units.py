@@ -7,7 +7,9 @@ its minimum over units is mu*(a); a is reduced when no unit beats u = 1.
 Each is decided by one exhaustive enumeration, with the norm of every
 candidate checked exactly: mu_star scans up to Tr(a) and reads the units on
 that shell; is_reduced scans strictly below Tr(a), and when nothing lies
-there the minimum is Tr(a), which u = 1 attains.
+there the minimum is Tr(a), which u = 1 attains.  Over K_N the scan walks
+one slice of the form and closes it under u -> zeta * u, which keeps the
+value and the norm, so units come in whole orbits of +-zeta^j u.
 """
 
 from __future__ import annotations

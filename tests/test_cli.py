@@ -136,7 +136,7 @@ def test_witness_budget_stop_exit_3_without_payload():
     assert res.exit_code == 3
     assert res.payload is None
     assert res.error == (
-        "budget exceeded: enumeration exceeded node cap 2000 (nodes 2001, results 338); "
+        "budget exceeded: enumeration exceeded node cap 2000 (nodes 2001, results 137); "
         "raise --budget to retry"
     )
 

@@ -15,9 +15,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 # sha256 of each demo's stdout; the output does not depend on PYTHONHASHSEED
 DEMO_DIGESTS = {
     "01_field_arithmetic.py": "d7d73288fee453f68b685b19a2abad38f1c396f54c674152a2b5b4c1e523082f",
-    "02_trace_forms_and_minima.py": "3c210288134625fb644073d0d463a9b6dbf087eb25d607b7fe9e3fe5be7575b5",
+    "02_trace_forms_and_minima.py": "5fa442e1832aeee73351a02f25204ec9536cad641801a549478405f97456d0d4",
     "03_classification.py": "abefaa85870c0fd9af75c8babe16e34fac201e3778fb784020139625f101f7f6",
-    "04_witnesses_and_bounds.py": "24a5114c3293abb3da029a1fd3164675bd728a522ea89a7f048920e829dd8098",
+    "04_witnesses_and_bounds.py": "e43809276dab155b96aabc16819e87ee7b2739e56e2d5f093224e4a4cf17cfe9",
     "05_real_subfields.py": "765896df9dd312e46dab521dd62d4b373e56a5cad4ca288ccaffcb5053d71a90",
 }
 

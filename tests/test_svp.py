@@ -1,3 +1,5 @@
+import bisect
+import dataclasses
 import math
 import random
 import sys
@@ -6,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import unitred.field as field
 import unitred.svp as svp
 import unitred.traceform as traceform
 from unitred.errors import BudgetError, NotTotallyPositiveError, VerificationError
@@ -342,20 +345,27 @@ def _fraction_enumerate(
     strict=False,
     node_cap=svp.DEFAULT_NODE_CAP,
     result_cap=svp.DEFAULT_RESULT_CAP,
+    kept_at=None,
 ):
     """Fincke-Pohst in Fractions, as enumerate_below ran before its integer
     kernel: ([(value, coeffs)], nodes), or BudgetError at the same caps.
+    kept_at, a list, gets the number of each node that keeps a vector.
 
     By default only the top coordinate is restricted to t >= 0, so the -v
     twins below a zero top coordinate are visited and count as results.
     half_space restricts every level whose higher coordinates are all 0,
-    as the integer kernel does; strict keeps every partial sum strictly
-    below the bound."""
+    as the integer kernel does; on the trace form of a CycloElement of
+    degree >= 2 it walks the slice t >= 1 of the top coordinate instead, and
+    closes it under multiplication by zeta in the field's own arithmetic,
+    the closed list counting against result_cap.  strict keeps every
+    partial sum strictly below the bound."""
     bound = Fraction(bound)
     form = svp._prepare(g)
     dec = ldl(form.gram)
     u, dvec, low = form.transform, dec.pivots, dec.lower
     n = len(dvec)
+    ring = form.element.ctx if isinstance(form.element, CycloElement) else None
+    orbit = half_space and ring is not None and n > 1
     target = bound * form.scale
     if bound < 0:
         return [], 0
@@ -389,7 +399,7 @@ def _fraction_enumerate(
             while hi >= lo and (hi + c) ** 2 >= r:
                 hi -= 1
         if lvl == n - 1 or (half_space and not any(v[lvl + 1:])):
-            lo = max(lo, 0)
+            lo = max(lo, int(orbit))  # with orbit only the top level gets here
         for t in range(lo, hi + 1):
             nodes += 1
             if nodes > node_cap:
@@ -402,6 +412,8 @@ def _fraction_enumerate(
             if lvl == 0:
                 if any(v):
                     found.append((used + step, tuple(v)))
+                    if kept_at is not None:
+                        kept_at.append(nodes)
                     if len(found) > result_cap:
                         raise BudgetError(
                             f"enumeration exceeded result cap {result_cap}",
@@ -420,6 +432,22 @@ def _fraction_enumerate(
         if next(c for c in coords if c) < 0:
             coords = [-c for c in coords]
         out.append((val / form.scale, tuple(coords)))
+    if orbit:
+        closed, zeta = {}, ring.zeta()
+        for val, coords in out:
+            if coords in closed:
+                continue
+            x = ring.element(coords)
+            for _ in range(ring.conductor):  # zeta^N = 1: the whole orbit
+                x = x * zeta
+                sign = 1 if next(c for c in x.num if c) > 0 else -1
+                closed[tuple(sign * c for c in x.num)] = val
+        out = [(val, coords) for coords, val in closed.items()]
+        if len(out) > result_cap:
+            raise BudgetError(
+                f"enumeration exceeded result cap {result_cap}", nodes=nodes,
+                results=result_cap + 1,
+            )
     out.sort()
     return out, nodes
 
@@ -567,19 +595,18 @@ def test_result_cap_counts_only_the_vectors_returned(conductor, count):
     assert exc.value.results == count
 
 
-def _first_leaf_run(form, bound, strict, span=80):
+def _first_leaf_run(form, bound, strict, span=3000):
     """The first nodes j, at least three in a row, that each keep a vector:
     consecutive leaves of one level-0 interval, since every node above level
     0 keeps none.  kept[j] is the number of vectors kept by the first j
-    nodes, read off a node cap of j."""
-    kept = []
-    for j in range(span):
-        try:
-            enumerate_below(form, bound, strict=strict, node_cap=j)
-        except BudgetError as exc:
-            kept.append(exc.results)
+    nodes, read off span nodes of the half-space oracle's walk to the
+    stepped bound, which is the kernel's (the slice walk meets its first
+    such run at node 2440 at witness 25)."""
+    at, top = [], _stepped_bound(form, bound, strict)[0]
+    _outcome(lambda: _fraction_enumerate(form, top, half_space=True, node_cap=span, kept_at=at))
+    kept = [bisect.bisect_right(at, j) for j in range(span)]
     run = []
-    for j in range(1, len(kept)):
+    for j in range(1, span):
         if kept[j] > kept[j - 1]:
             run.append(j)
         elif len(run) >= 3:
@@ -609,6 +636,90 @@ def test_budget_stops_inside_a_leaf_run_match_the_oracle(name):
         for caps in ({"node_cap": run[-1]}, {"result_cap": kept[run[-1]]}):
             stop = _assert_matches_oracle(form, t, strict, **caps)
             assert stop[0] == "budget" and stop[2] > run[-1], (strict, caps)
+
+
+def _seeded_form(conductor, seed, inverse=False):
+    """1 + the sum of three x * conj(x), x drawn with coefficients in -2..2;
+    or, with inverse, 1 / (x * conj(x)) for one nonzero x with coefficients
+    in -1..1, whose form, like a witness's, has many vectors below Tr(a)."""
+    rng, ring = random.Random(seed), make_field(conductor)
+    xs = [ring.element([rng.randint(-1 - (not inverse), 1 + (not inverse))
+                        for _ in range(ring.degree)]) for _ in range(3 if not inverse else 9)]
+    if inverse:
+        x = next(x for x in xs if not x.is_zero())
+        return (x * x.conj()).inverse()
+    return sum((x * x.conj() for x in xs), ring.one())
+
+
+@pytest.mark.parametrize("conductor", (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 32))
+def test_slice_and_zeta_closure_match_the_full_walk(conductor):
+    # the full walk stays the oracle: the same prepared form without its
+    # element walks the whole half-space tree; with it, the kernel walks the
+    # slice whose top reduced coordinate is >= 1 and closes it under zeta
+    for a in (_seeded_form(conductor, 900 + conductor, inverse) for inverse in (False, True)):
+        form = svp._prepare(gram(a))
+        full = dataclasses.replace(form, element=None)
+        t = a.trace()
+        mu = enumerate_below(full, t).vectors[0].value
+        for bound in (mu, t, Fraction(0), Fraction(-1)):
+            for strict in (False, True):
+                got, want = (enumerate_below(f, bound, strict=strict) for f in (form, full))
+                assert [(fv.coeffs, fv.value) for fv in got.vectors] == [
+                    (fv.coeffs, fv.value) for fv in want.vectors
+                ], (a, bound, strict)
+                for fv in got.vectors if bound == t and not strict else ():  # mu <= t
+                    assert fv.norm == a.ctx.element(fv.coeffs).norm(), (a, fv.coeffs)
+                assert got.nodes < want.nodes or want.nodes == 0, (a, bound, strict)
+
+
+@pytest.mark.parametrize("conductor", (25, 32))
+def test_result_cap_trips_on_the_closed_list(conductor):
+    # a cap one below the closed list's length is met only by the closure,
+    # after the whole slice is walked
+    a = witness_for_conductor(conductor)
+    form = svp._prepare(gram(a))
+    res = enumerate_below(form, a.trace())
+    with pytest.raises(BudgetError) as exc:
+        enumerate_below(form, a.trace(), result_cap=len(res.vectors) - 1)
+    assert (exc.value.nodes, exc.value.results) == (res.nodes, len(res.vectors))
+
+
+def test_a_map_that_is_not_an_isometry_is_refused(monkeypatch):
+    # x -> x * x mod x^4 - 1 in place of Phi_5: the check Z G Z^T == G runs
+    # once, as the form is prepared; raw rows carry no element and skip it
+    a = _seeded_form(5, 5)
+    monkeypatch.setattr(svp, "_times_x", lambda p, f: field._times_x(p, (-1, 0, 0, 0, 1)))
+    with pytest.raises(VerificationError, match="does not keep the trace form"):
+        enumerate_below(gram(a), a.trace())
+    assert enumerate_below(gram(a).entries, a.trace()).vectors
+
+
+def test_a_split_table_with_a_wrong_modulus_is_refused(monkeypatch):
+    # the members of an orbit copy the norm of its representative, which
+    # holds when the table's roots have product N(zeta) = 1
+    a = _seeded_form(5, 5)
+
+    def wrong(ring, primes):
+        m, powers = field.split_table(ring, primes)
+        return 3 * m, powers
+
+    monkeypatch.setattr(svp, "split_table", wrong)
+    with pytest.raises(VerificationError, match="N\\(-1\\) or N\\(zeta\\) is not 1"):
+        enumerate_below(gram(a), a.trace())
+
+
+@pytest.mark.parametrize("conductor, step", ((5, "negate"), (7, "conjugate")))
+def test_an_orbit_that_does_not_close_after_m_steps_is_refused(monkeypatch, conductor, step):
+    # both maps keep the form of a real a, so the Gram check passes; -x is x
+    # up to sign after one step, and conj(conj(x)) after two, not m = N
+    a = _seeded_form(conductor, conductor)
+    maps = {
+        "negate": lambda p, f: [-c for c in p],
+        "conjugate": lambda p, f: list(a.ctx.element(p).conj().num),
+    }
+    monkeypatch.setattr(svp, "_times_x", maps[step])
+    with pytest.raises(VerificationError, match="zeta\\^[12] \\* "):
+        enumerate_below(gram(a), a.trace())
 
 
 def test_stored_norms_match_direct_resultants():

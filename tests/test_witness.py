@@ -127,7 +127,7 @@ def test_verify_witness_budget_stop_raises():
     with pytest.raises(BudgetError) as exc:
         verify_witness(27, node_cap=1500)
     assert str(exc.value) == "enumeration exceeded node cap 1500"
-    assert (exc.value.nodes, exc.value.results) == (1501, 278)
+    assert (exc.value.nodes, exc.value.results) == (1501, 98)
 
 
 def test_verify_witness_checks_x_before_the_scan(monkeypatch):
