@@ -642,13 +642,12 @@ def _seeded_form(conductor, seed, inverse=False):
     """1 + the sum of three x * conj(x), x drawn with coefficients in -2..2;
     or, with inverse, 1 / (x * conj(x)) for one nonzero x with coefficients
     in -1..1, whose form, like a witness's, has many vectors below Tr(a)."""
-    rng, ring = random.Random(seed), make_field(conductor)
-    xs = [ring.element([rng.randint(-1 - (not inverse), 1 + (not inverse))
-                        for _ in range(ring.degree)]) for _ in range(3 if not inverse else 9)]
+    rng, ring, r = random.Random(seed), make_field(conductor), 1 if inverse else 2
+    xs = [ring.element([rng.randint(-r, r) for _ in range(ring.degree)]) for _ in range(9)]
+    xs = [x for x in xs if not x.is_zero()]
     if inverse:
-        x = next(x for x in xs if not x.is_zero())
-        return (x * x.conj()).inverse()
-    return sum((x * x.conj() for x in xs), ring.one())
+        return (xs[0] * xs[0].conj()).inverse()
+    return sum((x * x.conj() for x in xs[:3]), ring.one())
 
 
 @pytest.mark.parametrize("conductor", (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 32))
