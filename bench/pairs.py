@@ -10,8 +10,10 @@ PYTHONDONTWRITEBYTECODE=1, so each child reads that bytecode and none
 compiles the package (a child that compiles it reads a different peak RSS).
 Each workload gets ten pairs: pair i runs seed SEED + i on both sides with
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds; odd pairs run
-the parent first, even pairs the change first.  Workloads run one after
-another, all pairs of one before the next.
+the parent first, even pairs the change first.  Pair i of every workload
+runs, both sides, before pair i + 1 starts (see run_order), so a few minutes
+of load from other jobs land on one pair of each workload rather than on
+consecutive pairs of one.
 
 Per workload and side the file holds the median and quartiles (inclusive
 method) of each end-to-end metric over the runs, the runs in pair order, and
@@ -82,6 +84,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def run_order(names: list[str]) -> list[tuple[int, str, str]]:
+    """(pair, workload, side) in the order they run: pair i of every workload,
+    both sides, before pair i + 1; odd pairs run the parent first."""
+    return [(i, name, side) for i in range(1, PAIRS + 1) for name in names
+            for side in (SIDES if i % 2 else SIDES[::-1])]
+
+
 def quartiles(runs: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": runs}
@@ -113,25 +122,24 @@ def main() -> int:
     seconds = benchmark["run_seconds"]
     names = args.workload or [w["name"] for w in benchmark["workloads"]]
 
+    seeds = [args.seed + i for i in range(1, PAIRS + 1)]
+    runs = {name: {side: [] for side in SIDES} for name in names}
+    for i, name, side in run_order(names):
+        r = run_once(checkouts[side], name, args.seed + i, seconds)
+        runs[name][side].append(r)
+        print(f"{name} pair {i} {side}: " + " ".join(
+            f"{m} {r['metrics'][m]:.4g}" for m in METRICS) + f" correct {r['correct']}", flush=True)
+
     workloads = {}
-    for name in names:
-        seeds = [args.seed + i for i in range(1, PAIRS + 1)]
-        runs = {side: [] for side in SIDES}
-        for i, seed in enumerate(seeds, 1):
-            for side in SIDES if i % 2 else SIDES[::-1]:
-                runs[side].append(run_once(checkouts[side], name, seed, seconds))
-                r = runs[side][-1]
-                print(f"{name} pair {i} {side}: " + " ".join(
-                    f"{m} {r['metrics'][m]:.4g}" for m in METRICS) + f" correct {r['correct']}",
-                    flush=True)
-        series = {side: {m: [r["metrics"][m] for r in runs[side]] for m in METRICS} for side in SIDES}
-        first_five = {side: [r["first_five_peak_rss_mb"] for r in runs[side]] for side in SIDES}
+    for name, by_side in runs.items():
+        series = {side: {m: [r["metrics"][m] for r in by_side[side]] for m in METRICS} for side in SIDES}
+        first_five = {side: [r["first_five_peak_rss_mb"] for r in by_side[side]] for side in SIDES}
         workloads[name] = {
             "pairs": len(seeds),
             "seeds": seeds,
-            "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+            "all_correct": all(r["correct"] for side in SIDES for r in by_side[side]),
             "metrics": {m: compare(series["parent"][m], series["change"][m]) for m in METRICS},
-            "pass_children": {side: [r["pass_children"] for r in runs[side]] for side in SIDES},
+            "pass_children": {side: [r["pass_children"] for r in by_side[side]] for side in SIDES},
             "first_five_passes_peak_rss_mb": compare(first_five["parent"], first_five["change"]),
         }
 
@@ -154,7 +162,8 @@ def main() -> int:
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {seconds:g} --trace 0",
-        "order": "odd pairs run the parent first, even pairs the change first",
+        "order": "pair i of every workload, both sides, before pair i + 1; odd pairs run the "
+                 "parent first, even pairs the change first",
         "bytecode": "both checkouts compiled with `python -m compileall src perfbench` before the "
                     "first run; PYTHONDONTWRITEBYTECODE=1 was set for every run",
         "python": platform.python_version(),

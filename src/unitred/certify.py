@@ -219,10 +219,7 @@ def classify(n: int) -> Certificate:
     boundary_analysis raises for any other, so no equality goes unsettled.
     """
     require_canonical_conductor(n)
-    try:
-        crit = strong_criterion(n)
-    except DegreeError:
-        crit = None
+    crit = strong_criterion(n) if euler_phi(n) in HERMITE_POW else None
 
     div = not_ur_by_divisor(n)
     if div is not None:

@@ -10,13 +10,14 @@ raise VerificationError on any inconsistency.
 
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
-other.  On the trace form of an element of K_N of degree >= 2 it walks only
-the slice whose top reduced coordinate l is >= 1 and closes that under
-x -> zeta * x, which keeps the form, the value and the norm: were
-l(zeta^j x) = 0 for every j, l would vanish on Q[zeta] x, the whole field
-as Phi_N is irreducible, so every orbit of a nonzero x meets l >= 1 up to
-sign.  Raw rows and forms over K_N+, where only -1 acts, walk the whole
-tree.  The bound is inclusive, or strict on request.  Every value of an
+other: slice l holds the v with v_l >= 1 and v_(l+1:) = 0 in reduced
+coordinates, and raw rows and forms over K_N+, where only -1 acts, walk all
+n.  On the trace form of an element of K_N of degree >= 2 the top slice
+alone is closed under x -> zeta * x, which keeps the form, the value and
+the norm: were the top coordinate of zeta^j x 0 for every j, that linear
+form would vanish on Q[zeta] x, the whole field as Phi_N is irreducible;
+so every orbit of a nonzero x meets the top slice up to sign.  The bound
+is inclusive, or strict on request.  Every value of an
 integral form G is a multiple of its norm group g = gcd(G_ii, 2 G_ij), as
 v G v^T = sum G_ii v_i^2 + sum_{i<j} 2 G_ij v_i v_j; so a scan walks only
 up to the last multiple of g within its bound, and no vector lies between
@@ -269,8 +270,8 @@ def enumerate_below(
     every scaled value, so no vector lies above the rounded top and within
     the bound.  A top below s * g admits no nonzero vector and visits no
     node; the result's bound stays the caller's, and the root table is sized
-    from top.  A frame whose higher coordinates are all 0 (C_l = 0) takes
-    t = 0 and then t > 0 only, so no -v twin is visited.
+    from top.  Slice l starts at level l with C_l = 0 and t >= 1, so no -v
+    twin and no zero vector is visited.
 
     Frames keep only the reduced-basis coordinates v and work out their
     children's intervals, so an empty one costs no call.  A level-0 run is
@@ -324,30 +325,24 @@ def enumerate_below(
             f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
         )
 
-    def recurse(lvl: int, rem: int, free: int, c: int, lo: int, hi: int):
-        # the non-empty run lo..hi of level lvl below v[lvl + 1:]; rem: top
-        # minus the steps above lvl; free: a coordinate above lvl is nonzero;
-        # c: the integer centre C_lvl
+    def recurse(lvl: int, rem: int, c: int, lo: int, hi: int):
+        # the non-empty run lo..hi of level lvl below v[lvl + 1:], which holds
+        # no zero vector; rem: top minus the steps above lvl; c: the integer
+        # centre C_lvl
         nonlocal nodes, results, mod, rows, stale
         if lvl == 0:
             k, den = levels[0]
             count = hi - lo + 1
-            lo = lo if free else 1  # not free: lo == 0, and t = 0 is the zero vector
-            kept = hi - lo + 1
-            if nodes + count > node_cap or results + kept > result_cap:
-                for i in range(count):  # a cap trips in this run: replay it
+            if nodes + count > node_cap or results + count > result_cap:
+                for _ in range(count):  # a cap trips in this run: replay it to the stop
                     nodes += 1
                     if nodes > node_cap:
                         raise over("node", node_cap)
-                    if i >= count - kept:
-                        results += 1
-                        if results > result_cap:
-                            raise over("result", result_cap)
-            else:
-                nodes += count
-                results += kept
-            if not kept:
-                return
+                    results += 1
+                    if results > result_cap:
+                        raise over("result", result_cap)
+            nodes += count
+            results += count
             if rows is None:
                 mod, rows = (None, u) if a is None else _root_table(a, stepped, u)
                 pre.append([0] * len(rows[0]))
@@ -369,12 +364,6 @@ def enumerate_below(
         cb = 0
         for j, lj in far:
             cb += lj * v[j]
-        if not free:  # on the first descent, so c = lo = 0 and v, stale are as set
-            nodes += 1  # t = 0 leaves the child not free, and t > 0 runs free
-            if nodes > node_cap:
-                raise over("node", node_cap)
-            recurse(lvl - 1, rem, 0, 0, 0, math.isqrt(rem // kc) // dc)
-            lo = 1
         x, cc = lo * den + c, cb + nb * lo
         for t in range(lo, hi + 1):
             nodes += 1
@@ -388,11 +377,13 @@ def enumerate_below(
                 v[lvl] = t
                 if stale < lvl:
                     stale = lvl
-                recurse(lvl - 1, r, 1, cc, lc, hc)
+                recurse(lvl - 1, r, cc, lc, hc)
             x += den
             cc += nb
 
-    recurse(n - 1, top, orbit, 0, int(orbit), math.isqrt(top // ks[-1]) // dens[-1])
+    for l in [n - 1] if orbit else range(n):  # slice l, skipped when empty
+        if hi := math.isqrt(top // ks[l]) // dens[l]:
+            recurse(l, top, 0, 1, hi)
     if orbit:  # close the slice under x -> zeta * x, each orbit walked once
         big_n, f = a.ctx.conductor, a.ctx.cyclo_poly
         m = big_n if big_n % 2 else big_n // 2  # zeta^m = +-1, and no lower power

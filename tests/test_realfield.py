@@ -276,10 +276,11 @@ def test_verify_real_witness_guards():
 
 
 def test_verify_real_witness_budget_stop_raises():
+    # the whole scan takes 49 nodes and keeps 8 vectors; it stops inside
     with pytest.raises(BudgetError) as exc:
-        verify_real_witness(32, node_cap=50)
-    assert str(exc.value) == "enumeration exceeded node cap 50"
-    assert (exc.value.nodes, exc.value.results) == (51, 7)
+        verify_real_witness(32, node_cap=40)
+    assert str(exc.value) == "enumeration exceeded node cap 40"
+    assert (exc.value.nodes, exc.value.results) == (41, 7)
 
 
 def test_verify_real_witness_checks_tr_inverse_before_the_scan(monkeypatch):

@@ -192,6 +192,25 @@ def test_parameters_are_the_ones_callers_set():
     assert got == expected
 
 
+def test_bench_pairs_run_pair_by_pair_across_workloads():
+    # a burst of load from other jobs should land on one pair of each
+    # workload, not on consecutive pairs of one: pair i of every workload
+    # runs, both sides, before pair i + 1, odd pairs with the parent first
+    path = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    order = pairs.run_order(["witness", "forms"])
+    assert order[:8] == [
+        (1, "witness", "parent"), (1, "witness", "change"),
+        (1, "forms", "parent"), (1, "forms", "change"),
+        (2, "witness", "change"), (2, "witness", "parent"),
+        (2, "forms", "change"), (2, "forms", "parent"),
+    ]
+    assert len(order) == len(set(order)) == 2 * 2 * pairs.PAIRS == 40
+    assert [i for i, _, _ in order] == sorted(i for i, _, _ in order)
+
+
 def test_traced_names_resolve():
     # perfbench/tracer.py wraps each LAYERS entry by reading it from its
     # module's own __dict__, or from its class's: a rename, a move, or a
