@@ -670,7 +670,7 @@ def test_slice_and_zeta_closure_match_the_full_walk(conductor):
     # whose top reduced coordinate is >= 1, and closes it under zeta.  The
     # top slice is one of the n, so it never takes more nodes, and over a
     # conductor's cases it takes fewer
-    sums = [0, 0]
+    got_nodes = full_nodes = 0
     for a in (_seeded_form(conductor, 900 + conductor, inverse) for inverse in (False, True)):
         form = svp._prepare(gram(a))
         full = dataclasses.replace(form, element=None)
@@ -685,8 +685,8 @@ def test_slice_and_zeta_closure_match_the_full_walk(conductor):
                 for fv in got.vectors if bound == t and not strict else ():  # mu <= t
                     assert fv.norm == a.ctx.element(fv.coeffs).norm(), (a, fv.coeffs)
                 assert got.nodes <= want.nodes, (a, bound, strict)
-                sums = [sums[0] + got.nodes, sums[1] + want.nodes]
-    assert sums[0] < sums[1], sums
+                got_nodes, full_nodes = got_nodes + got.nodes, full_nodes + want.nodes
+    assert got_nodes < full_nodes, (got_nodes, full_nodes)
 
 
 @pytest.mark.parametrize("conductor", (25, 32))
