@@ -11,13 +11,13 @@ raise VerificationError on any inconsistency.
 Enumeration returns each nonzero vector once up to sign, with a canonical
 representative (first nonzero coordinate positive), and never visits the
 other: slice l holds the v with v_l >= 1 and v_(l+1:) = 0 in reduced
-coordinates, and raw rows and forms over K_N+, where only -1 acts, walk all
-n.  On the trace form of an element of K_N of degree >= 2 the top slice
-alone is closed under x -> zeta * x, which keeps the form, the value and
-the norm: were the top coordinate of zeta^j x 0 for every j, that linear
-form would vanish on Q[zeta] x, the whole field as Phi_N is irreducible;
-so every orbit of a nonzero x meets the top slice up to sign.  The bound
-is inclusive, or strict on request.  Every value of an
+coordinates, and forms that carry no orbit walk all n.  On the trace form
+of an element of K_N of degree >= 2, lll_reduce records LLLResult.orbit,
+x -> zeta * x, which keeps the form, the value and the norm; the top slice
+alone is walked and closed under it: were the top coordinate of zeta^j x 0
+for every j, that linear form would vanish on Q[zeta] x, the whole field
+as Phi_N is irreducible; so every orbit of a nonzero x meets the top slice
+up to sign.  The bound is inclusive, or strict on request.  Every value of an
 integral form G is a multiple of its norm group g = gcd(G_ii, 2 G_ij), as
 v G v^T = sum G_ii v_i^2 + sum_{i<j} 2 G_ij v_i v_j; so a scan walks only
 up to the last multiple of g within its bound, and no vector lies between
@@ -60,13 +60,14 @@ class LLLResult:
     """transform is unimodular, and gram is transform * G * transform^T for
     G = scale * g, formed from the transform by the check; dets and lam, from
     _fraction_free(gram), checked the reduction.  Enumeration reads this;
-    element is a trace form's, else None."""
+    element is a trace form's and orbit lll_reduce's (apply, m), else None."""
 
     transform: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     swaps: int
     scale: int
     element: object = field(repr=False, compare=False)
+    orbit: tuple | None = field(repr=False, compare=False)
     dets: tuple[int, ...] = field(repr=False, compare=False)
     lam: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
@@ -84,16 +85,21 @@ def lll_reduce(g) -> LLLResult:
     divisions; with the transform they are the loop's whole state.  That
     elimination decides positive definiteness: a form that is not raises
     NotTotallyPositiveError, which names the element of a trace form and
-    reports the pivot of the unscaled matrix.  The trace form of an element
-    of K_N of degree >= 2 must be kept by x -> zeta * x, which enumeration
-    closes its slice under; VerificationError otherwise.
+    reports the pivot of the unscaled matrix.  Only here is the orbit
+    decided: on the trace form of an element of K_N of degree >= 2 it is
+    (apply, m), apply(x) = x * x mod Phi_N and m = N (odd N) or N / 2, and
+    Z G Z^T must be G, Z's rows apply(e_i) (VerificationError otherwise); on
+    every other form, None.
     """
     scale, rows, element = _coerce_gram(g)
     n = len(rows)
-    zeta_acts = isinstance(element, CycloElement) and n > 1
-    if zeta_acts and not _zeta_keeps(rows, element.ctx.cyclo_poly):
-        raise VerificationError(f"x -> zeta * x does not keep the trace form of {element!r}")
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    orbit = None
+    if isinstance(element, CycloElement) and n > 1:  # zeta^m = +-1, and no lower power
+        big_n, f = element.ctx.conductor, element.ctx.cyclo_poly
+        orbit = (lambda x: _times_x(x, f)), big_n if big_n % 2 else big_n // 2
+        if _congruent([orbit[0](e) for e in u], rows) != rows:
+            raise VerificationError(f"x -> zeta * x does not keep the trace form of {element!r}")
     status, stop, d, lam = _fraction_free(rows)
     if status != "positive_definite":
         what = "Gram matrix" if element is None else f"trace form of {element!r}"
@@ -134,20 +140,18 @@ def lll_reduce(g) -> LLLResult:
 
     w, dets, lam = _verify_lll(rows, det_g, u)
     u, w, lam = (tuple(map(tuple, m)) for m in (u, w, lam))
-    return LLLResult(u, w, swaps, scale, element, tuple(dets), lam)
+    return LLLResult(u, w, swaps, scale, element, orbit, tuple(dets), lam)
 
 
-def _zeta_keeps(g, f) -> bool:
-    """Whether x -> x * x mod f preserves the symmetric form g: Z g Z^T == g,
-    Z's rows being x * e_i mod f.  Those rows are shifts but for the last,
-    so adding up the rows of m they select makes Z m cost O(n^2)."""
+def _congruent(z, g) -> list[list[int]]:
+    """z g z^T for a symmetric g: each row of z adds up the rows it selects,
+    which is cheap for the sparse rows of LLL transforms and zeta's shifts."""
     n = len(g)
-    z = [_times_x([int(i == j) for j in range(n)], f) for i in range(n)]
 
-    def z_times(m):  # Z m: each row of Z adds up the rows of m it selects
+    def z_times(m):
         return [reduce(lambda p, cr: _axpy(p, *cr), zip(zi, m), [0] * n) for zi in z]
 
-    return z_times(list(zip(*z_times(g)))) == g  # Z (Z g)^T = Z g^T Z^T
+    return z_times(list(zip(*z_times(g))))  # z (z g)^T = z g^T z^T
 
 
 def _verify_lll(g, det_g, u):
@@ -158,8 +162,7 @@ def _verify_lll(g, det_g, u):
     dets[i + 1] / dets[i], every test is in integers.  det w = det(u)^2 *
     det_g, so det w == det_g shows that the integral u is unimodular."""
     n = len(g)
-    ug = [[sum(map(operator.mul, ui, col)) for col in zip(*g)] for ui in u]
-    w = [[sum(map(operator.mul, r, uj)) for uj in u] for r in ug]
+    w = _congruent(u, g)
     status, _, dets, lam = _fraction_free(w)
     if status != "positive_definite":
         raise VerificationError(
@@ -210,10 +213,11 @@ def _prepare(g) -> LLLResult:
     return g if isinstance(g, LLLResult) else lll_reduce(g)
 
 
-def _root_table(a, bound: Fraction, u):
+def _root_table(a, bound: Fraction, u, orbit=None):
     """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
     coefficients u[l] and r_i running over the roots of split_table, and the
-    odd M has M^2 > 4 * (bound * den(a) / d)^d."""
+    odd M has M^2 > 4 * (bound * den(a) / d)^d.  With an orbit, N(-1) =
+    N(apply(1)) = 1 on the table, so its members share their norm."""
     d = a.ctx.degree
     sq_bound = (bound * a.den / d) ** d
     # each prime is above 2^SPLIT_PRIME_BITS, so M^2 > 2^(2 * SPLIT_PRIME_BITS * primes)
@@ -221,16 +225,14 @@ def _root_table(a, bound: Fraction, u):
     m, powers = split_table(a.ctx, primes)
     if m * m <= 4 * sq_bound:
         raise VerificationError(f"split modulus {m} does not cover the norm bound")
-    # a zeta orbit copies its representative's norm: N(-1) = N(zeta) = 1
-    if isinstance(a, CycloElement) and d > 1 and (d % 2 or math.prod(powers[1]) % m != 1):
+
+    def at_roots(c):  # a reduced basis is sparse: add up the powers it uses
+        vals = reduce(lambda p, cr: _axpy(p, *cr), zip(c, powers), [0] * d)
+        return tuple(y % m for y in vals)
+
+    if orbit and (d % 2 or math.prod(at_roots(orbit[0]([1] + [0] * (d - 1)))) % m != 1):
         raise VerificationError(f"N(-1) or N(zeta) is not 1 for the roots mod {m}")
-    table = []
-    for ul in u:  # a reduced basis is sparse: add up the powers it uses
-        vals = [0] * len(powers)
-        for c, col in zip(ul, powers):
-            vals = _axpy(vals, c, col)
-        table.append(ul + tuple(y % m for y in vals))
-    return m, table
+    return m, [ul + at_roots(ul) for ul in u]
 
 
 def enumerate_below(
@@ -245,13 +247,13 @@ def enumerate_below(
     when strict.
 
     G must be positive definite, so the list is finite and the enumeration is
-    exhaustive; exceeding node_cap or result_cap raises BudgetError.  On the
-    trace form of a in K_N of degree >= 2 the tree is the slice v_(n-1) >= 1,
-    closed under zeta: each orbit has m = N (odd N) or N / 2 members up to
-    sign, of one value and norm.  node_cap bounds the slice's nodes and
-    result_cap the closed list.  VerificationError unless zeta keeps the form
-    (lll_reduce checks), the root table has N(-1) = N(zeta) = 1, and each
-    orbit returns to +-x at step m and no sooner.
+    exhaustive; exceeding node_cap or result_cap raises BudgetError.  Where
+    the prepared form carries an orbit (apply, m), the tree is the slice
+    v_(n-1) >= 1, closed under apply: each orbit has m members up to sign,
+    of one value and norm.  node_cap bounds the slice's nodes and result_cap
+    the closed list.  VerificationError unless apply keeps the form
+    (lll_reduce checks), the root table has N(-1) = N(apply(1)) = 1, and
+    each orbit returns to +-x at step m and no sooner.
 
     On any trace form each vector carries the norm of its element x, the
     least absolute residue of the product of x's values at the roots of
@@ -318,7 +320,6 @@ def enumerate_below(
     mod = rows = None
     pre, stale = [None] * n, n - 1
     flip = -1 if (a := form.element) is not None and a.ctx.degree % 2 else 1
-    orbit = isinstance(a, CycloElement) and n > 1  # zeta acts: walk the slice v[n - 1] >= 1
 
     def over(what, cap):
         return BudgetError(
@@ -344,7 +345,7 @@ def enumerate_below(
             nodes += count
             results += count
             if rows is None:
-                mod, rows = (None, u) if a is None else _root_table(a, stepped, u)
+                mod, rows = (None, u) if a is None else _root_table(a, stepped, u, form.orbit)
                 pre.append([0] * len(rows[0]))
             for l in range(stale, 0, -1):
                 pre[l] = _axpy(pre[l + 1], v[l], rows[l])
@@ -381,25 +382,24 @@ def enumerate_below(
             x += den
             cc += nb
 
-    for l in [n - 1] if orbit else range(n):  # slice l, skipped when empty
+    for l in [n - 1] if form.orbit else range(n):  # slice l, skipped when empty
         if hi := math.isqrt(top // ks[l]) // dens[l]:
             recurse(l, top, 0, 1, hi)
-    if orbit:  # close the slice under x -> zeta * x, each orbit walked once
-        big_n, f = a.ctx.conductor, a.ctx.cyclo_poly
-        m = big_n if big_n % 2 else big_n // 2  # zeta^m = +-1, and no lower power
+    if form.orbit:  # close the top slice under apply, each orbit walked once
+        apply, m = form.orbit
         pending = {x for _, x, _ in found}  # slice vectors whose orbit is not walked yet
         for val, x, norm in islice(found, len(found)):  # the slice, not what it appends
             if x not in pending:
                 continue
             y = x
             for j in range(1, m + 1):
-                y = _times_x(y, f)
+                y = apply(y)
                 y = tuple(map(operator.neg, y) if next(filter(None, y)) < 0 else y)
                 if (y == x) != (j == m):
                     raise VerificationError(f"zeta^{j} * {x} is {'not ' * (j == m)}+-{x}")
                 if y in pending:
                     pending.remove(y)
-                elif j < m:  # outside the slice; N(zeta) = 1 and the value is kept
+                elif j < m:  # outside the slice; N(apply(1)) = 1 and the value is kept
                     found.append((val, y, norm))
                     if len(found) > result_cap:
                         results = len(found)

@@ -211,6 +211,19 @@ def test_bench_pairs_run_pair_by_pair_across_workloads():
     assert [i for i, _, _ in order] == sorted(i for i, _, _ in order)
 
 
+def test_every_mutant_patch_applies():
+    # mutants/run.py refuses a patch whose old text does not occur exactly
+    # once; this keeps the catalogue in step with src/ between its runs
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("mutants_run", root / "mutants" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.MUTANTS
+    for name, path, old, new, tests in run.MUTANTS:
+        assert old != new and tests, name
+        assert (root / "src" / path).read_text(encoding="utf-8").count(old) == 1, name
+
+
 def test_traced_names_resolve():
     # perfbench/tracer.py wraps each LAYERS entry by reading it from its
     # module's own __dict__, or from its class's: a rename, a move, or a

@@ -663,24 +663,27 @@ def _seeded_form(conductor, seed, inverse=False):
     return sum((x * x.conj() for x in xs[:3]), ring.one())
 
 
-@pytest.mark.parametrize("conductor", (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 32))
+CLOSURE_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 32)
+
+
+@pytest.mark.parametrize("conductor", CLOSURE_CONDUCTORS)
 def test_slice_and_zeta_closure_match_the_full_walk(conductor):
     # the full walk stays the oracle: the same prepared form without its
-    # element walks all n slices; with it, the kernel walks the top slice,
-    # whose top reduced coordinate is >= 1, and closes it under zeta.  The
-    # top slice is one of the n, so it never takes more nodes, and over a
-    # conductor's cases it takes fewer
+    # orbit walks all n slices, with the same root table; with it, the
+    # kernel walks the top slice, whose top reduced coordinate is >= 1, and
+    # closes it under zeta.  The top slice is one of the n, so it never
+    # takes more nodes, and over a conductor's cases it takes fewer
     got_nodes = full_nodes = 0
     for a in (_seeded_form(conductor, 900 + conductor, inverse) for inverse in (False, True)):
         form = svp._prepare(gram(a))
-        full = dataclasses.replace(form, element=None)
+        full = dataclasses.replace(form, orbit=None)
         t = a.trace()
         mu = enumerate_below(full, t).vectors[0].value
         for bound in (mu, t, Fraction(0), Fraction(-1)):
             for strict in (False, True):
                 got, want = (enumerate_below(f, bound, strict=strict) for f in (form, full))
-                assert [(fv.coeffs, fv.value) for fv in got.vectors] == [
-                    (fv.coeffs, fv.value) for fv in want.vectors
+                assert [(fv.coeffs, fv.value, fv.norm) for fv in got.vectors] == [
+                    (fv.coeffs, fv.value, fv.norm) for fv in want.vectors
                 ], (a, bound, strict)
                 for fv in got.vectors if bound == t and not strict else ():  # mu <= t
                     assert fv.norm == a.ctx.element(fv.coeffs).norm(), (a, fv.coeffs)
@@ -699,6 +702,19 @@ def test_result_cap_trips_on_the_closed_list(conductor):
     with pytest.raises(BudgetError) as exc:
         enumerate_below(form, a.trace(), result_cap=len(res.vectors) - 1)
     assert (exc.value.nodes, exc.value.results) == (res.nodes, len(res.vectors))
+
+
+def test_the_orbit_is_recorded_on_the_prepared_form():
+    # lll_reduce alone decides the orbit: zeta, of order N for odd N and
+    # N / 2 for even N up to sign, on every trace form over K_N of degree
+    # >= 2; raw rows, K_N+ forms and degree 1 carry none
+    for conductor in CLOSURE_CONDUCTORS:
+        a = _seeded_form(conductor, 900 + conductor)
+        want = conductor if conductor % 2 else conductor // 2
+        assert lll_reduce(gram(a)).orbit[1] == want, conductor
+        assert lll_reduce(gram(a).entries).orbit is None, conductor
+    for ring in (make_real_field(49), make_field(1)):
+        assert lll_reduce(gram(ring.one())).orbit is None, ring
 
 
 def test_a_map_that_is_not_an_isometry_is_refused(monkeypatch):
