@@ -1,8 +1,8 @@
 """Run the catalogue of kernel mutants: each one must make its tests fail.
 
-    python3 mutants/run.py [NAME ...]
+    python3 mutants/run.py
 
-For each mutant in MUTANTS (or only the named ones) the script copies src/
+For each mutant in MUTANTS the script copies src/
 into a fresh temporary directory, applies one exact text patch there, and
 runs the mutant's tests from this checkout's tests/ with
 `python -m pytest -x -q`, the copy first on PYTHONPATH.  The patch's old
@@ -92,15 +92,9 @@ def run_mutant(path: str, old: str, new: str, tests: list[str]) -> str:
     raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
-def main(argv: list[str]) -> int:
-    names = {m[0] for m in MUTANTS}
-    unknown = [a for a in argv if a not in names]
-    if unknown:
-        sys.exit(f"unknown mutants: {unknown}; known: {sorted(names)}")
+def main() -> int:
     bad, start = 0, time.perf_counter()
     for name, path, old, new, tests in MUTANTS:
-        if argv and name not in argv:
-            continue
         t0 = time.perf_counter()
         try:
             verdict = run_mutant(path, old, new, tests)
@@ -113,4 +107,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -87,9 +87,9 @@ def lll_reduce(g) -> LLLResult:
     NotTotallyPositiveError, which names the element of a trace form and
     reports the pivot of the unscaled matrix.  Only here is the orbit
     decided: on the trace form of an element of K_N of degree >= 2 it is
-    (apply, m), apply(x) = x * x mod Phi_N and m = N (odd N) or N / 2, and
-    Z G Z^T must be G, Z's rows apply(e_i) (VerificationError otherwise); on
-    every other form, None.
+    (apply, m), apply(x) = zeta * x (X * x mod Phi_N in power-basis
+    coordinates) and m = N (odd N) or N / 2, and Z G Z^T must be G, Z's
+    rows apply(e_i) (VerificationError otherwise); on every other form, None.
     """
     scale, rows, element = _coerce_gram(g)
     n = len(rows)
@@ -213,7 +213,7 @@ def _prepare(g) -> LLLResult:
     return g if isinstance(g, LLLResult) else lll_reduce(g)
 
 
-def _root_table(a, bound: Fraction, u, orbit=None):
+def _root_table(a, bound: Fraction, u, orbit):
     """(M, rows): rows[l] is u[l] followed by b_l(r_i) mod M, b_l having
     coefficients u[l] and r_i running over the roots of split_table, and the
     odd M has M^2 > 4 * (bound * den(a) / d)^d.  With an orbit, N(-1) =

@@ -97,7 +97,7 @@ def test_split_norms_match_resultants_on_random_vectors():
         xs = [tuple(x) for x in xs if any(x)] + [(rng.choice((-2, -1, 1, 2)),) * d]
         # for a = 1, N(x)^2 <= (T2(x) / d)^d by AM-GM
         t2 = max(_t2(ring.element(x)) for x in xs)
-        m, rows = svp._root_table(ring.one(), t2, xs)
+        m, rows = svp._root_table(ring.one(), t2, xs, None)
         assert m * m > 4 * (t2 / d) ** d
         for x, row in zip(xs, rows):
             assert len(row) == 2 * d and row[:d] == x, (ring, x)
@@ -170,7 +170,7 @@ def test_a_modulus_below_the_bound_is_refused(monkeypatch):
     a = verify_witness(25).witness
     sq_bound = (a.trace() * a.den / 20) ** 20
     assert 2**40 < 4 * sq_bound < 2**80
-    m, _ = svp._root_table(a, a.trace(), ())
+    m, _ = svp._root_table(a, a.trace(), (), None)
     assert m > 2**40 and m * m > 4 * sq_bound
     # a table one prime short has M^2 <= 4 * sq_bound, which the scan refuses;
     # so does the one-prime table of the unit form over K_25, with none
