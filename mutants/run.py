@@ -2,9 +2,9 @@
 
     python3 mutants/run.py
 
-For each mutant in MUTANTS the script copies src/
-into a fresh temporary directory, applies one exact text patch there, and
-runs the mutant's tests from this checkout's tests/ with
+For each mutant in MUTANTS the script copies src/ into a fresh temporary
+directory, applies one exact text patch there, and runs the mutant's tests
+from this checkout's tests/ with
 `python -m pytest -x -q`, the copy first on PYTHONPATH.  The patch's old
 text must occur exactly once in its file, or the run fails: a catalogue that
 no longer applies proves nothing.  A failing test kills the mutant; a clean
