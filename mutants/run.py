@@ -34,6 +34,9 @@ CLOSURE = "tests/test_svp.py::test_slice_and_zeta_closure_match_the_full_walk"
 RECORD = "tests/test_svp.py::test_the_orbit_is_recorded_on_the_prepared_form"
 SLICES = ["tests/test_svp.py::test_enumeration_matches_brute_force",
           "tests/test_svp.py::test_identity_form_walks_one_slice_per_level"]
+LEAF_RUN = "tests/test_svp.py::test_budget_stops_inside_a_leaf_run_match_the_oracle"
+LLL = ["tests/test_svp.py::test_integral_lll_matches_fraction_oracle",
+       "tests/test_svp.py::test_lll_transform_is_unimodular_and_consistent"]
 
 # (name, file under src/, old text, new text, the test ids that must fail)
 MUTANTS = [
@@ -41,7 +44,7 @@ MUTANTS = [
      "big_n if big_n % 2 else big_n // 2", "big_n",
      [RECORD, f"{CLOSURE}[4]", f"{CLOSURE}[32]"]),
     ("orbit: _congruent without the transpose", SVP,
-     "return z_times(list(zip(*z_times(g))))", "return z_times(z_times(g))",
+     "zgt = list(zip(*(_combine(zi, g) for zi in z)))", "zgt = [_combine(zi, g) for zi in z]",
      ["tests/test_svp.py::test_lll_transform_is_unimodular_and_consistent", f"{CLOSURE}[5]"]),
     ("orbit: the norm check reads N(1), not N(apply(1))", SVP,
      "at_roots(orbit[0]([1] + [0] * (d - 1)))", "at_roots([1] + [0] * (d - 1))",
@@ -56,6 +59,24 @@ MUTANTS = [
     ("orbit: the closure's sign canonicalisation dropped", SVP,
      "y = tuple(map(operator.neg, y) if next(filter(None, y)) < 0 else y)", "y = tuple(y)",
      [f"{CLOSURE}[5]", f"{CLOSURE}[8]"]),
+    ("budget: a tie of the two caps goes to the result cap", SVP,
+     "if free <= room:", "if free < room:",
+     ["tests/test_svp.py::test_integer_kernel_matches_fraction_oracle_on_random_forms"]),
+    ("budget: a node cap below 0 not clamped", SVP,
+     "max(node_cap - nodes, 0)", "node_cap - nodes",
+     ["tests/test_svp.py::test_a_node_cap_below_zero_stops_at_the_first_node"]),
+    ("budget: a run that exactly fills a cap trips it", SVP,
+     "if count > min(free, room):", "if count >= min(free, room):",
+     [LEAF_RUN]),
+    ("budget: the result stop one node short", SVP,
+     "nodes += room + 1", "nodes += room",
+     [LEAF_RUN]),
+    ("lll: size reduction by floor", SVP,
+     "q = (2 * lam[k][j] + dj) // (2 * dj)", "q = lam[k][j] // dj",
+     LLL),
+    ("lll: the Lovasz test never swaps", SVP,
+     "if den * x >= num * d[k] * d[k]:", "if True:",
+     LLL),
 ]
 
 
@@ -88,7 +109,7 @@ def run_mutant(path: str, old: str, new: str, tests: list[str]) -> str:
         return "survived"
     if proc.returncode == 1:  # some test failed; -q names it on a FAILED line
         failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
-        return f"killed by {failed[0].split()[1] if failed else '?'}"
+        return f"killed by {failed[0][len('FAILED '):].split(' - ')[0] if failed else '?'}"
     raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 

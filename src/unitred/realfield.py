@@ -251,7 +251,7 @@ def verify_real_witness(
         raise VerificationError(
             f"Tr(a^-1) is {upper}, expected {upper_cf} at conductor {big_n}"
         )
-    mu_exact, fields = _certify(a, big_n, trace_cf, node_cap, force, "real witness")
+    mu_exact, fields = _certify(a, trace_cf, node_cap, force)
     if mu_exact > upper:
         raise VerificationError(
             f"enumerated minimum {mu_exact} exceeds the Tr(a^-1) bound {upper}"

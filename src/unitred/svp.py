@@ -41,7 +41,7 @@ from .traceform import _coerce_gram, _fraction_free
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_NODE_CAP = 10_000_000
-DEFAULT_RESULT_CAP = 1_000_000
+RESULT_CAP = 1_000_000
 
 
 def _axpy(p: list, t: int, r) -> list:
@@ -143,15 +143,16 @@ def lll_reduce(g) -> LLLResult:
     return LLLResult(u, w, swaps, scale, element, orbit, tuple(dets), lam)
 
 
+def _combine(c, rows) -> list:
+    """sum c_i * rows[i], adding up only the rows that c selects: cheap for
+    the sparse rows of LLL transforms and zeta's shifts."""
+    return reduce(lambda p, cr: _axpy(p, *cr), zip(c, rows), [0] * len(rows[0]))
+
+
 def _congruent(z, g) -> list[list[int]]:
-    """z g z^T for a symmetric g: each row of z adds up the rows it selects,
-    which is cheap for the sparse rows of LLL transforms and zeta's shifts."""
-    n = len(g)
-
-    def z_times(m):
-        return [reduce(lambda p, cr: _axpy(p, *cr), zip(zi, m), [0] * n) for zi in z]
-
-    return z_times(list(zip(*z_times(g))))  # z (z g)^T = z g^T z^T
+    """z g z^T for a symmetric g, one _combine per row of z and of z g."""
+    zgt = list(zip(*(_combine(zi, g) for zi in z)))  # (z g)^T = g z^T
+    return [_combine(zi, zgt) for zi in z]
 
 
 def _verify_lll(g, det_g, u):
@@ -226,9 +227,8 @@ def _root_table(a, bound: Fraction, u, orbit):
     if m * m <= 4 * sq_bound:
         raise VerificationError(f"split modulus {m} does not cover the norm bound")
 
-    def at_roots(c):  # a reduced basis is sparse: add up the powers it uses
-        vals = reduce(lambda p, cr: _axpy(p, *cr), zip(c, powers), [0] * d)
-        return tuple(y % m for y in vals)
+    def at_roots(c):  # c's values at the roots, mod m
+        return tuple(y % m for y in _combine(c, powers))
 
     if orbit and (d % 2 or math.prod(at_roots(orbit[0]([1] + [0] * (d - 1)))) % m != 1):
         raise VerificationError(f"N(-1) or N(zeta) is not 1 for the roots mod {m}")
@@ -236,24 +236,20 @@ def _root_table(a, bound: Fraction, u, orbit):
 
 
 def enumerate_below(
-    g,
-    bound,
-    *,
-    strict: bool = False,
-    node_cap: int = DEFAULT_NODE_CAP,
-    result_cap: int = DEFAULT_RESULT_CAP,
+    g, bound, *, strict: bool = False, node_cap: int = DEFAULT_NODE_CAP
 ) -> EnumerationResult:
     """Every nonzero vector v, up to sign, with v G v^T <= bound, or < bound
     when strict.
 
     G must be positive definite, so the list is finite and the enumeration is
-    exhaustive; exceeding node_cap or result_cap raises BudgetError.  Where
-    the prepared form carries an orbit (apply, m), the tree is the slice
-    v_(n-1) >= 1, closed under apply: each orbit has m members up to sign,
-    of one value and norm.  node_cap bounds the slice's nodes and result_cap
-    the closed list.  VerificationError unless apply keeps the form
-    (lll_reduce checks), the root table has N(-1) = N(apply(1)) = 1, and
-    each orbit returns to +-x at step m and no sooner.
+    exhaustive; more than node_cap nodes, or more than RESULT_CAP vectors,
+    raises BudgetError.  Where the prepared form carries an orbit (apply, m),
+    the tree is the slice v_(n-1) >= 1, closed under apply: each orbit has m
+    members up to sign, of one value and norm.  node_cap bounds the slice's
+    nodes and RESULT_CAP, read at call time, the closed list.
+    VerificationError unless apply keeps the form (lll_reduce checks), the
+    root table has N(-1) = N(apply(1)) = 1, and each orbit returns to +-x at
+    step m and no sooner.
 
     On any trace form each vector carries the norm of its element x, the
     least absolute residue of the product of x's values at the roots of
@@ -277,7 +273,8 @@ def enumerate_below(
 
     Frames keep only the reduced-basis coordinates v and work out their
     children's intervals, so an empty one costs no call.  A level-0 run is
-    counted in one step (replayed node by node if a cap trips in it); its
+    counted in one step, each node keeping one vector, so a cap that trips
+    in it trips at a node computed from the room left under each cap; its
     vectors read coordinates and root values off P_1 + t rows[0], the prefix
     P_l = sum_{j>=l} v_j rows[j] being rebuilt from the highest changed v.
     """
@@ -312,7 +309,7 @@ def enumerate_below(
          [(j, lam[j][l - 1] // gs[l - 1]) for j in range(l + 1, n) if lam[j][l - 1]])
         for l in range(1, n)
     ]
-    nodes = results = 0
+    nodes = 0
     found: list[tuple[int, tuple[int, ...], int | None]] = []  # (s * scale * value, coords, norm)
     v = [0] * n  # reduced-basis coordinates of the levels above the current one
     # the root table and the prefixes P_1 .. P_n (P_n = 0), built at the first
@@ -321,7 +318,7 @@ def enumerate_below(
     pre, stale = [None] * n, n - 1
     flip = -1 if (a := form.element) is not None and a.ctx.degree % 2 else 1
 
-    def over(what, cap):
+    def over(what, cap, results):
         return BudgetError(
             f"enumeration exceeded {what} cap {cap}", nodes=nodes, results=results
         )
@@ -330,20 +327,21 @@ def enumerate_below(
         # the non-empty run lo..hi of level lvl below v[lvl + 1:], which holds
         # no zero vector; rem: top minus the steps above lvl; c: the integer
         # centre C_lvl
-        nonlocal nodes, results, mod, rows, stale
+        nonlocal nodes, mod, rows, stale
         if lvl == 0:
             k, den = levels[0]
             count = hi - lo + 1
-            if nodes + count > node_cap or results + count > result_cap:
-                for _ in range(count):  # a cap trips in this run: replay it to the stop
-                    nodes += 1
-                    if nodes > node_cap:
-                        raise over("node", node_cap)
-                    results += 1
-                    if results > result_cap:
-                        raise over("result", result_cap)
+            # each node keeps one vector; the node cap trips at node free + 1
+            # of the run, the result cap at node room + 1, the node cap first
+            # on a tie (a node cap below 0 trips at the first node)
+            free, room = max(node_cap - nodes, 0), RESULT_CAP - len(found)
+            if count > min(free, room):
+                if free <= room:
+                    nodes += free + 1
+                    raise over("node", node_cap, len(found) + free)
+                nodes += room + 1
+                raise over("result", RESULT_CAP, RESULT_CAP + 1)
             nodes += count
-            results += count
             if rows is None:
                 mod, rows = (None, u) if a is None else _root_table(a, stepped, u, form.orbit)
                 pre.append([0] * len(rows[0]))
@@ -369,7 +367,7 @@ def enumerate_below(
         for t in range(lo, hi + 1):
             nodes += 1
             if nodes > node_cap:
-                raise over("node", node_cap)
+                raise over("node", node_cap, len(found))
             r = rem - k * x * x
             m = math.isqrt(r // kc)  # |t' * dc + cc| <= m one level down
             lc = -((m + cc) // dc)
@@ -401,9 +399,8 @@ def enumerate_below(
                     pending.remove(y)
                 elif j < m:  # outside the slice; N(apply(1)) = 1 and the value is kept
                     found.append((val, y, norm))
-                    if len(found) > result_cap:
-                        results = len(found)
-                        raise over("result", result_cap)
+                    if len(found) > RESULT_CAP:
+                        raise over("result", RESULT_CAP, len(found))
         del pending  # a set's table keeps its size as it empties; free it before the build
     found.sort()
 

@@ -70,28 +70,18 @@ def mu_star(a, *, node_cap: int = DEFAULT_NODE_CAP) -> MuStarReport:
     to Tr(a) (the value at u = 1, so the search bound is always attained)."""
     t = a.trace()
     res = enumerate_below(gram(a), t, node_cap=node_cap)
-    level = None
-    attaining = []
-    count = 0
-    for fv in res.vectors:
-        if level is not None and fv.value > level:
-            break
-        if abs(fv.norm) == 1:
-            if level is None:
-                level = fv.value
-            count += 1
-            if len(attaining) < ATTAINING_CAP:
-                attaining.append(fv)
-    if level is None:
+    units = [fv for fv in res.vectors if abs(fv.norm) == 1]
+    if not units:
         raise VerificationError(f"no unit attains Tr(a) = {t}, which u = 1 does")
+    shell = [fv for fv in units if fv.value == units[0].value]  # units sort by value
     return MuStarReport(
         element=a,
         trace=t,
         mu=res.vectors[0].value,
-        mu_star=level,
-        attaining=tuple(attaining),
-        attaining_count=count,
-        attaining_truncated=count > len(attaining),
+        mu_star=units[0].value,
+        attaining=tuple(shell[:ATTAINING_CAP]),
+        attaining_count=len(shell),
+        attaining_truncated=len(shell) > ATTAINING_CAP,
         nodes=res.nodes,
     )
 

@@ -34,7 +34,9 @@ VERIFY_DEGREE_CAP = 20  # enumeration dimension attempted by default
 
 
 def _prime_power(big_n: int, what: str) -> tuple[int, int]:
-    """(p, n) with N = p^n; ConductorError naming `what` for any other N."""
+    """(p, n) with N = p^n; ConductorError for a conductor that is not
+    canonical, and naming `what` for any other N."""
+    require_canonical_conductor(big_n)
     fac = factorize(big_n)
     if len(fac) != 1:
         raise ConductorError(f"{what} exist for prime powers only, got {big_n}")
@@ -99,17 +101,18 @@ class _WitnessCertificate:
         }
 
 
-def _certify(a, big_n: int, trace_cf: Fraction, node_cap: int, force: bool, what: str):
-    """The steps both witness checks share: the degree cap, Tr(a) against its
-    closed form, is_reduced's one enumeration strictly below Tr(a) and the
-    check that no unit lies there.
+def _certify(a, trace_cf: Fraction, node_cap: int, force: bool):
+    """The steps both witness checks share, for the witness a of K_N or of
+    K_N+: the degree cap, Tr(a) against its closed form, is_reduced's one
+    enumeration strictly below Tr(a) and the check that no unit lies there.
 
     Returns (mu, fields): mu is the minimum of the form of a, the first value
     below Tr(a), or Tr(a) itself when nothing lies below it, since u = 1
     attains Tr(a); fields are the _WitnessCertificate arguments.  A budget
     stop raises the scan's BudgetError.
     """
-    deg = a.ctx.degree
+    deg, big_n = a.ctx.degree, a.ctx.conductor
+    what = "witness" if isinstance(a, CycloElement) else "real witness"
     if deg > VERIFY_DEGREE_CAP and not force:
         raise DegreeError(
             f"enumeration dimension {deg} exceeds the cap {VERIFY_DEGREE_CAP} "
@@ -179,7 +182,7 @@ def verify_witness(
     x_val = (a * x * x.conj()).trace()
     if x_val != euler_phi(big_n):
         raise VerificationError(f"x has form value {x_val}, expected {euler_phi(big_n)}")
-    mu_a, fields = _certify(a, big_n, trace_cf, node_cap, force, "witness")
+    mu_a, fields = _certify(a, trace_cf, node_cap, force)
     t = fields["trace_a"]
     ratio = t / mu_a
     if ratio != ratio_cf:

@@ -22,7 +22,7 @@ from unitred.errors import (
     VerificationError,
 )
 from unitred.serialize import dumps_canonical
-from unitred.witness import Eq4Report
+from unitred.witness import Eq4Report, rho_closed
 
 
 def test_classify_text_and_payload():
@@ -184,6 +184,21 @@ def test_real_witness_error_names_the_conductor(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"2-power real witness needs 2^n with n >= 4, got {argv[2]}\n"
+
+
+def test_witness_commands_refuse_a_conductor_that_is_not_canonical(capsys):
+    # K_6 = K_3: the witness commands get every other command's message, not
+    # "prime powers only", and 0 never reaches factorize
+    rule = "is not canonical (need N >= 1 and N % 4 != 2)"
+    for argv, text in (
+        (["witness", "6"], f"conductor 6 {rule}; use 3 instead"),
+        (["witness", "0"], f"conductor 0 {rule}"),
+        (["real", "witness", "6", "--verify"], f"conductor 6 {rule}; use 3 instead"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", text + "\n"), argv
+    with pytest.raises(ConductorError, match=f"^conductor 2 {re.escape(rule)}; use 1 instead$"):
+        rho_closed(2, [1])
 
 
 def test_real_classify():

@@ -180,10 +180,11 @@ def test_parameters_are_the_ones_callers_set():
     # Lovasz constant, the attaining-list cap and the result cap are fixed
     expected = {
         svp.lll_reduce: ["g"],
+        svp.enumerate_below: ["g", "bound", "strict", "node_cap"],
         svp.shortest: ["g", "node_cap"],
         units.mu_star: ["a", "node_cap"],
         units.is_reduced: ["a", "node_cap"],
-        witness._certify: ["a", "big_n", "trace_cf", "node_cap", "force", "what"],
+        witness._certify: ["a", "trace_cf", "node_cap", "force"],
         witness.verify_witness: ["big_n", "node_cap", "force"],
         realfield.verify_real_witness: ["big_n", "node_cap", "force"],
         realfield.real_mu_relations_check: ["a"],

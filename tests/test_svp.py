@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -285,10 +286,19 @@ def test_node_budget_raises_with_counts():
     assert exc.value.nodes >= 50
 
 
-def test_result_budget_raises():
+def test_a_node_cap_below_zero_stops_at_the_first_node():
+    # slice 0 starts at level 0, so this stop is the one computed for a
+    # level-0 run, with no node counted before it
+    for g in ([[1]], [[2, 1], [1, 2]]):
+        stop = _assert_matches_oracle(g, Fraction(9), node_cap=-1)
+        assert stop[0] == "budget" and stop[2:] == (1, 0), g
+
+
+def test_result_budget_raises(monkeypatch):
+    monkeypatch.setattr(svp, "RESULT_CAP", 5)
     g = [[1, 0], [0, 1]]
     with pytest.raises(BudgetError) as exc:
-        enumerate_below(g, Fraction(400), result_cap=5)
+        enumerate_below(g, Fraction(400))
     assert exc.value.results is not None
 
 
@@ -354,7 +364,7 @@ def _fraction_enumerate(
     half_space=False,
     strict=False,
     node_cap=svp.DEFAULT_NODE_CAP,
-    result_cap=svp.DEFAULT_RESULT_CAP,
+    result_cap=svp.RESULT_CAP,
     kept_at=None,
 ):
     """Fincke-Pohst in Fractions, as enumerate_below ran before its integer
@@ -500,10 +510,13 @@ def _assert_matches_oracle(g, bound, strict=False, **caps):
     """The kernel against the half-space twin: its vectors are the oracle's
     at the bound as given; its nodes and budget stops are the oracle's walk
     up to the stepped bound, inclusive, and none when that is below one
-    step.  The walk lists the same vectors: none lies between the two."""
+    step.  The walk lists the same vectors: none lies between the two.  The
+    kernel reads a result_cap in caps from svp.RESULT_CAP."""
 
     def kernel():
-        res = enumerate_below(g, bound, strict=strict, **caps)
+        node_cap = caps.get("node_cap", svp.DEFAULT_NODE_CAP)
+        with mock.patch.object(svp, "RESULT_CAP", caps.get("result_cap", svp.RESULT_CAP)):
+            res = enumerate_below(g, bound, strict=strict, node_cap=node_cap)
         return [(fv.value, fv.coeffs) for fv in res.vectors], res.nodes
 
     top, step = _stepped_bound(g, bound, strict)
@@ -596,15 +609,17 @@ def test_integer_kernel_matches_fraction_oracle_on_witness_forms(name):
 
 
 @pytest.mark.parametrize("conductor, count", ((25, 8875), (32, 49840)))
-def test_result_cap_counts_only_the_vectors_returned(conductor, count):
+def test_result_cap_counts_only_the_vectors_returned(conductor, count, monkeypatch):
     # no -v twin is visited, so a cap equal to the result's length suffices
     a = witness_for_conductor(conductor)
     form = svp._prepare(gram(a))
     t = a.trace()
     assert len(enumerate_below(form, t).vectors) == count
-    assert len(enumerate_below(form, t, result_cap=count).vectors) == count
+    monkeypatch.setattr(svp, "RESULT_CAP", count)
+    assert len(enumerate_below(form, t).vectors) == count
+    monkeypatch.setattr(svp, "RESULT_CAP", count - 1)
     with pytest.raises(BudgetError) as exc:
-        enumerate_below(form, t, result_cap=count - 1)
+        enumerate_below(form, t)
     assert exc.value.results == count
 
 
@@ -631,9 +646,9 @@ def _first_leaf_run(form, bound, strict, span=3000):
 
 @pytest.mark.parametrize("name", ["witness 25", "witness 32", "real witness 49"])
 def test_budget_stops_inside_a_leaf_run_match_the_oracle(name):
-    # the kernel counts a level-0 interval in one step and replays it node by
-    # node only when a cap falls inside it; the stop must match the oracle's
-    # at the first, middle and last node of the run, and just past it
+    # the kernel counts a level-0 interval in one step and, when a cap falls
+    # inside it, computes the node where it trips; the stop must match the
+    # oracle's at the first, middle and last node of the run, and just past it
     a = WITNESS_FORMS[name]()
     form = svp._prepare(gram(a))
     t = a.trace()
@@ -693,14 +708,15 @@ def test_slice_and_zeta_closure_match_the_full_walk(conductor):
 
 
 @pytest.mark.parametrize("conductor", (25, 32))
-def test_result_cap_trips_on_the_closed_list(conductor):
+def test_result_cap_trips_on_the_closed_list(conductor, monkeypatch):
     # a cap one below the closed list's length is met only by the closure,
     # after the whole slice is walked
     a = witness_for_conductor(conductor)
     form = svp._prepare(gram(a))
     res = enumerate_below(form, a.trace())
+    monkeypatch.setattr(svp, "RESULT_CAP", len(res.vectors) - 1)
     with pytest.raises(BudgetError) as exc:
-        enumerate_below(form, a.trace(), result_cap=len(res.vectors) - 1)
+        enumerate_below(form, a.trace())
     assert (exc.value.nodes, exc.value.results) == (res.nodes, len(res.vectors))
 
 
